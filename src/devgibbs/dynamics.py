@@ -37,6 +37,11 @@ class MapSystem:
     full-branch families and is ``None`` when unavailable.
     ``branches`` carries the piecewise-monotone structure used for
     interval-image propagation and is optional in the same way.
+    ``float_horizon`` is the longest orbit whose double-precision
+    iterates still carry information, for maps whose step is exactly
+    x -> d x mod 1: each step drops log2 d mantissa bits, so by step
+    52 / log2 d every orbit has collapsed onto a grid that ends at 0.
+    It is ``None`` where no such bound is known.
     """
 
     label: str
@@ -47,6 +52,7 @@ class MapSystem:
     crit_dist: Callable
     branch_preimages: Optional[Callable] = None
     branches: Optional[object] = None
+    float_horizon: Optional[float] = None
 
     def __call__(self, x):
         return evaluate(self, x)

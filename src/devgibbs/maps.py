@@ -1,7 +1,9 @@
 """Constructors and condition checkers for the benchmark map families.
 
-Four families are shipped:
+Five families are shipped:
 
+* ``doubling`` -- x -> 2 x mod 1 on the circle, the uniformly expanding
+  benchmark (``perturbed_expanding`` with d = 2, a = 0).
 * ``quadratic`` -- f(x) = 1 - a x^2 on [-1, 1], critical set {0}.  The
   textbook parabola needs the symmetric interval to be forward invariant,
   so that is the domain used here.
@@ -13,9 +15,7 @@ Four families are shipped:
 * ``perturbed_expanding`` -- the degree-d circle map
   f(x) = d x - a sin(2 pi x) (mod 1), a local diffeomorphism for
   a < d / (2 pi).  With d = 4 and a between 3/(2 pi) and 4/(2 pi) the
-  fixed point 0 becomes contracting, giving a concrete bifurcated region;
-  d = 2, a = 0 is the doubling map used as the uniformly expanding
-  benchmark.
+  fixed point 0 becomes contracting, giving a concrete bifurcated region.
 * ``viana`` -- the cylinder skew product
   (theta, x) -> (d theta mod 1, 1 - a x^2 + alpha cos(2 pi theta)).
   For a = 2 no fiber interval is exactly forward invariant once
@@ -224,6 +224,7 @@ def make_perturbed_expanding(d: int, a: float) -> MapSystem:
         branch_preimages=preimages,
         branches=CircleBranches(degree=d, lift=lift, inv_lift=inv_lift,
                                 base=omega),
+        float_horizon=52 / math.log2(d) if a == 0.0 else None,
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -164,7 +165,7 @@ def run(cfg: ExperimentConfig, out_dir=None, workers=None) -> RunManifest:
         else:
             raise ConfigError(f"kind {cfg.kind} not dispatchable")
     except Exception as exc:
-        for path in written:
+        for path in written + [os.path.join(out, "manifest.json")]:
             if os.path.exists(path):
                 os.remove(path)
         raise DevgibbsError(f"stage {cfg.kind!r} failed: {exc}") from exc
@@ -348,10 +349,13 @@ def _run_spec(cfg, m, sampler, emit_json):
         "rows": [{"eps": eps, "n": n, "p_hat": val * n, "p_over_n": val}
                  for (eps, n), val in sorted(rep.sup_table.items())],
         "headline": rep.headline,
+        "exactness": [{"eps": eps, "time": n}
+                      for eps, n in sorted(rep.exactness.items())],
         "censored_fraction": rep.censored_fraction,
         "sampling": rep.sampling,
     })
-    return {"headline": rep.headline}
+    return {"headline": rep.headline,
+            "exactness": rep.exactness[rep.eps_grid[0]]}
 
 
 def _run_contraction(cfg, m, emit_json):
@@ -414,7 +418,40 @@ def _run_contraction(cfg, m, emit_json):
             "ratio_median": float(np.median(ratios))}
 
 
+# [check] key -> (check name, result field, comparison).  A comparison is
+# an operator applied as ``got <op> target`` or an (absolute | relative,
+# tolerance key, default tolerance) triple.
+_CHECKS = {
+    "rate_target": ("rate", "rate", ("abs", "rate_tol", 0.02)),
+    "require_upper_ok": ("upper_ok", "upper_ok", "=="),
+    "require_lower_ok": ("lower_ok", "lower_ok", "=="),
+    "legendre_target": ("legendre", "legendre", ("abs", "legendre_tol", 0.01)),
+    "kind_expected": ("tail_kind", "tail_kind", "=="),
+    "slope_max": ("tail_slope", "tail_rate", "<"),
+    "exponent_target": ("tail_exponent", "tail_exponent",
+                        ("abs", "exponent_tol", 0.3)),
+    "entropy_target": ("entropy", "entropy", ("rel", "entropy_rel_tol", 0.05)),
+    "subexp_max": ("subexp", "subexp", "<="),
+    "delta_max": ("delta_max", "delta_hat", "<="),
+    "delta_min": ("delta_min", "delta_hat", ">="),
+    "headline_max": ("headline", "headline", "<="),
+    "pass_min": ("pass_min", "pass_min", ">="),
+    "ratio_max": ("ratio", "ratio_max", "<="),
+    "exactness_target": ("exactness", "exactness", "=="),
+}
+_OPS = {"==": operator.eq, "<": operator.lt, "<=": operator.le,
+        ">=": operator.ge}
+# tolerance key -> the target key whose check it modifies
+_TOLERANCES = {how[1]: key for key, (_, _, how) in _CHECKS.items()
+               if isinstance(how, tuple)}
+
+
 def _evaluate_checks(spec: dict, results: dict):
+    """One verdict per [check] key; a result that is missing fails.
+
+    A key with no evaluator, or a tolerance without its target, records a
+    failing check rather than passing unseen.
+    """
     checks = {}
     failures = []
 
@@ -424,62 +461,22 @@ def _evaluate_checks(spec: dict, results: dict):
             failures.append(name)
 
     for key, val in spec.items():
-        if key == "rate_target":
-            tol = spec.get("rate_tol", 0.02)
-            got = results.get("rate")
-            record("rate", got is not None and abs(got - val) <= tol,
-                   f"rate={got} target={val} tol={tol}")
-        elif key == "require_upper_ok":
-            record("upper_ok", results.get("upper_ok") == val,
-                   f"upper_ok={results.get('upper_ok')}")
-        elif key == "require_lower_ok":
-            record("lower_ok", results.get("lower_ok") == val,
-                   f"lower_ok={results.get('lower_ok')}")
-        elif key == "legendre_target":
-            tol = spec.get("legendre_tol", 0.01)
-            got = results.get("legendre")
-            record("legendre", got is not None and abs(got - val) <= tol,
-                   f"I={got} target={val} tol={tol}")
-        elif key == "kind_expected":
-            record("tail_kind", results.get("tail_kind") == val,
-                   f"kind={results.get('tail_kind')}")
-        elif key == "slope_max":
-            got = results.get("tail_rate")
-            record("tail_slope", got is not None and got < val,
-                   f"rate={got} < {val}")
-        elif key == "exponent_target":
-            tol = spec.get("exponent_tol", 0.3)
-            got = results.get("tail_exponent")
-            record("tail_exponent", got is not None and abs(got - val) <= tol,
-                   f"exponent={got} target={val} tol={tol}")
-        elif key == "entropy_target":
-            tol = spec.get("entropy_rel_tol", 0.05)
-            got = results.get("entropy")
-            record("entropy",
-                   got is not None and abs(got / val - 1.0) <= tol,
-                   f"entropy={got} target={val} rel_tol={tol}")
-        elif key == "subexp_max":
-            got = results.get("subexp")
-            record("subexp", got is not None and got <= val,
-                   f"statistic={got} <= {val}")
-        elif key == "delta_max":
-            got = results.get("delta_hat")
-            record("delta_max", got is not None and got <= val,
-                   f"delta_hat={got} <= {val}")
-        elif key == "delta_min":
-            got = results.get("delta_hat")
-            record("delta_min", got is not None and got >= val,
-                   f"delta_hat={got} >= {val}")
-        elif key == "headline_max":
-            got = results.get("headline")
-            record("headline", got is not None and got <= val,
-                   f"headline={got} <= {val}")
-        elif key == "pass_min":
-            got = results.get("pass_min")
-            record("pass_min", got is not None and got >= val,
-                   f"pass_fraction={got} >= {val}")
-        elif key == "ratio_max":
-            got = results.get("ratio_median")
-            record("ratio", got is not None and got <= val,
-                   f"ratio_median={got} <= {val}")
+        if key in _TOLERANCES:
+            if _TOLERANCES[key] not in spec:
+                record(key, False, f"{key} without {_TOLERANCES[key]}")
+            continue
+        if key not in _CHECKS:
+            record(key, False, f"no evaluator for [check] {key}")
+            continue
+        name, field, how = _CHECKS[key]
+        got = results.get(field)
+        if isinstance(how, tuple):
+            mode, tol_key, default = how
+            tol = spec.get(tol_key, default)
+            ok = got is not None and abs(
+                got - val if mode == "abs" else got / val - 1.0) <= tol
+            record(name, ok, f"{field}={got} target={val} {tol_key}={tol}")
+        else:
+            record(name, got is not None and _OPS[how](got, val),
+                   f"{field}={got} {how} {val}")
     return checks, failures

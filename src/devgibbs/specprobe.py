@@ -310,6 +310,7 @@ class GapReport:
     eps_grid: list
     n_grid: list
     sup_table: dict  # (eps, n) -> sup over samples of p_hat / n
+    exactness: dict  # eps -> exactness time over the probes
     headline: float  # smallest eps, largest n cell
     censored_fraction: float
     sampling: str
@@ -356,6 +357,7 @@ def nonuniform_spec_statistic(m: MapSystem, sampler, eps_grid, n_grid,
         if bad:
             censored += 1
     return GapReport(eps_grid=eps_grid, n_grid=n_grid, sup_table=sup_table,
+                     exactness=exact,
                      headline=sup_table[(eps_grid[0], n_grid[-1])],
                      censored_fraction=censored / samples,
                      sampling=getattr(sampler, "label", "unknown"))

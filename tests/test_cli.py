@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from devgibbs.cli import main
 from devgibbs.config import parse_config
 from devgibbs.errors import ConfigError
+from devgibbs.runner import _evaluate_checks
 
 MINIMAL = """\
 family = doubling
@@ -216,3 +217,75 @@ t_grid = [0.0, 0.5, 1.0]
     res = runner.invoke(main, ["run", str(cfg)])
     assert res.exit_code == 0, res.output
     assert (out / "rate_curve.csv").exists()
+
+
+def test_failed_run_removes_stale_manifest(tmp_path):
+    out = tmp_path / "out"
+    runner = CliRunner()
+    good = tmp_path / "good.cfg"
+    good.write_text(TINY_RUN.format(out=out))
+    assert runner.invoke(main, ["run", str(good)]).exit_code == 0
+    assert (out / "manifest.json").exists()
+    # past the doubling map's floating-point horizon: the stage fails
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_RUN.format(out=out).replace("[8, 12, 16]",
+                                                    "[60, 80, 100]"))
+    res = runner.invoke(main, ["run", str(bad)])
+    assert res.exit_code == 2
+    assert "lower n to at most 52" in res.output
+    assert not (out / "manifest.json").exists()
+
+
+SPEC_RUN = """\
+family = doubling
+kind = spec
+seed = 3
+out = {out}
+
+[spec]
+eps_grid = [0.015625, 0.03125]
+n_grid = [20, 40]
+base_points = 3
+
+[check]
+exactness_target = {target}
+"""
+
+
+def test_spec_run_checks_exactness_target(tmp_path):
+    runner = CliRunner()
+    for target, code in ((5, 0), (999, 3)):
+        out = tmp_path / f"t{target}"
+        cfg = tmp_path / f"spec{target}.cfg"
+        cfg.write_text(SPEC_RUN.format(out=out, target=target))
+        res = runner.invoke(main, ["run", str(cfg), "--check"])
+        assert res.exit_code == code, res.output
+        assert "check exactness" in res.output
+        gap = json.loads((out / "gap_report.json").read_text())
+        assert gap["exactness"][0] == {"eps": 0.015625, "time": 5}
+        assert len(gap["exactness"]) == 2
+
+
+def test_check_ratio_max_reads_the_maximum():
+    checks, failures = _evaluate_checks(
+        {"ratio_max": 2.0}, {"ratio_max": 3.0, "ratio_median": 1.0})
+    assert failures == ["ratio"]
+    assert "ratio_max=3.0" in checks["ratio"]["detail"]
+
+
+def test_check_without_result_or_evaluator_fails():
+    checks, failures = _evaluate_checks(
+        {"rate_target": -0.08, "bogus_check": 1, "legendre_tol": 0.01},
+        {"headline": 0.0})
+    assert sorted(failures) == ["bogus_check", "legendre_tol", "rate"]
+    assert not any(c["ok"] for c in checks.values())
+
+
+def test_every_check_key_has_an_evaluator():
+    from devgibbs.config import _SCHEMA
+    for key in _SCHEMA["check"]:
+        if key.endswith("tol"):
+            continue
+        checks, _ = _evaluate_checks({key: 1}, {})
+        assert len(checks) == 1
+        assert "no evaluator" not in next(iter(checks.values()))["detail"], key

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from devgibbs import deviation as dev
@@ -9,7 +11,7 @@ from devgibbs import maps
 from devgibbs.dynamics import Observable
 from devgibbs.errors import ConfigError
 from devgibbs.observables import make_observable
-from devgibbs.sampling import UniformSampler
+from devgibbs.sampling import UniformSampler, sample_chunks
 from devgibbs.stats import combined_se
 
 
@@ -204,3 +206,81 @@ def test_bound_report_uninformative_upper():
     rep = dev.bound_report(-0.003, 0.0, 0.08, slack=0.02)
     assert rep.uninformative_upper
     assert rep.upper_ok  # measured rate <= 0 + slack trivially
+
+
+def brute_force_hits(exp, n):
+    """One orbit per point, recomputed from scratch for this n."""
+    hits = 0
+    for _, pts in sample_chunks(exp.sampler, exp.samples, exp.seed, "dev"):
+        cur = pts
+        total = np.zeros(len(pts))
+        for j in range(n):
+            total += exp.g(cur)
+            if j + 1 < n:
+                cur = exp.map.domain.clamp(exp.map.step(cur))
+        avg = total / n
+        hits += int(np.sum(avg >= exp.c if exp.direction == "ge"
+                           else avg > exp.c))
+    return hits
+
+
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=5, unique=True),
+       st.sampled_from([0.5, 0.6, 2 / 3, 0.7, 0.75]),
+       st.sampled_from(["ge", "gt"]),
+       st.sampled_from(["indicator_half", "cos2pi"]),
+       st.integers(0, 1000))
+@settings(max_examples=25, deadline=None)
+def test_rate_curve_one_pass_matches_brute_force(grid, c, direction, obs,
+                                                 seed):
+    m = maps.make_perturbed_expanding(4, 0.55)
+    exp = experiment(m, make_observable(obs, m), c, sorted(grid),
+                     samples=1500, seed=seed, direction=direction)
+    curve = dev.rate_curve(exp)
+    for n, hits in zip(curve.n, curve.hits):
+        assert hits == brute_force_hits(exp, int(n))
+        assert hits == dev.deviation_probability(exp, int(n))[2]
+
+
+def test_rate_curve_one_pass_across_chunks(doubling):
+    # two chunks (the second one partial), combined in chunk order
+    g = make_observable("indicator_half", doubling)
+    exp = experiment(doubling, g, 0.6, [3, 8, 13], samples=70_000, seed=6)
+    curve = dev.rate_curve(exp, workers=2)
+    assert list(curve.samples) == [70_000] * 3
+    assert [brute_force_hits(exp, n) for n in (3, 8, 13)] == list(curve.hits)
+    assert np.array_equal(dev.rate_curve(exp).hits, curve.hits)
+
+
+def test_free_energy_matches_table_entry(doubling):
+    g = make_observable("spin_half", doubling)
+    samp = UniformSampler(doubling.domain)
+    ts, psi = dev.free_energy_table(doubling, samp, g, [-0.5, 0.25, 1.0], 9,
+                                    70_000, seed=12)
+    for t, val in zip(ts, psi):
+        assert dev.free_energy(doubling, samp, g, float(t), 9, 70_000,
+                               seed=12) == val
+
+
+def test_free_energy_table_exactly_convex(doubling, pe4):
+    # every t sees the same S_n g, so convexity holds up to rounding even
+    # on a grid fine enough for sampling noise to break it
+    for m, name in ((doubling, "indicator_half"), (pe4, "cos2pi")):
+        ts, psi = dev.free_energy_table(
+            m, UniformSampler(m.domain), make_observable(name, m),
+            np.linspace(-1.0, 2.0, 301), 12, 5000, seed=13)
+        assert np.all(np.diff(psi, 2) >= -1e-12)
+
+
+def test_float_horizon_refused(doubling, pe40, pe4):
+    g = make_observable("indicator_half", doubling)
+    with pytest.raises(ConfigError, match="lower n to at most 52"):
+        experiment(doubling, g, 0.7, range(60, 101))
+    experiment(doubling, g, 0.7, [10, 52])
+    with pytest.raises(ConfigError, match="lower fe_n to at most 52"):
+        dev.free_energy_table(doubling, UniformSampler(doubling.domain), g,
+                              [0.0, 1.0], 53, 2000, seed=1)
+    # degree 4 drops two bits a step; the perturbed map keeps its bits
+    g4 = make_observable("indicator_half", pe40)
+    with pytest.raises(ConfigError, match="lower n to at most 26"):
+        experiment(pe40, g4, 0.7, [10, 27])
+    experiment(pe4, make_observable("indicator_half", pe4), 0.7, [10, 100])

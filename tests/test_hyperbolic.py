@@ -182,3 +182,13 @@ def test_mp_lag_statistic_decreasing(mp):
     vals = [hyp.lag_statistic(mp, 0.662, N, p).max_gap_ratio
             for N in (100, 1000, 10000)]
     assert vals[2] <= vals[0]
+
+
+def test_mp_lag_statistic_decreasing_ensemble(mp):
+    # the same inequality on the median of a seeded ensemble of starts,
+    # which does not rest on the last bits of one chaotic orbit
+    p = params(sigma=1.2, n_max=1000)
+    starts = np.random.default_rng(0).random(60)
+    med = [np.median([hyp.lag_statistic(mp, x, N, p).max_gap_ratio
+                      for x in starts]) for N in (100, 1000)]
+    assert med[1] < med[0]
