@@ -5,7 +5,9 @@ limit values at the breakpoints (so discontinuities like the gap at 1/2 in
 the intermittent family are represented exactly), and degree-d circle maps
 carry a strictly increasing lift with its inverse.  Both support the two
 operations the orbit-piece machinery needs: forward images of intervals
-and complete preimage enumeration of intervals.
+and complete preimage enumeration of intervals.  Both also pull intervals
+back through the branch that contains a point, vectorized over points,
+which is what exact dynamical balls need.
 """
 
 from __future__ import annotations
@@ -14,6 +16,42 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
+import numpy as np
+
+_NEWTON_ITERS = 64
+
+
+def newton_inverse(fwd, dfwd, y, lo, hi):
+    """Vectorized t in [lo, hi] with fwd(t) = y, for fwd increasing there.
+
+    Newton steps from the bracket midpoint; a step that would leave the
+    current bracket bisects instead, so each iteration either converges
+    quadratically or halves the bracket.  An entry stops once its step
+    falls to a few ulps, so its value does not depend on the rest of the
+    batch.
+    """
+    y = np.asarray(y, dtype=float)
+    shape = y.shape
+    y = y.ravel()
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), shape).ravel().copy()
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), shape).ravel().copy()
+    t = 0.5 * (lo + hi)
+    idx = np.arange(y.size)
+    for _ in range(_NEWTON_ITERS):
+        if idx.size == 0:
+            break
+        ti = t[idx]
+        r = fwd(ti) - y[idx]
+        lo_i = np.where(r < 0.0, ti, lo[idx])
+        hi_i = np.where(r > 0.0, ti, hi[idx])
+        lo[idx], hi[idx] = lo_i, hi_i
+        nxt = ti - r / dfwd(ti)
+        nxt = np.where((nxt > lo_i) & (nxt < hi_i), nxt, 0.5 * (lo_i + hi_i))
+        nxt = np.where(r == 0.0, ti, nxt)
+        t[idx] = nxt
+        idx = idx[np.abs(nxt - ti) > 4.0 * np.spacing(np.abs(nxt))]
+    return t.reshape(shape)
+
 
 @dataclass(frozen=True)
 class MonotonePiece:
@@ -21,6 +59,8 @@ class MonotonePiece:
 
     ``f_lo`` / ``f_hi`` are one-sided limits at the endpoints; ``inv``
     inverts f on the piece and is only called with values between them.
+    ``fwd`` and ``inv_array`` act elementwise on arrays; ``fwd`` uses the
+    same arithmetic as the map's ``step``.
     """
 
     lo: float
@@ -29,6 +69,7 @@ class MonotonePiece:
     f_hi: float
     inv: Callable[[float], float]
     fwd: Callable[[float], float]
+    inv_array: Callable[[np.ndarray], np.ndarray]
 
     @property
     def increasing(self):
@@ -72,6 +113,54 @@ class IntervalBranches:
             segs.append((min(xa, xb), max(xa, xb)))
         return segs
 
+    def pull_back(self, o, lo, hi):
+        """Offsets (lo', hi') around each o of the component containing o
+        of f^{-1}([f(o) - lo, f(o) + hi]).
+
+        The component follows the piece that contains o (a breakpoint
+        belongs to the piece on its left, as in ``step``).  Where it
+        reaches a breakpoint at which f is continuous, a turning point, it
+        continues into the next piece; at a jump it stops.
+        """
+        o = np.asarray(o, dtype=float)
+        k = np.searchsorted([p.hi for p in self.pieces[:-1]], o, side="left")
+        left = np.empty_like(o)
+        right = np.empty_like(o)
+        for i, p in enumerate(self.pieces):
+            sel = k == i
+            if not np.any(sel):
+                continue
+            y = p.fwd(o[sel])
+            ylo, yhi = y - lo[sel], y + hi[sel]
+            left[sel] = self._reach(i, ylo, yhi, -1)
+            right[sel] = self._reach(i, ylo, yhi, 1)
+        return o - left, right - o
+
+    def _reach(self, i, ylo, yhi, side):
+        """Far end, walking from piece i in direction ``side``, of the
+        points whose values stay in [ylo, yhi]."""
+        out = np.empty_like(ylo)
+        todo = np.ones(ylo.shape, dtype=bool)
+        while True:
+            p = self.pieces[i]
+            end, f_end = (p.hi, p.f_hi) if side > 0 else (p.lo, p.f_lo)
+            rising = p.increasing == (side > 0)
+            bound = yhi if rising else ylo
+            inside = (bound < f_end) if rising else (bound > f_end)
+            stop = todo & inside
+            out[stop] = p.inv_array(bound[stop])
+            todo &= ~inside
+            nxt = i + side
+            if not np.any(todo) or not 0 <= nxt < len(self.pieces):
+                break
+            q = self.pieces[nxt]
+            joined = (q.lo, q.f_lo) if side > 0 else (q.hi, q.f_hi)
+            if joined != (end, f_end):
+                break
+            i = nxt
+        out[todo] = end
+        return out
+
 
 @dataclass(frozen=True)
 class CircleBranches:
@@ -79,14 +168,27 @@ class CircleBranches:
 
     ``lift`` maps [0, 1] onto [base, base + d] where base = lift(0) (a
     possibly nonzero rotation offset); ``inv_lift`` inverts it on that
-    range.  Arcs are (start, length) pairs with start in [0, 1) and length
-    in (0, 1]; callers split wrapped arcs before asking for preimages.
+    range.  ``lift`` acts elementwise on arrays and satisfies
+    lift(x + 1) = lift(x) + d on the whole line, where ``inv_lift_array``
+    inverts it elementwise.  Arcs are (start, length) pairs with start in
+    [0, 1) and length in (0, 1]; callers split wrapped arcs before asking
+    for preimages.
     """
 
     degree: int
     lift: Callable[[float], float]
     inv_lift: Callable[[float], float]
+    inv_lift_array: Callable[[np.ndarray], np.ndarray]
     base: float = 0.0
+
+    def pull_back(self, o, lo, hi):
+        """Offsets (lo', hi') around each o of the component containing o
+        of the preimage of the arc [f(o) - lo, f(o) + hi], taken through
+        the lift: o - L^{-1}(L(o) - lo) and L^{-1}(L(o) + hi) - o."""
+        o = np.asarray(o, dtype=float)
+        v = self.lift(o)
+        return (o - self.inv_lift_array(v - lo),
+                self.inv_lift_array(v + hi) - o)
 
     def image_of_arc(self, start, length):
         """Image arc (start, length); length saturates at 1 (full cover)."""

@@ -188,6 +188,10 @@ def parse_config(text: str) -> ExperimentConfig:
         grid = dev["n"]
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("deviation n grid must be strictly increasing")
+        if dev.get("tail_rate") == "auto":
+            # the word parser is shared with delta1, where auto calibrates
+            raise ConfigError("tail_rate = auto has no meaning; use neg_inf, "
+                              "none, measure or a number")
     if samples is not None and samples < 1:
         raise ConfigError("samples must be positive")
 

@@ -73,8 +73,9 @@ def _check_float_horizon(m: MapSystem, n: int, setting: str):
     if h is not None and n > h:
         raise ConfigError(
             f"{setting}={n} exceeds the floating-point horizon "
-            f"{math.floor(h)} of {m.label}: double-precision orbits collapse "
-            f"to 0 by then; lower {setting} to at most {math.floor(h)}")
+            f"{math.floor(h)} of {m.label}: the d x mod 1 coordinate of a "
+            f"double-precision orbit collapses to 0 by then; lower {setting} "
+            f"to at most {math.floor(h)}")
 
 
 def _birkhoff_walk(m: MapSystem, g, pts, n_grid):

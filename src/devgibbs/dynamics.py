@@ -38,9 +38,10 @@ class MapSystem:
     ``branches`` carries the piecewise-monotone structure used for
     interval-image propagation and is optional in the same way.
     ``float_horizon`` is the longest orbit whose double-precision
-    iterates still carry information, for maps whose step is exactly
-    x -> d x mod 1: each step drops log2 d mantissa bits, so by step
-    52 / log2 d every orbit has collapsed onto a grid that ends at 0.
+    iterates still carry information, for maps that step a coordinate by
+    exactly x -> d x mod 1 (the linear circle maps, and the base angle of
+    the skew product): each step drops log2 d mantissa bits, so by step
+    52 / log2 d that coordinate has collapsed onto a grid that ends at 0.
     It is ``None`` where no such bound is known.
     """
 

@@ -33,7 +33,8 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .branching import CircleBranches, IntervalBranches, MonotonePiece
+from .branching import (CircleBranches, IntervalBranches, MonotonePiece,
+                        newton_inverse)
 from .domain import Circle, Cylinder, Interval
 from .dynamics import MapSystem
 from .errors import CapabilityError, ConfigError, ParameterError
@@ -69,11 +70,14 @@ def make_quadratic(a: float) -> MapSystem:
         return [-r, r]
 
     fwd = lambda t: 1.0 - a * t * t
+    root = lambda y: np.sqrt(np.maximum((1.0 - y) / a, 0.0))
     pieces = (
         MonotonePiece(-1.0, 0.0, 1.0 - a, 1.0,
-                      inv=lambda y: -math.sqrt(max((1.0 - y) / a, 0.0)), fwd=fwd),
+                      inv=lambda y: -math.sqrt(max((1.0 - y) / a, 0.0)), fwd=fwd,
+                      inv_array=lambda y: -root(y)),
         MonotonePiece(0.0, 1.0, 1.0, 1.0 - a,
-                      inv=lambda y: math.sqrt(max((1.0 - y) / a, 0.0)), fwd=fwd),
+                      inv=lambda y: math.sqrt(max((1.0 - y) / a, 0.0)), fwd=fwd,
+                      inv_array=root),
     )
     return MapSystem(
         label=f"quadratic(a={a})",
@@ -115,6 +119,14 @@ def make_mp(alpha: float) -> MapSystem:
             return 0.5
         return brentq(lambda t: left_fwd(t) - y, 0.0, 0.5, xtol=1e-15)
 
+    def left_inv_array(y):
+        # t <= t (1 + (2t)^alpha) <= 2t on [0, 1/2] brackets the root
+        return newton_inverse(left_fwd,
+                              lambda t: 1.0 + (1.0 + alpha) * np.power(2.0 * t, alpha),
+                              y, 0.5 * y, np.minimum(y, 0.5))
+
+    right_inv = lambda y: (y + 1.0) / 2.0
+
     def preimages(y):
         out = [left_inv(y)] if 0.0 <= y <= 1.0 else []
         if y > 0.0:
@@ -122,9 +134,10 @@ def make_mp(alpha: float) -> MapSystem:
         return out
 
     pieces = (
-        MonotonePiece(0.0, 0.5, 0.0, 1.0, inv=left_inv, fwd=left_fwd),
-        MonotonePiece(0.5, 1.0, 0.0, 1.0,
-                      inv=lambda y: (y + 1.0) / 2.0, fwd=lambda t: 2.0 * t - 1.0),
+        MonotonePiece(0.0, 0.5, 0.0, 1.0, inv=left_inv, fwd=left_fwd,
+                      inv_array=left_inv_array),
+        MonotonePiece(0.5, 1.0, 0.0, 1.0, inv=right_inv,
+                      fwd=lambda t: 2.0 * t - 1.0, inv_array=right_inv),
     )
     return MapSystem(
         label=f"manneville_pomeau(alpha={alpha})",
@@ -178,6 +191,8 @@ def make_perturbed_expanding(d: int, a: float) -> MapSystem:
         def inv_lift(v):
             return v / d
 
+        inv_lift_array = inv_lift
+
     else:
 
         def step(x):
@@ -192,6 +207,11 @@ def make_perturbed_expanding(d: int, a: float) -> MapSystem:
             return brentq(
                 lambda t: d * t + omega - a * math.sin(TWO_PI * t) - v,
                 0.0, 1.0, xtol=1e-15)
+
+        def inv_lift_array(v):
+            # |a sin| <= a puts the root within a / d of (v - omega) / d
+            c = (np.asarray(v, dtype=float) - omega) / d
+            return newton_inverse(lift, deriv, v, c - a / d, c + a / d)
 
     def deriv(x):
         x = np.asarray(x, dtype=float)
@@ -223,7 +243,7 @@ def make_perturbed_expanding(d: int, a: float) -> MapSystem:
         crit_dist=crit_dist,
         branch_preimages=preimages,
         branches=CircleBranches(degree=d, lift=lift, inv_lift=inv_lift,
-                                base=omega),
+                                inv_lift_array=inv_lift_array, base=omega),
         float_horizon=52 / math.log2(d) if a == 0.0 else None,
     )
 
@@ -286,6 +306,7 @@ def make_viana(d: int = 16, a: float = 2.0, alpha: float = 0.01) -> MapSystem:
         crit_dist=crit_dist,
         branch_preimages=None,
         branches=None,
+        float_horizon=52 / math.log2(d),
     )
 
 

@@ -9,13 +9,20 @@ Covering numbers are greedy upper estimates: repeatedly center a ball at
 the sample point covering the most residual weight.  The exact minimum
 cover is NP-hard; the greedy count overshoots by at most a bounded factor
 and the bias direction is fixed, which is all the entropy regression
-needs.  For 1D maps the balls are extracted as intervals by vectorized
-bisection on the membership predicate, making large instances tractable;
-a direct orbit-matrix path is kept for cross-checks on small instances.
+needs.  For 1D maps each ball is taken as the interval that is its
+connected component through the center.  Maps with a branch structure
+get that interval exactly, vectorized over centers, by pulling
+B(f^n x, eps) back through the branch that contains each f^j x and
+intersecting with B(f^j x, eps) at every step.  Other 1D maps fall back
+to bisection on the membership predicate, which is right only where the
+ball is a single interval.  A direct orbit-matrix path, which uses whole
+balls rather than components, is kept for cross-checks on small
+instances.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,18 +103,44 @@ def maximal_separated_subset(m: MapSystem, candidates, n: int,
                         maximal=True)
 
 
-def ball_intervals(m: MapSystem, centers, n: int, eps: float,
-                   iters: int = 48):
+_BISECTION_ITERS = 48
+
+
+def ball_intervals(m: MapSystem, centers, n: int, eps: float):
     """Per-center one-sided radii (r_minus, r_plus) of B(x, n, eps).
 
-    Bisection on the inclusive membership predicate, vectorized over
-    centers.  Valid for 1D maps whose dynamical balls are intervals, which
-    holds at the scales used here (expanding branches / hyperbolic times).
+    [x - r_minus, x + r_plus] is the connected component through x of the
+    inclusive ball {y : d(f^j x, f^j y) <= eps for j = 0..n}; on the
+    circle each radius is also capped at 1/2.  With a branch structure
+    the component is exact up to rounding: the target B(f^n x, eps) is
+    pulled back one step at a time through the branch that contains f^j x
+    and intersected with B(f^j x, eps).  Without one, the radii come from
+    bisection on the membership predicate, which finds the component only
+    where the ball is a single interval.
     """
     if m.domain.ndim != 1:
         raise ConfigError("interval extraction only applies to 1D maps")
     centers = np.asarray(centers, dtype=float)
-    orb_c = orbit(m, centers, n)
+    orb = orbit(m, centers, n)
+    if m.branches is None:
+        return _bisection_radii(m, orb, eps)
+    if hasattr(m.domain, "lo"):
+        cap = eps
+        r_lo = np.minimum(eps, orb[n] - m.domain.lo)
+        r_hi = np.minimum(eps, m.domain.hi - orb[n])
+    else:
+        cap = min(eps, 0.5)
+        r_lo = r_hi = np.full_like(centers, cap)
+    for j in range(n - 1, -1, -1):
+        r_lo, r_hi = m.branches.pull_back(orb[j], r_lo, r_hi)
+        r_lo = np.clip(r_lo, 0.0, cap)
+        r_hi = np.clip(r_hi, 0.0, cap)
+    return r_lo, r_hi
+
+
+def _bisection_radii(m, orb_c, eps):
+    """Radii by bisection on membership along [x, x +- min(eps, room)]."""
+    centers, n = orb_c[0], orb_c.shape[0] - 1
 
     def max_dev(pts):
         o = orbit(m, pts, n)
@@ -123,7 +156,7 @@ def ball_intervals(m: MapSystem, centers, n: int, eps: float,
         else:
             hi = np.full_like(centers, min(eps, 0.5))
         inside = max_dev(m.domain.clamp(centers + sign * hi)) <= eps
-        for _ in range(iters):
+        for _ in range(_BISECTION_ITERS):
             mid = 0.5 * (lo + hi)
             ok = max_dev(m.domain.clamp(centers + sign * mid)) <= eps
             lo = np.where(ok, mid, lo)
@@ -309,13 +342,15 @@ def _cell_subset(m, pts, n, eps, delta, method):
     if method == "direct" or m.domain.ndim == 2 or len(pts) <= 4000:
         return pts
     pilot = pts[:2000]
-    r_lo, r_hi = ball_intervals(m, pilot, n, eps, iters=24)
+    r_lo, r_hi = ball_intervals(m, pilot, n, eps)
     mean_len = float(np.mean(r_lo + r_hi))
     if mean_len <= 0:
         return pts
     length = (m.domain.hi - m.domain.lo) if hasattr(m.domain, "lo") else 1.0
     est_count = (1.0 - delta) * length / mean_len
-    budget = int(min(len(pts), max(4000, 40.0 * est_count)))
+    # the guard keeps an exact integer (18 * 2^n / eps on the doubling map)
+    # from rounding down to the integer below
+    budget = min(len(pts), max(4000, math.floor(40.0 * est_count + 1e-9)))
     return pts[:budget]
 
 

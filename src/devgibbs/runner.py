@@ -24,7 +24,7 @@ from .config import ExperimentConfig
 from .deviation import (DeviationExperiment, bound_report, free_energy_table,
                         legendre_rate, rate_curve, rate_estimate)
 from .dynamics import PotentialModel
-from .errors import ConfigError, DevgibbsError
+from .errors import ConfigError, DevgibbsError, SamplingError
 from .gibbs import delta_set_rate, subexp_check
 from .hyperbolic import (HyperbolicParams, classify_tail, default_params,
                          tail_curve)
@@ -168,6 +168,8 @@ def run(cfg: ExperimentConfig, out_dir=None, workers=None) -> RunManifest:
         for path in written + [os.path.join(out, "manifest.json")]:
             if os.path.exists(path):
                 os.remove(path)
+        if isinstance(exc, ConfigError):
+            raise  # a setting the stage refuses stays a config error
         raise DevgibbsError(f"stage {cfg.kind!r} failed: {exc}") from exc
 
     checks, failures = _evaluate_checks(cfg.section("check"), results)
@@ -232,7 +234,7 @@ def _run_deviation(cfg, m, sampler, workers, emit_csv, emit_json, emit_svg):
             tail_rate = tf.rate if tf.kind == "exponential" else 0.0
         except ConfigError:
             tail_rate = float("-inf")  # tail died immediately: no mass
-    elif tail_spec in ("neg_inf", "none", "auto"):
+    elif tail_spec in ("neg_inf", "none"):
         tail_rate = float("-inf")
     else:
         tail_rate = float(tail_spec)
@@ -381,6 +383,13 @@ def _run_contraction(cfg, m, emit_json):
         cand = [t for t in rec.times if lo <= t <= hi]
         if cand:
             instances.append((x, int(cand[len(cand) // 2])))
+    settings = (f"depth_lo = {lo}, depth_hi = {hi}, instances = {want}, "
+                f"n_max = {params.n_max}")
+    if not instances:
+        raise SamplingError(
+            f"no hyperbolic time in [depth_lo, depth_hi] for any of {guard} "
+            f"sampled points; widen the depth window within n_max or raise "
+            f"n_max ({settings})")
     pairs = sec.get("pairs", 1000)
     if cfg.kind == "contraction":
         fracs, worst = [], 0.0
@@ -408,6 +417,11 @@ def _run_contraction(cfg, m, emit_json):
         k2 = distortion_estimate(m, pot, x, int(twos[0]), pairs, d1,
                                  cfg.seed + 50021 + i)
         ratios.append(max(k1 / k2, k2 / k1))
+    if not ratios:
+        raise SamplingError(
+            f"none of the {len(instances)} instances has a hyperbolic time "
+            f"within 10 % of twice its depth; move the depth window or raise "
+            f"instances ({settings})")
     emit_json("distortion.json", {
         "delta1": d1, "instances": len(ratios),
         "ratio_median": float(np.median(ratios)),

@@ -6,7 +6,8 @@ from click.testing import CliRunner
 
 from devgibbs.cli import main
 from devgibbs.config import parse_config
-from devgibbs.errors import ConfigError
+from devgibbs import runner as run_mod
+from devgibbs.errors import ConfigError, DevgibbsError, SamplingError
 from devgibbs.runner import _evaluate_checks
 
 MINIMAL = """\
@@ -77,6 +78,16 @@ def test_parse_requires_seed():
 def test_parse_rejects_decreasing_grid():
     with pytest.raises(ConfigError):
         parse_config(MINIMAL.replace("[10, 20, 30]", "[10, 10, 30]"))
+
+
+def test_parse_rejects_tail_rate_auto():
+    with pytest.raises(ConfigError,
+                       match="use neg_inf, none, measure or a number"):
+        parse_config(MINIMAL + "tail_rate = auto\n")
+    # delta1 shares the word parser and keeps auto (calibration)
+    cfg = parse_config("family = doubling\nkind = contraction\nseed = 1\n"
+                       "delta1 = auto\n")
+    assert cfg.section("contraction")["delta1"] == "auto"
 
 
 def test_validate_command(tmp_path):
@@ -231,7 +242,7 @@ def test_failed_run_removes_stale_manifest(tmp_path):
     bad.write_text(TINY_RUN.format(out=out).replace("[8, 12, 16]",
                                                     "[60, 80, 100]"))
     res = runner.invoke(main, ["run", str(bad)])
-    assert res.exit_code == 2
+    assert res.exit_code == 1
     assert "lower n to at most 52" in res.output
     assert not (out / "manifest.json").exists()
 
@@ -289,3 +300,65 @@ def test_every_check_key_has_an_evaluator():
         checks, _ = _evaluate_checks({key: 1}, {})
         assert len(checks) == 1
         assert "no evaluator" not in next(iter(checks.values()))["detail"], key
+
+
+def test_viana_deviation_past_float_horizon(tmp_path):
+    # the base angle theta -> 16 theta mod 1 drops four bits a step
+    out = tmp_path / "out"
+    cfg = tmp_path / "viana.cfg"
+    cfg.write_text(TINY_RUN.format(out=out).replace("family = doubling",
+                                                    "family = viana"))
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 1
+    assert "n=16 exceeds" in res.output
+    assert "lower n to at most 13" in res.output
+
+
+HYPERBOLIC_RUN = """\
+family = doubling
+kind = {kind}
+seed = 4
+
+[hyperbolic]
+n_max = {n_max}
+
+[{kind}]
+instances = 2
+pairs = 50
+delta1 = 0.05
+depth_lo = 8
+depth_hi = 12
+"""
+
+
+def _stage_error(tmp_path, text):
+    with pytest.raises(DevgibbsError) as exc:
+        run_mod.run(parse_config(text), out_dir=str(tmp_path / "out"))
+    assert isinstance(exc.value.__cause__, SamplingError)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("kind", ["contraction", "distortion"])
+def test_no_hyperbolic_time_in_depth_window(tmp_path, kind):
+    # every orbit stops at n_max = 6, below the depth window
+    msg = _stage_error(tmp_path, HYPERBOLIC_RUN.format(kind=kind, n_max=6))
+    for setting in ("depth_lo = 8", "depth_hi = 12", "instances = 2",
+                    "n_max = 6"):
+        assert setting in msg
+
+
+def test_distortion_without_time_near_twice_depth(tmp_path, monkeypatch):
+    # a map whose hyperbolic times stop at depth_hi: none lies near 2n
+    real = run_mod.hyperbolic_times
+
+    def capped(m, x, params):
+        rec = real(m, x, params)
+        rec.times = rec.times[rec.times <= 12]
+        return rec
+
+    monkeypatch.setattr(run_mod, "hyperbolic_times", capped)
+    msg = _stage_error(tmp_path,
+                       HYPERBOLIC_RUN.format(kind="distortion", n_max=100))
+    assert "twice its depth" in msg
+    for setting in ("depth_lo", "depth_hi", "instances", "n_max"):
+        assert setting in msg

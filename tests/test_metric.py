@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from devgibbs import hyperbolic as hyp
 from devgibbs import maps, metric
-from devgibbs.dynamics import PotentialModel
+from devgibbs.dynamics import PotentialModel, orbit
 from devgibbs.sampling import UniformSampler, spawn_rng
 
 
@@ -179,3 +182,77 @@ def test_ball_intervals_match_membership(doubling):
         assert metric.in_dynamical_ball(doubling, float(c - rl * 0.999), spec)
     # the exact radius for the doubling map is eps * 2^-n
     assert np.allclose(r_lo + r_hi, 2 * 0.05 * 2.0 ** -6, rtol=1e-6)
+
+
+BRANCH_FAMILIES = {
+    "doubling": maps.make_doubling(),
+    "perturbed_expanding": maps.make_perturbed_expanding(4, 0.55),
+    "quadratic": maps.make_quadratic(2.0),
+    "manneville_pomeau": maps.make_mp(0.5),
+}
+
+
+def _members(m, x, ys, n, eps):
+    """``in_dynamical_ball`` for many points y at once."""
+    dev = m.domain.distance(orbit(m, ys, n), orbit(m, x, n)[:, None])
+    return np.max(dev, axis=0) <= eps
+
+
+@given(st.sampled_from(sorted(BRANCH_FAMILIES)),
+       st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 16),
+       st.floats(1e-3, 0.2))
+@example("quadratic", 0.505, 3, 0.2)  # the component crosses the turning point
+@example("manneville_pomeau", 0.51, 4, 0.2)  # and stops at the jump
+@example("perturbed_expanding", 0.16, 3, 0.2)  # the ball is not an interval
+@settings(max_examples=200, deadline=None)
+def test_ball_intervals_exact_component(name, u, n, eps):
+    m = BRANCH_FAMILIES[name]
+    circle = not hasattr(m.domain, "lo")
+    x = u if circle else m.domain.lo + u * (m.domain.hi - m.domain.lo)
+    # near the turning point a double-precision orbit resolves a level-j
+    # displacement only to about one ulp of 1 - a x^2, too coarse for the
+    # margins below: membership itself is undecided there
+    assume(circle or name != "quadratic"
+           or np.min(np.abs(orbit(m, x, n)[:-1]), initial=1.0) > 1e-3)
+    r_lo, r_hi = metric.ball_intervals(m, np.array([x]), n, eps)
+    for sign, r in ((-1.0, float(r_lo[0])), (1.0, float(r_hi[0]))):
+        assert 0.0 <= r <= eps
+        margin = max(1e-12, 1e-9 * r)
+        scan = x + sign * np.linspace(0.0, max(r - margin, 0.0), 1000)
+        if circle:
+            scan %= 1.0
+        assert np.all(_members(m, x, scan, n, eps))
+        edge = x + sign * (r + margin)
+        if circle:
+            edge %= 1.0
+        elif not m.domain.lo <= edge <= m.domain.hi:
+            continue  # the component ends at the domain edge
+        assert r == eps or not metric.in_dynamical_ball(
+            m, edge, metric.BallSpec(x, n, eps))
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_ball_intervals_linear_closed_form(d):
+    # for x -> d x mod 1 the component is x +- eps d^-n; at d = 4, eps = 0.2
+    # the ball also has other pieces, which bisection used to run into
+    m = maps.make_perturbed_expanding(d, 0.0)
+    xs = spawn_rng(3, "closedform").random(500)
+    for n in (0, 2, 5, 9):
+        for eps in (0.2, 0.05):
+            for r in metric.ball_intervals(m, xs, n, eps):
+                assert np.max(np.abs(r - eps * float(d) ** -n)) <= 1e-15
+
+
+@given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
+                max_size=64),
+       st.integers(0, 16), st.floats(1e-3, 0.2))
+@settings(max_examples=30, deadline=None)
+def test_ball_intervals_match_bisection_where_connected(xs, n, eps):
+    m = BRANCH_FAMILIES["doubling"]
+    xs = np.asarray(xs)
+    exact = metric.ball_intervals(m, xs, n, eps)
+    # without a branch structure the radii come from bisection
+    bisected = metric.ball_intervals(dataclasses.replace(m, branches=None),
+                                     xs, n, eps)
+    for a, b in zip(exact, bisected):
+        assert np.max(np.abs(a - b)) <= 1e-12
