@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dynamics import MapSystem, Observable
 from .errors import ConfigError, RangeError
@@ -172,6 +171,8 @@ def free_energy_table(m: MapSystem, sampler, g, t_grid, n: int, samples: int,
     S_n g is computed once per chunk and every t is evaluated on it, so
     psi-hat is exactly convex in t up to rounding.
     """
+    from scipy.special import logsumexp
+
     if n < 1:
         raise ConfigError(f"free-energy depth n={n} must be >= 1")
     _check_float_horizon(m, n, "fe_n")

@@ -13,18 +13,23 @@ per-step thresholds.  That makes the scan O(1) amortized per candidate
 time.  Boundary comparisons are inclusive up to a 1e-12 relative
 tolerance (product side) and a 1e-9 index tolerance (recurrence side),
 ties resolving in favour of acceptance.
+
+One scan loop, ``hyperbolic_times_batch``, finds the times of a whole
+batch of start points; ``hyperbolic_times`` is a batch of one.  Only
+``first_times_batch`` has its own loop, which stops once every point has
+a first time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .dynamics import MapSystem, _inverse_norm, NEAR_CRITICAL_TOL
 from .errors import ConfigError, SingularityError
-from .sampling import sample_chunks, parallel_chunk_map
+from .sampling import CHUNK, parallel_chunk_map, sample_chunks
 from .stats import ols_fit, wilson_ci
 
 _INDEX_TOL = 1e-9
@@ -82,10 +87,14 @@ class HyperbolicTimeRecord:
 
 
 class _Scanner:
-    """Vectorized incremental detector over a batch of start points."""
+    """Vectorized incremental detector over a batch of start points.
 
-    def __init__(self, m: MapSystem, x, params: HyperbolicParams):
+    ``first`` numbers the batch's points in ``SingularityError`` messages.
+    """
+
+    def __init__(self, m: MapSystem, x, params: HyperbolicParams, first=0):
         self.m = m
+        self.first = first
         self.params = params
         self.cur = np.array(x, dtype=float, copy=True)
         batch = self.cur.shape[:-1] if m.domain.ndim == 2 else self.cur.shape
@@ -101,8 +110,10 @@ class _Scanner:
         n = self.n + 1
         dist = np.asarray(m.crit_dist(self.cur), dtype=float)
         if np.any(dist < NEAR_CRITICAL_TOL):
-            raise SingularityError(f"orbit hit the critical set at index {n - 1}",
-                                   index=n - 1)
+            point = self.first + int(np.flatnonzero(dist < NEAR_CRITICAL_TOL)[0])
+            raise SingularityError(
+                f"orbit of start point {point} hit the critical set at "
+                f"index {n - 1}", index=n - 1)
         trunc = np.where(dist < p.delta, dist, 1.0)
         t = (n - 1) + (-np.log(trunc)) / (p.b * self.log_sigma)
         np.maximum(self.thresh, t, out=self.thresh)
@@ -115,14 +126,40 @@ class _Scanner:
         return ok
 
 
+def hyperbolic_times_batch(m: MapSystem, xs, params: HyperbolicParams) -> list:
+    """All hyperbolic times up to the horizon of each start point.
+
+    One ``_Scanner`` run per block of at most ``CHUNK`` points, keeping
+    the block's (n_max, block) hit mask; returns one sorted int array per
+    point, in the order of ``xs``.  A ``SingularityError`` names the index
+    of the start point whose orbit hit the critical set.
+    """
+    xs = m.domain.require(np.asarray(xs, dtype=float))
+    out = []
+    for lo in range(0, len(xs), CHUNK):
+        block = xs[lo:lo + CHUNK]
+        scan = _Scanner(m, block, params, first=lo)
+        hits = np.empty((params.n_max, len(block)), dtype=bool)
+        for row in hits:
+            row[...] = scan.advance()
+        point, step = np.nonzero(hits.T)
+        ends = np.cumsum(np.bincount(point, minlength=len(block)))[:-1]
+        out.extend(np.split(step + 1, ends))
+    return out
+
+
+def hyperbolic_times(m: MapSystem, x, params: HyperbolicParams) -> HyperbolicTimeRecord:
+    """All hyperbolic times of x up to the horizon: a batch of one."""
+    times = hyperbolic_times_batch(m, [x], params)[0]
+    return HyperbolicTimeRecord(x=x, times=times, n_max=params.n_max,
+                                none_found=len(times) == 0)
+
+
 def is_hyperbolic_time(m: MapSystem, x, n: int, params: HyperbolicParams) -> bool:
     if n < 1:
         raise ValueError("hyperbolic times start at n = 1")
-    scan = _Scanner(m, np.asarray(m.domain.require(x), dtype=float), params)
-    ok = False
-    for _ in range(n):
-        ok = scan.advance()
-    return bool(ok)
+    times = hyperbolic_times(m, x, replace(params, n_max=n)).times
+    return bool(len(times)) and int(times[-1]) == n
 
 
 def naive_is_hyperbolic_time(m: MapSystem, x, n: int,
@@ -147,16 +184,27 @@ def naive_is_hyperbolic_time(m: MapSystem, x, n: int,
     return True
 
 
-def hyperbolic_times(m: MapSystem, x, params: HyperbolicParams) -> HyperbolicTimeRecord:
-    """All hyperbolic times of x up to the horizon."""
-    scan = _Scanner(m, np.asarray(m.domain.require(x), dtype=float), params)
-    found = []
-    for n in range(1, params.n_max + 1):
-        if scan.advance():
-            found.append(n)
-    times = np.asarray(found, dtype=int)
-    return HyperbolicTimeRecord(x=x, times=times, n_max=params.n_max,
-                                none_found=len(found) == 0)
+def sample_anchors(m: MapSystem, draw, params: HyperbolicParams, lo: int,
+                   hi: int, want: int, limit: int):
+    """Up to ``want`` (x, middle time in [lo, hi]) anchors, in draw order.
+
+    ``draw()`` gives one candidate at a time, so the random stream does not
+    depend on the scan blocks, which start at the number of anchors still
+    wanted and double when one falls short.  Returns the anchors and the
+    number of candidates examined, at most ``limit``.
+    """
+    anchors, tried, size = [], 0, 0
+    while len(anchors) < want and tried < limit:
+        size = min(limit - tried, max(want - len(anchors), 2 * size))
+        xs = [draw() for _ in range(size)]
+        for x, times in zip(xs, hyperbolic_times_batch(m, xs, params)):
+            tried += 1
+            cand = times[(times >= lo) & (times <= hi)]
+            if len(cand):
+                anchors.append((x, int(cand[len(cand) // 2])))
+                if len(anchors) == want:
+                    break
+    return anchors, tried
 
 
 def first_times_batch(m: MapSystem, xs, params: HyperbolicParams) -> np.ndarray:
@@ -246,9 +294,7 @@ def classify_tail(curve: TailCurve, window: Optional[tuple] = None) -> TailFit:
 
 def pliss_density(m: MapSystem, x, N: int, params: HyperbolicParams) -> float:
     """Fraction of times <= N that are hyperbolic for x."""
-    p = HyperbolicParams(sigma=params.sigma, delta=params.delta,
-                         b=params.b, n_max=N)
-    rec = hyperbolic_times(m, x, p)
+    rec = hyperbolic_times(m, x, replace(params, n_max=N))
     return len(rec.times) / N
 
 
@@ -307,7 +353,5 @@ def lag_statistic_from_times(times: np.ndarray, N: int,
 
 def lag_statistic(m: MapSystem, x, N: int, params: HyperbolicParams,
                   window_min: int = 10) -> LagStats:
-    p = HyperbolicParams(sigma=params.sigma, delta=params.delta,
-                         b=params.b, n_max=N)
-    rec = hyperbolic_times(m, x, p)
+    rec = hyperbolic_times(m, x, replace(params, n_max=N))
     return lag_statistic_from_times(rec.times, N, window_min=window_min)

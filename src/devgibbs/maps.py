@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .branching import (CircleBranches, IntervalBranches, MonotonePiece,
                         newton_inverse)
@@ -117,6 +116,8 @@ def make_mp(alpha: float) -> MapSystem:
             return 0.0
         if y >= 1.0:
             return 0.5
+        from scipy.optimize import brentq
+
         return brentq(lambda t: left_fwd(t) - y, 0.0, 0.5, xtol=1e-15)
 
     def left_inv_array(y):
@@ -204,6 +205,8 @@ def make_perturbed_expanding(d: int, a: float) -> MapSystem:
             return d * x + omega - a * np.sin(TWO_PI * x)
 
         def inv_lift(v):
+            from scipy.optimize import brentq
+
             return brentq(
                 lambda t: d * t + omega - a * math.sin(TWO_PI * t) - v,
                 0.0, 1.0, xtol=1e-15)

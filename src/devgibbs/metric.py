@@ -29,7 +29,7 @@ import numpy as np
 
 from .dynamics import MapSystem, birkhoff_sum, orbit
 from .errors import ConfigError, ImpossibleCoverError, SamplingError
-from .hyperbolic import HyperbolicParams, hyperbolic_times, is_hyperbolic_time
+from .hyperbolic import HyperbolicParams, is_hyperbolic_time, sample_anchors
 from .sampling import sample_chunks, spawn_rng
 from .stats import ols_fit
 
@@ -432,17 +432,11 @@ def calibrate_delta1(m: MapSystem, params: HyperbolicParams, seed: int,
     not its value; this pins one per family and reports it.
     """
     rng = spawn_rng(seed, "delta1")
-    anchors = []
-    guard = 0
     # modest depths: the ball width shrinks like e^(-lambda n) and falls
     # under float spacing past n ~ 45, where pair sampling degenerates
-    while len(anchors) < instances and guard < 50 * instances:
-        guard += 1
-        x = m.domain.sample(rng, 1)[0]
-        rec = hyperbolic_times(m, x, params)
-        mid = [t for t in rec.times if 10 <= t <= 24]
-        if mid:
-            anchors.append((float(x), int(mid[len(mid) // 2])))
+    anchors, _ = sample_anchors(m, lambda: m.domain.sample(rng, 1)[0], params,
+                                10, 24, instances, 50 * instances)
+    anchors = [(float(x), n) for x, n in anchors]
     if not anchors:
         raise SamplingError("no hyperbolic times found for calibration")
     for k in range(3, 11):

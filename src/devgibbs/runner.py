@@ -15,7 +15,7 @@ import math
 import operator
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,14 +27,13 @@ from .dynamics import PotentialModel
 from .errors import ConfigError, DevgibbsError, SamplingError
 from .gibbs import delta_set_rate, subexp_check
 from .hyperbolic import (HyperbolicParams, classify_tail, default_params,
-                         tail_curve)
+                         hyperbolic_times, sample_anchors, tail_curve)
 from .maps import make_family
 from .metric import backward_contraction_check, calibrate_delta1, \
     distortion_estimate, katok_entropy
 from .observables import make_observable
-from .sampling import UniformSampler, spawn_rng
+from .sampling import UniformSampler, load_empirical, read_table, spawn_rng
 from .specprobe import nonuniform_spec_statistic
-from .hyperbolic import hyperbolic_times
 from .svg import line_plot
 
 
@@ -84,20 +83,6 @@ class RunManifest:
     failures: list
     wall_time: float
     workers: int
-
-
-def _load_table(path):
-    if path is None:
-        raise ConfigError("piecewise_linear needs g_file")
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            x, y = (float(v) for v in line.replace(",", " ").split()[:2])
-            rows.append((x, y))
-    return rows
 
 
 def _hyper_params(cfg: ExperimentConfig, m, n_max_default=1000):
@@ -196,10 +181,11 @@ def _run_deviation(cfg, m, sampler, workers, emit_csv, emit_json, emit_svg):
     dev = cfg.section("deviation")
     table = None
     if dev.get("g") == "piecewise_linear":
-        table = _load_table(dev.get("g_file"))
+        if dev.get("g_file") is None:
+            raise ConfigError("piecewise_linear needs g_file")
+        table = read_table(dev["g_file"])
     g = make_observable(dev["g"], m, table=table)
     if "sampler_file" in dev:
-        from .sampling import load_empirical
         sampler = load_empirical(dev["sampler_file"])
     exp = DeviationExperiment(
         map=m, g=g, c=dev["c"], sampler=sampler,
@@ -373,16 +359,10 @@ def _run_contraction(cfg, m, emit_json):
     rng = spawn_rng(cfg.seed, f"{cfg.kind}-anchors")
     lo = sec.get("depth_lo", 8)
     hi = sec.get("depth_hi", 16)
-    instances = []
-    guard = 0
     want = sec.get("instances", 100)
-    while len(instances) < want and guard < 100 * want:
-        guard += 1
-        x = float(m.domain.sample(rng, 1)[0])
-        rec = hyperbolic_times(m, x, params)
-        cand = [t for t in rec.times if lo <= t <= hi]
-        if cand:
-            instances.append((x, int(cand[len(cand) // 2])))
+    instances, guard = sample_anchors(
+        m, lambda: float(m.domain.sample(rng, 1)[0]), params, lo, hi, want,
+        100 * want)
     settings = (f"depth_lo = {lo}, depth_hi = {hi}, instances = {want}, "
                 f"n_max = {params.n_max}")
     if not instances:
@@ -407,9 +387,7 @@ def _run_contraction(cfg, m, emit_json):
     pot = _log_deriv_potential(m)
     ratios = []
     for i, (x, n) in enumerate(instances):
-        deep = hyperbolic_times(
-            m, x, HyperbolicParams(params.sigma, params.delta, params.b,
-                                   3 * n))
+        deep = hyperbolic_times(m, x, replace(params, n_max=3 * n))
         twos = [t for t in deep.times if 1.8 * n <= t <= 2.2 * n]
         if not twos:
             continue

@@ -50,47 +50,27 @@ class EmpiricalSampler:
         return np.asarray(self.points)[idx]
 
 
+def read_table(path: str) -> list:
+    """Rows of floats from a text file, skipping blank and ``#`` lines.
+
+    Values are separated by commas or whitespace.
+    """
+    rows = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                rows.append([float(v) for v in line.replace(",", " ").split()])
+    return rows
+
+
 def load_empirical(path: str) -> "EmpiricalSampler":
     """Empirical sampler from a text file of points, one per line.
 
     Cylinder points use two comma- or whitespace-separated coordinates.
     """
-    pts = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            vals = [float(v) for v in line.replace(",", " ").split()]
-            pts.append(vals[0] if len(vals) == 1 else vals)
+    pts = [vals[0] if len(vals) == 1 else vals for vals in read_table(path)]
     return EmpiricalSampler(points=np.asarray(pts), label=f"file:{path}")
-
-
-@dataclass(frozen=True)
-class OrbitSampler:
-    """Points along long typical orbits started from uniform seeds.
-
-    A stand-in for sampling an a.c. invariant measure: each chunk starts
-    a fresh orbit, discards ``burn_in`` iterates and returns the next n.
-    """
-
-    map: object
-    burn_in: int = 1000
-    label: str = "orbit"
-
-    def sample(self, rng, n):
-        x = self.map.domain.sample(rng, 1)
-        x = x[0] if self.map.domain.ndim == 1 else x[0, :]
-        for _ in range(self.burn_in):
-            x = self.map.domain.clamp(self.map.step(x))
-        if self.map.domain.ndim == 1:
-            out = np.empty(n)
-        else:
-            out = np.empty((n, 2))
-        for j in range(n):
-            out[j] = x
-            x = self.map.domain.clamp(self.map.step(x))
-        return out
 
 
 def chunk_slices(total: int) -> Iterator[Tuple[int, int]]:

@@ -13,12 +13,13 @@ Gap estimates compose two measured quantities: the exactness time at the
 radius and the wait until the next hyperbolic time strictly beyond the
 piece length.  Their ratio to the piece length is the statistic whose
 smallness is the non-uniform specification property's numerical face.
+``nonuniform_spec_statistic`` scans all its sampled points in one batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,7 +27,8 @@ import numpy as np
 from .branching import CircleBranches
 from .dynamics import MapSystem, orbit
 from .errors import CapabilityError, ConfigError, HorizonError
-from .hyperbolic import HyperbolicParams, HyperbolicTimeRecord, hyperbolic_times
+from .hyperbolic import (HyperbolicParams, HyperbolicTimeRecord,
+                         hyperbolic_times, hyperbolic_times_batch)
 from .metric import BallSpec, in_dynamical_ball
 from .sampling import spawn_rng
 
@@ -261,9 +263,9 @@ class GapEstimate:
     verified_fraction: Optional[float] = None
 
 
-def next_time_after(record: HyperbolicTimeRecord, n: int) -> Optional[int]:
+def next_time_after(times: np.ndarray, n: int) -> Optional[int]:
     """Smallest detected time strictly greater than n (next-strict rule)."""
-    after = record.times[record.times > n]
+    after = times[times > n]
     return int(after[0]) if len(after) else None
 
 
@@ -279,10 +281,8 @@ def gap_estimate(m: MapSystem, x, n: int, eps: float,
     """
     if record is None:
         horizon = max(params.n_max, 2 * n + 50)
-        record = hyperbolic_times(
-            m, x, HyperbolicParams(params.sigma, params.delta, params.b,
-                                   horizon))
-    nxt = next_time_after(record, n)
+        record = hyperbolic_times(m, x, replace(params, n_max=horizon))
+    nxt = next_time_after(record.times, n)
     if nxt is None:
         raise HorizonError(
             f"no hyperbolic time beyond n={n} within horizon {record.n_max}")
@@ -322,7 +322,8 @@ def nonuniform_spec_statistic(m: MapSystem, sampler, eps_grid, n_grid,
                               cap: int = 60) -> GapReport:
     """sup over sampled points of p-hat/n per grid cell.
 
-    Horizon failures are counted as censored, not silently dropped.
+    All sampled points are scanned in one batch.  Horizon failures are
+    counted as censored, not silently dropped.
     """
     eps_grid = sorted(float(e) for e in eps_grid)
     n_grid = sorted(int(n) for n in n_grid)
@@ -335,17 +336,14 @@ def nonuniform_spec_statistic(m: MapSystem, sampler, eps_grid, n_grid,
             raise HorizonError(f"exactness cap {cap} exceeded at eps={eps}")
         exact[eps] = res.n
     horizon = int(n_grid[-1] * 1.5) + 50
-    scan_params = HyperbolicParams(params.sigma, params.delta, params.b,
-                                   horizon)
+    scan_params = replace(params, n_max=horizon)
     pts = sampler.sample(spawn_rng(seed, "gapstat-pts"), samples)
     sup_table = {(eps, n): 0.0 for eps in eps_grid for n in n_grid}
     censored = 0
-    for i in range(samples):
-        x = pts[i] if m.domain.ndim == 1 else pts[i, :]
-        record = hyperbolic_times(m, x, scan_params)
+    for times in hyperbolic_times_batch(m, pts, scan_params):
         bad = False
         for n in n_grid:
-            nxt = next_time_after(record, n)
+            nxt = next_time_after(times, n)
             if nxt is None:
                 bad = True
                 continue
@@ -365,10 +363,9 @@ def nonuniform_spec_statistic(m: MapSystem, sampler, eps_grid, n_grid,
 
 def gap_statistic_from_times(times, n_grid, exactness: int):
     """The same aggregation applied to a synthetic record of times."""
-    rec = HyperbolicTimeRecord(x=None, times=np.asarray(times, dtype=int),
-                               n_max=int(np.max(times)), none_found=len(times) == 0)
+    times = np.asarray(times, dtype=int)
     out = {}
     for n in sorted(int(v) for v in n_grid):
-        nxt = next_time_after(rec, n)
+        nxt = next_time_after(times, n)
         out[n] = math.inf if nxt is None else (exactness + (nxt - n)) / n
     return out

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -362,3 +364,14 @@ def test_distortion_without_time_near_twice_depth(tmp_path, monkeypatch):
     assert "twice its depth" in msg
     for setting in ("depth_lo", "depth_hi", "instances", "n_max"):
         assert setting in msg
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported inside the few functions that use it
+    src = os.path.dirname(os.path.dirname(run_mod.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, devgibbs.cli; "
+         "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from devgibbs import hyperbolic as hyp
 from devgibbs import maps
-from devgibbs.errors import ConfigError
+from devgibbs.errors import ConfigError, SingularityError
 from devgibbs.sampling import UniformSampler
 from devgibbs.stats import combined_se
 
@@ -192,3 +194,89 @@ def test_mp_lag_statistic_decreasing_ensemble(mp):
     med = [np.median([hyp.lag_statistic(mp, x, N, p).max_gap_ratio
                       for x in starts]) for N in (100, 1000)]
     assert med[1] < med[0]
+
+
+FAMILIES = {
+    "doubling": maps.make_doubling(),
+    "perturbed_expanding": maps.make_perturbed_expanding(4, 0.55),
+    "quadratic": maps.make_quadratic(2.0),
+    "manneville_pomeau": maps.make_mp(0.5),
+    "viana": maps.make_viana(16, 2.0, 0.01),
+}
+
+
+def _start_points(m, us):
+    """Map unit-square draws into the domain (rows for the cylinder)."""
+    us = np.asarray(us, dtype=float)
+    if m.domain.ndim == 2:
+        lo, hi = m.domain.fiber_lo, m.domain.fiber_hi
+        return np.column_stack([us[:, 0], lo + (hi - lo) * us[:, 1]])
+    if hasattr(m.domain, "lo"):
+        return m.domain.lo + (m.domain.hi - m.domain.lo) * us[:, 0]
+    return us[:, 0]
+
+
+@given(st.sampled_from(sorted(FAMILIES)),
+       st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                          st.floats(0.0, 1.0, exclude_max=True)),
+                min_size=1, max_size=8),
+       st.integers(1, 300), st.integers(1, 24))
+@example("quadratic", [(0.3, 0.0), (0.5, 0.0)], 5, 1)  # 0 is critical
+@settings(max_examples=60, deadline=None)
+def test_batch_scan_matches_single_scans(name, us, n_max, n):
+    m = FAMILIES[name]
+    p = hyp.default_params(m, n_max=n_max)
+    xs = _start_points(m, us)
+    singles = []
+    for x in xs:
+        try:
+            singles.append(hyp.hyperbolic_times(m, x, p).times)
+        except SingularityError:
+            # an orbit through the critical set fails the whole batch
+            with pytest.raises(SingularityError):
+                hyp.hyperbolic_times_batch(m, xs, p)
+            return
+    batch = hyp.hyperbolic_times_batch(m, xs, p)
+    assert len(batch) == len(xs)
+    for x, times, single in zip(xs, batch, singles):
+        assert np.array_equal(times, single)
+        assert np.all(np.diff(times) > 0)
+        if n <= n_max:
+            assert (n in times) == hyp.naive_is_hyperbolic_time(m, x, n, p)
+
+
+def test_batch_scan_blocks_join_in_order(pe4, monkeypatch):
+    xs = np.random.default_rng(5).random(11)
+    p = hyp.default_params(pe4, n_max=200)
+    whole = hyp.hyperbolic_times_batch(pe4, xs, p)
+    monkeypatch.setattr(hyp, "CHUNK", 4)
+    for a, b in zip(whole, hyp.hyperbolic_times_batch(pe4, xs, p)):
+        assert np.array_equal(a, b)
+
+
+def test_batch_scan_names_singular_start_point(quadratic, monkeypatch):
+    # 1 - 2 x^2 maps 2^-1/2 to the critical point 0 up to rounding
+    p = hyp.default_params(quadratic, n_max=20)
+    monkeypatch.setattr(hyp, "CHUNK", 2)
+    with pytest.raises(SingularityError, match="start point 3 .* index 1"):
+        hyp.hyperbolic_times_batch(quadratic, [0.3, 0.2, 0.7, 2 ** -0.5], p)
+
+
+
+
+def test_sample_anchors_match_one_candidate_at_a_time(quadratic):
+    p = hyp.default_params(quadratic, n_max=60)
+    for lo, hi, want, limit in ((8, 16, 40, 4000), (50, 52, 30, 45)):
+        rng = np.random.default_rng(7)
+        got, tried = hyp.sample_anchors(quadratic, lambda: float(rng.random()),
+                                        p, lo, hi, want, limit)
+        rng = np.random.default_rng(7)
+        ref, guard = [], 0
+        while len(ref) < want and guard < limit:
+            guard += 1
+            x = float(rng.random())
+            cand = [t for t in hyp.hyperbolic_times(quadratic, x, p).times
+                    if lo <= t <= hi]
+            if cand:
+                ref.append((x, int(cand[len(cand) // 2])))
+        assert got == ref and tried == guard

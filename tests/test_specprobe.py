@@ -6,7 +6,7 @@ import pytest
 from devgibbs import hyperbolic as hyp
 from devgibbs import maps, specprobe as sp
 from devgibbs.errors import CapabilityError, ConfigError, HorizonError
-from devgibbs.sampling import UniformSampler
+from devgibbs.sampling import UniformSampler, spawn_rng
 
 
 PROBES = np.linspace(0.03, 0.97, 11)
@@ -136,3 +136,31 @@ def test_gap_estimate_shadow_verified(doubling):
     ge = sp.gap_estimate(doubling, 0.37, 40, 1 / 64, params, exactness=5,
                          verify=5, seed=2)
     assert ge.verified_fraction == 1.0
+
+
+@pytest.mark.parametrize("sigma", [1.4, 2.3])  # at 2.3, 9 of 12 are censored
+def test_nonuniform_statistic_matches_per_point_scans(pe4, sigma):
+    eps_grid, n_grid, samples, seed = [1 / 64, 1 / 16], [50, 100, 400], 12, 5
+    params = hyp.HyperbolicParams(sigma, 0.1, 0.25, 100)
+    rep = sp.nonuniform_spec_statistic(pe4, UniformSampler(pe4.domain),
+                                       eps_grid, n_grid, params,
+                                       samples=samples, seed=seed)
+    # reference: one hyperbolic_times scan per sampled point
+    probes = pe4.domain.sample(spawn_rng(seed, "gapstat"), 12)
+    exact = {eps: sp.exactness_time(pe4, eps, probes).n for eps in eps_grid}
+    scan = hyp.HyperbolicParams(params.sigma, params.delta, params.b,
+                                int(n_grid[-1] * 1.5) + 50)
+    sup = {(eps, n): 0.0 for eps in eps_grid for n in n_grid}
+    censored = 0
+    for x in pe4.domain.sample(spawn_rng(seed, "gapstat-pts"), samples):
+        times = hyp.hyperbolic_times(pe4, x, scan).times
+        after = [[int(t) for t in times if t > n] for n in n_grid]
+        censored += any(not a for a in after)
+        for n, a in zip(n_grid, after):
+            for eps in eps_grid:
+                if a:
+                    sup[eps, n] = max(sup[eps, n], (exact[eps] + a[0] - n) / n)
+    assert rep.exactness == exact
+    assert rep.sup_table == sup
+    assert rep.headline == sup[eps_grid[0], n_grid[-1]]
+    assert rep.censored_fraction == censored / samples
