@@ -219,15 +219,20 @@ def delta_set_rate(m: MapSystem, params: HyperbolicParams, sampler,
         snap_next = np.zeros((len(n_grid), npts), dtype=np.int64)
         for n in range(1, horizon + 1):
             ok = scan.advance()
-            if np.any(ok):
+            hit = scan.live[ok]
+            if len(hit):
                 for gi, gn in enumerate(n_grid):
                     if n > gn:  # next hyperbolic time strictly beyond gn
-                        fill = ok & (snap_next[gi] == 0)
+                        fill = hit[snap_next[gi, hit] == 0]
                         snap_next[gi, fill] = n
-                last[ok] = n
+                last[hit] = n
             for gi, gn in enumerate(n_grid):
                 if n == gn:
                     snap_last[gi] = last.copy()
+            if n > n_grid[-1]:  # a time past the grid fixes every snapshot
+                scan.retire(ok)
+                if not scan.live.size:
+                    break
         viol = np.zeros(len(n_grid), dtype=np.int64)
         cens = 0
         for gi, gn in enumerate(n_grid):

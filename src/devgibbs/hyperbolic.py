@@ -16,8 +16,8 @@ ties resolving in favour of acceptance.
 
 One scan loop, ``hyperbolic_times_batch``, finds the times of a whole
 batch of start points; ``hyperbolic_times`` is a batch of one.  Only
-``first_times_batch`` has its own loop, which stops once every point has
-a first time.
+``first_times_batch`` has its own loop, which retires each point from
+the scan at its first time.
 """
 
 from __future__ import annotations
@@ -89,18 +89,18 @@ class HyperbolicTimeRecord:
 class _Scanner:
     """Vectorized incremental detector over a batch of start points.
 
-    ``first`` numbers the batch's points in ``SingularityError`` messages.
+    ``live`` holds the start index, from ``first``, of each point scanned.
     """
 
     def __init__(self, m: MapSystem, x, params: HyperbolicParams, first=0):
         self.m = m
-        self.first = first
         self.params = params
         self.cur = np.array(x, dtype=float, copy=True)
         batch = self.cur.shape[:-1] if m.domain.ndim == 2 else self.cur.shape
         self.prefix = np.zeros(batch)
         self.runmin = np.zeros(batch)
         self.thresh = np.full(batch, -np.inf)
+        self.live = first + np.arange(self.prefix.size)
         self.log_sigma = np.log(params.sigma)
         self.n = 0
 
@@ -110,7 +110,7 @@ class _Scanner:
         n = self.n + 1
         dist = np.asarray(m.crit_dist(self.cur), dtype=float)
         if np.any(dist < NEAR_CRITICAL_TOL):
-            point = self.first + int(np.flatnonzero(dist < NEAR_CRITICAL_TOL)[0])
+            point = int(self.live[dist < NEAR_CRITICAL_TOL][0])
             raise SingularityError(
                 f"orbit of start point {point} hit the critical set at "
                 f"index {n - 1}", index=n - 1)
@@ -124,6 +124,12 @@ class _Scanner:
         self.cur = m.domain.clamp(m.step(self.cur))
         self.n = n
         return ok
+
+    def retire(self, done):
+        """Stop scanning the points of the boolean mask ``done``."""
+        self.cur, self.prefix, self.runmin, self.thresh, self.live = (
+            a[~done] for a in (self.cur, self.prefix, self.runmin,
+                               self.thresh, self.live))
 
 
 def hyperbolic_times_batch(m: MapSystem, xs, params: HyperbolicParams) -> list:
@@ -208,15 +214,18 @@ def sample_anchors(m: MapSystem, draw, params: HyperbolicParams, lo: int,
 
 
 def first_times_batch(m: MapSystem, xs, params: HyperbolicParams) -> np.ndarray:
-    """First hyperbolic time per start point; 0 when none within horizon."""
+    """First hyperbolic time per start point; 0 when none within horizon.
+
+    Each point leaves the scan at its first time: it is no longer stepped
+    or checked against the critical set.
+    """
     scan = _Scanner(m, np.asarray(xs, dtype=float), params)
-    first = np.zeros(scan.prefix.shape, dtype=np.int64)
+    first = np.zeros(scan.live.shape, dtype=np.int64)
     for n in range(1, params.n_max + 1):
         ok = scan.advance()
-        newly = ok & (first == 0)
-        if np.any(newly):
-            first[newly] = n
-        if np.all(first > 0):
+        first[scan.live[ok]] = n
+        scan.retire(ok)
+        if not scan.live.size:
             break
     return first
 

@@ -27,7 +27,7 @@ from .dynamics import PotentialModel
 from .errors import ConfigError, DevgibbsError, SamplingError
 from .gibbs import delta_set_rate, subexp_check
 from .hyperbolic import (HyperbolicParams, classify_tail, default_params,
-                         hyperbolic_times, sample_anchors, tail_curve)
+                         hyperbolic_times_batch, sample_anchors, tail_curve)
 from .maps import make_family
 from .metric import backward_contraction_check, calibrate_delta1, \
     distortion_estimate, katok_entropy
@@ -347,6 +347,9 @@ def _run_spec(cfg, m, sampler, emit_json):
 
 
 def _run_contraction(cfg, m, emit_json):
+    if m.domain.ndim != 1:
+        raise ConfigError(f"family = {cfg.family} is not one-dimensional; "
+                          f"{cfg.kind} probes need an interval or circle map")
     sec = cfg.section(cfg.kind)
     params = _hyper_params(cfg, m, n_max_default=100)
     d1 = sec.get("delta1", "auto")
@@ -385,10 +388,14 @@ def _run_contraction(cfg, m, emit_json):
         })
         return {"pass_min": min(fracs)}
     pot = _log_deriv_potential(m)
+    deep = {}  # one scan per depth n, to the horizon 3 n
+    for n in sorted({n for _, n in instances}):
+        xs = [x for x, d in instances if d == n]
+        deep[n] = iter(hyperbolic_times_batch(m, xs,
+                                              replace(params, n_max=3 * n)))
     ratios = []
     for i, (x, n) in enumerate(instances):
-        deep = hyperbolic_times(m, x, replace(params, n_max=3 * n))
-        twos = [t for t in deep.times if 1.8 * n <= t <= 2.2 * n]
+        twos = [t for t in next(deep[n]) if 1.8 * n <= t <= 2.2 * n]
         if not twos:
             continue
         k1 = distortion_estimate(m, pot, x, n, pairs, d1, cfg.seed + i)

@@ -9,9 +9,10 @@ always combine per-chunk results in chunk-index order.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Tuple
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -73,20 +74,13 @@ def load_empirical(path: str) -> "EmpiricalSampler":
     return EmpiricalSampler(points=np.asarray(pts), label=f"file:{path}")
 
 
-def chunk_slices(total: int) -> Iterator[Tuple[int, int]]:
-    """(chunk_index, size) pairs covering ``total`` draws."""
-    idx = 0
-    left = total
-    while left > 0:
-        size = min(CHUNK, left)
-        yield idx, size
-        idx += 1
-        left -= size
-
-
 def sample_chunks(sampler, total: int, seed: int, tag: str):
-    """Yield (chunk_index, points) with the per-chunk keyed generator."""
-    for idx, size in chunk_slices(total):
+    """Yield (chunk_index, points) with the per-chunk keyed generator.
+
+    Every chunk holds ``CHUNK`` draws but the last, which holds the rest.
+    """
+    for idx, lo in enumerate(range(0, total, CHUNK)):
+        size = min(CHUNK, total - lo)
         yield idx, sampler.sample(spawn_rng(seed, tag, idx), size)
 
 
@@ -95,13 +89,17 @@ def parallel_chunk_map(fn: Callable, jobs: Iterable, workers: int = 1) -> list:
 
     The combination order never depends on worker scheduling, which is
     what makes the output byte-deterministic under any worker count.
+    Jobs are drawn lazily, at most ``workers + 1`` ahead of their results.
     """
-    jobs = list(jobs)
     if workers <= 1:
         results = [(idx, fn(idx, payload)) for idx, payload in jobs]
     else:
+        results, pending = [], deque()
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(idx, pool.submit(fn, idx, payload)) for idx, payload in jobs]
-            results = [(idx, fut.result()) for idx, fut in futures]
-    results.sort(key=lambda t: t[0])
-    return [r for _, r in results]
+            for idx, payload in jobs:
+                pending.append((idx, pool.submit(fn, idx, payload)))
+                if len(pending) > workers:
+                    done, fut = pending.popleft()
+                    results.append((done, fut.result()))
+            results += [(idx, fut.result()) for idx, fut in pending]
+    return [r for _, r in sorted(results, key=lambda t: t[0])]

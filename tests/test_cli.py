@@ -351,19 +351,30 @@ def test_no_hyperbolic_time_in_depth_window(tmp_path, kind):
 
 def test_distortion_without_time_near_twice_depth(tmp_path, monkeypatch):
     # a map whose hyperbolic times stop at depth_hi: none lies near 2n
-    real = run_mod.hyperbolic_times
+    real = run_mod.hyperbolic_times_batch
 
-    def capped(m, x, params):
-        rec = real(m, x, params)
-        rec.times = rec.times[rec.times <= 12]
-        return rec
+    def capped(m, xs, params):
+        return [times[times <= 12] for times in real(m, xs, params)]
 
-    monkeypatch.setattr(run_mod, "hyperbolic_times", capped)
+    monkeypatch.setattr(run_mod, "hyperbolic_times_batch", capped)
     msg = _stage_error(tmp_path,
                        HYPERBOLIC_RUN.format(kind="distortion", n_max=100))
     assert "twice its depth" in msg
     for setting in ("depth_lo", "depth_hi", "instances", "n_max"):
         assert setting in msg
+
+
+@pytest.mark.parametrize("kind", ["contraction", "distortion"])
+def test_viana_contraction_probes_refused(tmp_path, kind):
+    # the probes draw and perturb one-dimensional points
+    cfg = tmp_path / "viana.cfg"
+    cfg.write_text(HYPERBOLIC_RUN.format(kind=kind, n_max=100).replace(
+        "family = doubling", "family = viana"))
+    res = CliRunner().invoke(main, ["run", str(cfg), "--out",
+                                    str(tmp_path / "out")])
+    assert res.exit_code == 1
+    assert "config error" in res.output
+    assert "family = viana" in res.output
 
 
 def test_cli_import_leaves_scipy_unloaded():

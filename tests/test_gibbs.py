@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from devgibbs import gibbs, hyperbolic as hyp, maps
 from devgibbs.dynamics import MapSystem, PotentialModel
 from devgibbs.domain import Interval
 from devgibbs.metric import BallSpec
-from devgibbs.sampling import UniformSampler
+from devgibbs.sampling import UniformSampler, sample_chunks
 
 
 def log2_potential():
@@ -106,6 +107,44 @@ def test_delta_set_rate_sup_phi_clipping(quadratic):
                               potential=pot)
     assert dr.clipped  # the potential is unbounded near the critical point
     assert np.isfinite(dr.sup_phi)
+
+
+def _reference_delta_rows(m, params, n_grid, samples, seed, c_beta):
+    """Violation rows and censored count from full scans to the horizon."""
+    horizon = int(n_grid[-1] * 1.5) + 50
+    viol, cens = [0] * len(n_grid), 0
+    for _, pts in sample_chunks(UniformSampler(m.domain), samples, seed,
+                                "delta"):
+        full = hyp.hyperbolic_times_batch(m, pts,
+                                          replace(params, n_max=horizon))
+        for times in full:
+            for gi, gn in enumerate(n_grid):
+                before, after = times[times <= gn], times[times > gn]
+                if not len(before):
+                    viol[gi] += 1
+                    continue
+                gap = after[0] - before[-1] if len(after) else horizon
+                viol[gi] += bool(gap > c_beta * gn)
+                cens += not len(after) and not gap > c_beta * gn
+    rows = [(n, v, samples, v / samples) for n, v in zip(n_grid, viol)]
+    return rows, cens
+
+
+@pytest.mark.parametrize("family,beta,n_grid", [
+    ("quadratic", 0.5, [20, 40, 60]),
+    ("manneville_pomeau", 3.0, [15, 30, 45]),  # 17 samples censored
+])
+def test_delta_set_rate_matches_full_scans(family, beta, n_grid):
+    m = maps.make_family(family)
+    params = hyp.default_params(m, n_max=100)
+    pot = PotentialModel(phi=lambda x: -np.log(np.abs(m.deriv(x))),
+                         pressure=0.0)
+    dr = gibbs.delta_set_rate(m, params, UniformSampler(m.domain), beta,
+                              n_grid, samples=3000, seed=3, potential=pot)
+    rows, cens = _reference_delta_rows(m, params, n_grid, 3000, 3, dr.c_beta)
+    assert dr.rows == rows
+    assert dr.censored == cens
+    assert any(0 < r[1] < 3000 for r in rows)
 
 
 def test_probe_report_bundle(doubling):

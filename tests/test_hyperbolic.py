@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from devgibbs import hyperbolic as hyp
 from devgibbs import maps
+from devgibbs.domain import Interval
+from devgibbs.dynamics import MapSystem
 from devgibbs.errors import ConfigError, SingularityError
 from devgibbs.sampling import UniformSampler
 from devgibbs.stats import combined_se
@@ -262,6 +264,80 @@ def test_batch_scan_names_singular_start_point(quadratic, monkeypatch):
         hyp.hyperbolic_times_batch(quadratic, [0.3, 0.2, 0.7, 2 ** -0.5], p)
 
 
+
+
+def _eager_first_times(m, xs, p):
+    """Reference loop: every point is stepped until the last first time."""
+    scan = hyp._Scanner(m, np.asarray(xs, dtype=float), p)
+    first = np.zeros(scan.prefix.shape, dtype=np.int64)
+    for n in range(1, p.n_max + 1):
+        ok = scan.advance()
+        newly = ok & (first == 0)
+        if np.any(newly):
+            first[newly] = n
+        if np.all(first > 0):
+            break
+    return first
+
+
+@given(st.sampled_from(sorted(FAMILIES)),
+       st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                          st.floats(0.0, 1.0, exclude_max=True)),
+                min_size=1, max_size=16),
+       st.integers(1, 400))
+@example("quadratic", [(0.3, 0.0), (2 ** -0.5, 0.0)], 50)
+@example("manneville_pomeau", [(0.001, 0.0), (0.6, 0.0), (0.02, 0.0)], 400)
+@settings(max_examples=80, deadline=None)
+def test_retiring_first_times_match_eager_loop(name, us, n_max):
+    m = FAMILIES[name]
+    p = hyp.default_params(m, n_max=n_max)
+    xs = _start_points(m, us)
+    try:
+        want = _eager_first_times(m, xs, p)
+    except SingularityError:
+        want = None
+    try:
+        got = hyp.first_times_batch(m, xs, p)
+    except SingularityError:
+        # a point that still lacks its first time fails in both loops
+        assert want is None
+        return
+    if want is not None:
+        assert np.array_equal(got, want)
+    assert got.shape == (len(xs),)
+
+
+def _halving():
+    """x -> x / 2 on [0, 1]; expanding only on [1/2, 1], critical at 0."""
+    return MapSystem(label="halving", domain=Interval(0.0, 1.0), params={},
+                     step=lambda x: np.asarray(x, dtype=float) / 2,
+                     deriv=lambda x: np.where(np.asarray(x) >= 0.5, 4.0, 0.5),
+                     crit_dist=lambda x: np.abs(np.asarray(x, dtype=float)))
+
+
+def test_first_times_name_singular_start_point_after_retiring():
+    # 0.9 and 0.8 retire at n = 1; 3e-14 halves below the tolerance at
+    # orbit index 2, by then at position 1 of the shrunken scan
+    m = _halving()
+    p = params(n_max=10)
+    xs = [0.9, 0.8, 0.3, 3e-14]
+    with pytest.raises(SingularityError, match="start point 3 .* index 2"):
+        hyp.first_times_batch(m, xs, p)
+    with pytest.raises(SingularityError, match="start point 3 .* index 2"):
+        _eager_first_times(m, xs, p)
+
+
+def test_point_with_first_time_is_not_checked_for_singularity(quadratic):
+    # 2^-1/2 has its first time at n = 1 and maps to the critical point,
+    # while 0.3 keeps the scan going to n = 2; the full scans fail there,
+    # the retiring scan no longer checks the point that has its answer
+    p = hyp.default_params(quadratic, n_max=20)
+    xs = [0.3, 2 ** -0.5]
+    assert hyp.first_times_batch(quadratic, xs, p).tolist() == [2, 1]
+    with pytest.raises(SingularityError, match="start point 1 .* index 1"):
+        _eager_first_times(quadratic, xs, p)
+    with pytest.raises(SingularityError, match="start point 1 .* index 1"):
+        hyp.hyperbolic_times_batch(quadratic, xs, p)
 
 
 def test_sample_anchors_match_one_candidate_at_a_time(quadratic):
