@@ -6,12 +6,16 @@ dynamical-ball membership quantifies over j = 0..n inclusive (n+1
 comparisons).  Each is used where the corresponding statement uses it.
 
 Covering numbers are greedy upper estimates: repeatedly center a ball at
-the sample point covering the most residual weight.  The exact minimum
-cover is NP-hard; the greedy count overshoots by at most a bounded factor
-and the bias direction is fixed, which is all the entropy regression
-needs.  For 1D maps each ball is taken as the interval that is its
-connected component through the center.  Maps with a branch structure
-get that interval exactly, vectorized over centers, by pulling
+the sample point whose ball holds the most uncovered sample points,
+counted as integers, with equal counts going to the smallest candidate
+index, so no float rounding decides a pick.  Minimum cover is NP-hard
+for general set systems, but partial cover by arcs of a line or a circle
+is polynomial (a dynamic program over right endpoints).  Greedy is kept
+because each pick is cheap and its bias has a fixed direction (never
+below the minimum over sample-point centers), which is all the entropy
+regression needs.  For 1D maps each ball is taken as the interval that
+is its connected component through the center.  Maps with a branch
+structure get that interval exactly, vectorized over centers, by pulling
 B(f^n x, eps) back through the branch that contains each f^j x and
 intersecting with B(f^j x, eps) at every step.  Other 1D maps fall back
 to bisection on the membership predicate, which is right only where the
@@ -167,55 +171,31 @@ def _bisection_radii(m, orb_c, eps):
     return out[0], out[1]
 
 
-def _greedy_interval_cover(pos, weights, lo_idx, hi_idx, target):
-    """Greedy max-residual-weight cover of sorted points by index ranges.
-
-    ``lo_idx``/``hi_idx`` give, per candidate ball, the covered contiguous
-    range [lo, hi) in sorted order.  Returns the number of balls used.
-    """
-    npts = len(pos)
-    residual = weights.copy()
-    total_covered = 0.0
-    count = 0
-    for _ in range(npts):
-        if total_covered >= target - 1e-12:
-            break
-        pref = np.concatenate([[0.0], np.cumsum(residual)])
-        gain = pref[hi_idx] - pref[lo_idx]
-        best = int(np.argmax(gain))
-        g = float(gain[best])
-        if g <= 0.0:
-            raise ImpossibleCoverError(
-                f"cover stalls at weight {total_covered:.6f} < {target:.6f}")
-        residual[lo_idx[best]:hi_idx[best]] = 0.0
-        total_covered += g
-        count += 1
-    return count
-
-
 def covering_number(m: MapSystem, points, n: int, eps: float, delta: float,
-                    weights=None, method: str = "auto") -> int:
-    """Greedy count of (n, eps)-balls covering weight >= 1 - delta.
+                    method: str = "auto") -> int:
+    """Greedy count of (n, eps)-balls covering >= (1 - delta) N of N points.
 
-    An upper estimate of the true minimum (greedy, and ball centers are
+    Each round centers a ball at the sample point whose ball holds the
+    most uncovered points, counted as integers; equal counts go to the
+    smallest candidate index (in sorted order on the arc path).  It stops
+    once ``ceil((1 - delta) N)`` points are covered, the product taken
+    less 1e-9 so that (1 - 0.7) * 10 = 3.0000000000000004 needs 3.  An
+    upper estimate of the true minimum (greedy, and ball centers are
     restricted to the sample points).
     """
     pts = np.asarray(points, dtype=float)
-    if weights is None:
-        weights = np.full(pts.shape[0], 1.0 / pts.shape[0])
-    weights = np.asarray(weights, dtype=float)
-    target = (1.0 - delta) * float(weights.sum())
-    if target <= 0.0:
+    need = math.ceil((1.0 - delta) * pts.shape[0] - 1e-9)
+    if need <= 0:
         return 0
     if method == "auto":
         method = "direct" if (m.domain.ndim == 2 or pts.shape[0] <= 1500) \
             else "arc"
     if method == "direct":
-        return _covering_direct(m, pts, n, eps, weights, target)
-    return _covering_arc(m, pts, n, eps, weights, target)
+        return _covering_direct(m, pts, n, eps, need)
+    return _covering_arc(m, pts, n, eps, need)
 
 
-def _covering_direct(m, pts, n, eps, weights, target):
+def _covering_direct(m, pts, n, eps, need):
     orb = orbit(m, pts, n)  # inclusive ball convention
     npts = pts.shape[0]
     member = np.empty((npts, npts), dtype=bool)
@@ -225,74 +205,78 @@ def _covering_direct(m, pts, n, eps, weights, target):
         else:
             dev = np.max(m.domain.distance(orb[:, i:i + 1, :], orb), axis=0)
         member[i] = dev <= eps
-    residual = weights.copy()
-    total = 0.0
-    count = 0
-    for _ in range(npts):
-        if total >= target - 1e-12:
-            break
-        gain = member @ residual
+    alive = np.ones(npts, dtype=bool)
+    gain = member.sum(axis=1)  # member @ alive
+    covered = count = 0
+    while covered < need:
         best = int(np.argmax(gain))
-        g = float(gain[best])
-        if g <= 0.0:
+        if gain[best] <= 0:
             raise ImpossibleCoverError(
-                f"cover stalls at weight {total:.6f} < {target:.6f}")
-        residual[member[best]] = 0.0
-        total += g
+                f"cover stalls at {covered} < {need} points")
+        dead = np.flatnonzero(member[best] & alive)
+        alive[dead] = False
+        gain -= member[:, dead].sum(axis=1)
+        covered += dead.size
         count += 1
     return count
 
 
-def _covering_arc(m, pts, n, eps, weights, target):
+def _covering_arc(m, pts, n, eps, need):
     r_lo, r_hi = ball_intervals(m, pts, n, eps)
     order = np.argsort(pts, kind="stable")
     pos = pts[order]
-    w = weights[order]
-    a = pts - r_lo
-    b = pts + r_hi
-    circular = not hasattr(m.domain, "lo")
-    if circular:
+    a = (pts - r_lo)[order]
+    b = (pts + r_hi)[order]
+    if not hasattr(m.domain, "lo"):
         # wrapped arcs become ranges over a virtually doubled index space
-        pos2 = np.concatenate([pos, pos + 1.0])
-        a_mod = a[order] % 1.0
-        length = (b - a)[order]
-        lo_idx = np.searchsorted(pos2, a_mod - 1e-15, side="left")
-        hi_idx = np.searchsorted(pos2, a_mod + length + 1e-15, side="right")
-        return _greedy_circular_cover(w, lo_idx, hi_idx, len(pos), target)
-    lo_idx = np.searchsorted(pos, a[order] - 1e-15, side="left")
-    hi_idx = np.searchsorted(pos, b[order] + 1e-15, side="right")
-    return _greedy_interval_cover(pos, w, lo_idx, hi_idx, target)
+        length = b - a
+        a = a % 1.0
+        b = a + length
+        pos = np.concatenate([pos, pos + 1.0])
+    lo_idx = np.searchsorted(pos, a - 1e-15, side="left")
+    hi_idx = np.searchsorted(pos, b + 1e-15, side="right")
+    return _greedy_range_cover(lo_idx, hi_idx, len(order), need)
 
 
-def _greedy_circular_cover(w, lo_idx, hi_idx, npts, target):
-    """Greedy cover with arc index ranges over the doubled circle index."""
-    residual = w.copy()
-    total = 0.0
-    count = 0
-    for _ in range(npts):
-        if total >= target - 1e-12:
-            break
-        pref = np.concatenate([[0.0], np.cumsum(residual)])
-        full = pref[-1]
-        # prefix over the doubled index space without materializing it
-        lo_v = np.where(lo_idx <= npts, pref[np.minimum(lo_idx, npts)],
-                        full + pref[lo_idx - npts])
-        hi_v = np.where(hi_idx <= npts, pref[np.minimum(hi_idx, npts)],
-                        full + pref[hi_idx - npts])
-        gain = hi_v - lo_v
-        best = int(np.argmax(gain))
-        g = float(gain[best])
-        if g <= 0.0:
+def _greedy_range_cover(lo_idx, hi_idx, npts, need):
+    """Greedy count of index ranges covering >= ``need`` of ``npts`` points.
+
+    Candidate k covers ``[lo_idx[k], hi_idx[k])`` of the doubled index,
+    where index i + npts is point i again, so a range past ``npts`` wraps
+    round the circle.  Each round picks the most uncovered points, the
+    smallest index on ties.  The integer gains are updated after a pick
+    only where a range can meet a newly covered point: ranges with ``lo``
+    in (dead_min - span, dead_max] or in that window one circle later.
+    """
+    lo = np.asarray(lo_idx, dtype=np.intp)
+    # a range is at most one whole circle: no point counts twice
+    hi = np.minimum(np.asarray(hi_idx, dtype=np.intp), lo + npts)
+    gain = hi - lo
+    span = int(gain.max(initial=0))
+    by_lo = np.argsort(lo, kind="stable")
+    lo_sorted = lo[by_lo]
+    alive = np.ones(npts, dtype=bool)
+    covered = count = 0
+    while covered < need:
+        best = int(gain.argmax())
+        if gain[best] <= 0:
             raise ImpossibleCoverError(
-                f"cover stalls at weight {total:.6f} < {target:.6f}")
-        lo, hi = int(lo_idx[best]), int(hi_idx[best])
-        if hi <= npts:
-            residual[lo:hi] = 0.0
-        else:
-            residual[lo:] = 0.0
-            residual[: hi - npts] = 0.0
-        total += g
+                f"cover stalls at {covered} < {need} points")
+        b_lo, b_hi = int(lo[best]), int(hi[best])
+        dead = np.flatnonzero(alive[b_lo:b_hi]) + b_lo
+        if b_hi > npts:
+            dead = np.concatenate([np.flatnonzero(alive[:b_hi - npts]), dead])
+        alive[dead] = False
+        covered += dead.size
         count += 1
+        dead2 = np.concatenate([dead, dead + npts])
+        s1, e1, s2, e2 = lo_sorted.searchsorted(
+            [dead[0] - span, dead[-1], dead[0] + npts - span, dead[-1] + npts],
+            side="right")
+        touched = by_lo[s1:e2] if s2 <= e1 else np.concatenate(
+            [by_lo[s1:e1], by_lo[s2:e2]])
+        gain[touched] -= (dead2.searchsorted(hi[touched])
+                          - dead2.searchsorted(lo[touched]))
     return count
 
 

@@ -3,8 +3,9 @@
 Data files (CSV/JSON) are byte-deterministic under a fixed config: floats
 are serialized with their shortest round-trip representation, JSON keys
 are sorted, and all Monte Carlo work is chunk-keyed so the worker count
-cannot change any number.  On failure, partial outputs are removed and
-the failing stage is reported.
+cannot change any number.  On failure, partial outputs, the manifest and
+the data files an earlier run's manifest names are removed, and the
+failing stage is reported.
 """
 
 from __future__ import annotations
@@ -104,10 +105,22 @@ def _log_deriv_potential(m) -> PotentialModel:
                           label="-log|det Df|")
 
 
+def _manifest_files(out):
+    """Paths of the data files an earlier run's manifest in ``out`` names."""
+    try:
+        with open(os.path.join(out, "manifest.json")) as fh:
+            names = list(json.load(fh)["checksums"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return []  # no readable manifest: no earlier files are known
+    # the base name keeps an edited manifest from reaching outside ``out``
+    return [os.path.join(out, os.path.basename(name)) for name in names]
+
+
 def run(cfg: ExperimentConfig, out_dir=None, workers=None) -> RunManifest:
     out = out_dir or cfg.out
     workers = workers or cfg.workers
     os.makedirs(out, exist_ok=True)
+    earlier = _manifest_files(out)
     written = []
     t0 = time.time()
     m = make_family(cfg.family, cfg.map_params)
@@ -150,8 +163,8 @@ def run(cfg: ExperimentConfig, out_dir=None, workers=None) -> RunManifest:
         else:
             raise ConfigError(f"kind {cfg.kind} not dispatchable")
     except Exception as exc:
-        for path in written + [os.path.join(out, "manifest.json")]:
-            if os.path.exists(path):
+        for path in written + earlier + [os.path.join(out, "manifest.json")]:
+            if os.path.isfile(path):
                 os.remove(path)
         if isinstance(exc, ConfigError):
             raise  # a setting the stage refuses stays a config error

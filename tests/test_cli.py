@@ -238,7 +238,8 @@ def test_failed_run_removes_stale_manifest(tmp_path):
     good = tmp_path / "good.cfg"
     good.write_text(TINY_RUN.format(out=out))
     assert runner.invoke(main, ["run", str(good)]).exit_code == 0
-    assert (out / "manifest.json").exists()
+    assert (out / "rate_curve.csv").exists()
+    (out / "notes.txt").write_text("not named by the manifest\n")
     # past the doubling map's floating-point horizon: the stage fails
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_RUN.format(out=out).replace("[8, 12, 16]",
@@ -246,7 +247,8 @@ def test_failed_run_removes_stale_manifest(tmp_path):
     res = runner.invoke(main, ["run", str(bad)])
     assert res.exit_code == 1
     assert "lower n to at most 52" in res.output
-    assert not (out / "manifest.json").exists()
+    # the earlier run's data files go with its manifest; other files stay
+    assert sorted(os.listdir(out)) == ["notes.txt"]
 
 
 SPEC_RUN = """\

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from devgibbs import hyperbolic as hyp
 from devgibbs import maps, metric
 from devgibbs.dynamics import PotentialModel, orbit
+from devgibbs.errors import ImpossibleCoverError
 from devgibbs.sampling import UniformSampler, spawn_rng
 
 
@@ -113,6 +114,142 @@ def test_covering_monotonicity(doubling):
     c_n = [metric.covering_number(doubling, pts, n, 0.1, 0.1, method="arc")
            for n in (2, 4, 6)]
     assert c_n[0] <= c_n[1] <= c_n[2]
+
+
+def _eager_range_cover(lo, hi, npts, need):
+    """Reference greedy: every round recounts every range from scratch.
+
+    Ranges [lo, hi) live on the doubled index 0..2 npts (index i + npts is
+    point i again); the gain is the integer count of uncovered points, and
+    ``np.argmax`` sends equal counts to the smallest index.
+    """
+    lo = np.asarray(lo, dtype=int)
+    hi = np.minimum(np.asarray(hi, dtype=int), lo + npts)
+    alive = np.ones(npts, dtype=int)
+    covered = count = 0
+    while covered < need:
+        pref = np.concatenate([[0], np.cumsum(np.concatenate([alive, alive]))])
+        gain = pref[hi] - pref[lo]
+        best = int(np.argmax(gain))
+        if gain[best] <= 0:
+            raise ImpossibleCoverError("stall")
+        alive[np.arange(lo[best], hi[best]) % npts] = 0
+        covered += int(gain[best])
+        count += 1
+    return count
+
+
+def _cover_or_stall(cover, lo, hi, npts, need):
+    try:
+        return cover(lo, hi, npts, need)
+    except ImpossibleCoverError:
+        return "stall"
+
+
+@st.composite
+def range_instances(draw):
+    """Index ranges on a line (hi <= npts) or on the doubled circle index."""
+    npts = draw(st.integers(1, 40))
+    circle = draw(st.booleans())
+    ranges = []
+    for _ in range(draw(st.integers(1, 40))):
+        lo = draw(st.integers(0, npts))
+        top = min(lo + npts + 1, 2 * npts) if circle else npts
+        ranges.append((lo, draw(st.integers(lo, max(lo, top)))))
+    lo, hi = (np.array(v) for v in zip(*ranges))
+    return lo, hi, npts, draw(st.integers(0, npts))
+
+
+@given(range_instances())
+@settings(max_examples=400, deadline=None)
+def test_greedy_range_cover_matches_eager(inst):
+    assert (_cover_or_stall(metric._greedy_range_cover, *inst)
+            == _cover_or_stall(_eager_range_cover, *inst))
+
+
+@pytest.mark.parametrize("lo, hi, npts, need, count", [
+    # three ranges of 2 points: the first index wins, so 3 picks, not 2
+    ([1, 0, 2], [3, 2, 4], 4, 4, 3),
+    # a wrapped pick covers 3, 4, 0, 1 and must lower both other ranges
+    ([3, 1, 0], [7, 3, 2], 5, 5, 2),
+    # a plain pick covers 0..2 and must lower the range 4, 0, 1 to 1 point
+    ([0, 4, 3], [3, 7, 5], 5, 5, 2),
+    # every point (delta = 0) with 3-point arcs round a 10-point circle
+    (np.arange(10), np.arange(10) + 3, 10, 10, 4),
+])
+def test_greedy_range_cover_hand_cases(lo, hi, npts, need, count):
+    assert metric._greedy_range_cover(lo, hi, npts, need) == count
+    assert _eager_range_cover(lo, hi, npts, need) == count
+
+
+@pytest.mark.parametrize("method", ["direct", "arc"])
+def test_covering_need_rounding(doubling, method):
+    # balls of radius 0.01 round ten points 0.1 apart hold one point each,
+    # so the count is the number of points needed: (1 - 0.7) * 10 is
+    # 3.0000000000000004 in floating point and still needs 3 points
+    pts = (np.arange(10) + 0.5) / 10
+    counts = [metric.covering_number(doubling, pts, 0, 0.01, delta,
+                                     method=method)
+              for delta in (0.0, 0.7, 1.0)]
+    assert counts == [10, 3, 0]
+
+
+@pytest.mark.parametrize("method", ["direct", "arc"])
+def test_covering_every_point_of_a_circle_grid(doubling, method):
+    # radius 2/64 round the 64-point grid holds 5 points: ceil(64 / 5)
+    pts = np.arange(64) / 64
+    assert metric.covering_number(doubling, pts, 0, 1 / 32, 0.0,
+                                  method=method) == 13
+
+
+def test_covering_stall_is_reported_in_points():
+    with pytest.raises(ImpossibleCoverError, match="2 < 3 points"):
+        metric._greedy_range_cover([0], [2], 4, 3)
+
+
+def _exact_line_cover(lo, hi, need):
+    """Fewest ranges [lo, hi) of a line covering >= ``need`` points.
+
+    A dynamic program over right endpoints.  Some optimal choice has no
+    range inside another, so with the ranges sorted by ``hi`` each chosen
+    range adds exactly the points of [max(lo, previous hi), hi).
+    ``best[j]`` is the most points that at most k ranges cover when range j
+    ends furthest right.  Returns None when no choice covers ``need``.
+    """
+    if need <= 0:
+        return 0
+    order = np.argsort(hi, kind="stable")
+    lo = [int(v) for v in np.asarray(lo)[order]]
+    hi = [int(v) for v in np.asarray(hi)[order]]
+    best = [h - lo_j for lo_j, h in zip(lo, hi)]
+    for k in range(1, len(lo) + 1):
+        if max(best) >= need:
+            return k
+        best = [max([best[j]] + [best[i] + hi[j] - max(lo[j], hi[i])
+                                 for i in range(j)])
+                for j in range(len(lo))]
+    return None
+
+
+def test_greedy_line_cover_against_exact_minimum():
+    rng = np.random.default_rng(2024)
+    worst = 1.0
+    for _ in range(400):
+        npts = int(rng.integers(1, 25))
+        lo = rng.integers(0, npts + 1, int(rng.integers(1, 12)))
+        hi = np.minimum(lo + rng.integers(0, 8, lo.size), npts)
+        need = int(rng.integers(0, npts + 1))
+        exact = _exact_line_cover(lo, hi, need)
+        greedy = _cover_or_stall(metric._greedy_range_cover, lo, hi, npts,
+                                 need)
+        if exact is None:
+            assert greedy == "stall"
+            continue
+        assert exact <= greedy
+        if exact:
+            worst = max(worst, greedy / exact)
+    print(f"\n[greedy cover] worst greedy / exact on the line: {worst:.3f}")
+    assert worst < 2.0
 
 
 def test_katok_identity_stub(identity_map):
