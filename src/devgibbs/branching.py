@@ -1,24 +1,36 @@
-"""Piecewise-monotone branch structure for 1D map families.
+"""Branch structure and interval sets for the 1D map families.
 
-Two flavours: interval maps carry explicit monotone pieces with one-sided
-limit values at the breakpoints (so discontinuities like the gap at 1/2 in
-the intermittent family are represented exactly), and degree-d circle maps
-carry a strictly increasing lift with its inverse.  Both support the two
-operations the orbit-piece machinery needs: forward images of intervals
-and complete preimage enumeration of intervals.  Both also pull intervals
-back through the branch that contains a point, vectorized over points,
-which is what exact dynamical balls need.
+This module is the one place that knows how sets of points on a chart
+are represented, merged, imaged and pulled back.  A set is an
+``IntervalUnion``: sorted disjoint closed intervals inside the branch
+chart, which is [pieces[0].lo, pieces[-1].hi] for an interval map and
+[0, 1) for a circle map, whose sets are stored cut at the seam.
+
+Interval maps carry explicit monotone pieces with one-sided limit values
+at the breakpoints (so discontinuities like the gap at 1/2 in the
+intermittent family are represented exactly); degree-d circle maps carry
+a strictly increasing lift.  Each branch has one inverse, vectorized over
+values: a closed form, or ``newton_inverse`` where none exists.  Both
+flavours offer the same set operations: ``ball``, ``image``, ``preimage``
+and ``longest_component``.  Both also pull intervals back through the
+branch that contains a point, vectorized over points, which is what
+exact dynamical balls need.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
+from .errors import ConfigError
+
 _NEWTON_ITERS = 64
+MERGE_TOL = 1e-12
+MAX_COMPONENTS = 10_000
+COVER_TOL = 1e-9
 
 
 def newton_inverse(fwd, dfwd, y, lo, hi):
@@ -53,21 +65,83 @@ def newton_inverse(fwd, dfwd, y, lo, hi):
     return t.reshape(shape)
 
 
+class IntervalUnion:
+    """Sorted disjoint closed intervals inside a chart [lo, hi].
+
+    Intervals closer than ``MERGE_TOL`` are merged.  Circle sets live in
+    the chart [0, 1); wrapped arcs are stored split at the seam.
+    """
+
+    def __init__(self, segments, lo: float, hi: float):
+        self.lo = lo
+        self.hi = hi
+        segs = []
+        for a, b in segments:
+            a, b = max(a, lo), min(b, hi)
+            if b >= a:
+                segs.append((a, b))
+        segs.sort()
+        merged: List[List[float]] = []
+        for a, b in segs:
+            if merged and a <= merged[-1][1] + MERGE_TOL:
+                merged[-1][1] = max(merged[-1][1], b)
+            else:
+                merged.append([a, b])
+        if len(merged) > MAX_COMPONENTS:
+            raise ConfigError(
+                f"interval union exceeded {MAX_COMPONENTS} components")
+        self.segments = [(a, b) for a, b in merged]
+
+    @property
+    def total_length(self) -> float:
+        return sum(b - a for a, b in self.segments)
+
+    @property
+    def empty(self) -> bool:
+        return not self.segments
+
+    def covers_chart(self, tol: float = COVER_TOL) -> bool:
+        return self.total_length >= (self.hi - self.lo) - tol
+
+    def intersect(self, a: float, b: float) -> "IntervalUnion":
+        out = []
+        for s, e in self.segments:
+            ss, ee = max(s, a), min(e, b)
+            if ee >= ss:
+                out.append((ss, ee))
+        return IntervalUnion(out, self.lo, self.hi)
+
+    def largest_component(self) -> Tuple[float, float]:
+        return max(self.segments, key=lambda seg: seg[1] - seg[0])
+
+
+def _ends(u: IntervalUnion):
+    """Left and right ends of the components of u, as arrays."""
+    ends = np.array(u.segments, dtype=float).reshape(-1, 2)
+    return ends[:, 0], ends[:, 1]
+
+
+def _split(a, ln):
+    """The arc [a, a + ln], a in [0, 1), as chart segments cut at the seam."""
+    if a + ln <= 1.0:
+        return [(a, a + ln)]
+    return [(a, 1.0), (0.0, a + ln - 1.0)]
+
+
 @dataclass(frozen=True)
 class MonotonePiece:
     """f restricted to [lo, hi], continuous and strictly monotone there.
 
-    ``f_lo`` / ``f_hi`` are one-sided limits at the endpoints; ``inv``
-    inverts f on the piece and is only called with values between them.
-    ``fwd`` and ``inv_array`` act elementwise on arrays; ``fwd`` uses the
-    same arithmetic as the map's ``step``.
+    ``f_lo`` / ``f_hi`` are one-sided limits at the endpoints.  ``fwd``
+    and ``inv_array`` act elementwise on arrays; ``fwd`` uses the same
+    arithmetic as the map's ``step``, and ``inv_array`` inverts it on
+    values between the two limits.
     """
 
     lo: float
     hi: float
     f_lo: float
     f_hi: float
-    inv: Callable[[float], float]
     fwd: Callable[[float], float]
     inv_array: Callable[[np.ndarray], np.ndarray]
 
@@ -90,28 +164,41 @@ class MonotonePiece:
 class IntervalBranches:
     pieces: Tuple[MonotonePiece, ...]
 
-    def image_of(self, lo, hi):
-        """Image of [lo, hi] as a list of closed intervals, one per piece met."""
-        segs = []
-        for p in self.pieces:
-            a, b = max(lo, p.lo), min(hi, p.hi)
-            if a > b:
-                continue
-            fa, fb = p.value_at(a), p.value_at(b)
-            segs.append((min(fa, fb), max(fa, fb)))
-        return segs
+    @property
+    def chart(self):
+        return self.pieces[0].lo, self.pieces[-1].hi
 
-    def preimages_of(self, ylo, yhi):
-        """All components of f^{-1}([ylo, yhi]) as closed intervals."""
+    def ball(self, center, eps) -> IntervalUnion:
+        """[center - eps, center + eps], cut at the chart ends."""
+        return IntervalUnion([(center - eps, center + eps)], *self.chart)
+
+    def image(self, u: IntervalUnion) -> IntervalUnion:
+        """f(u): one closed interval per piece that a component meets."""
+        segs = []
+        for a, b in u.segments:
+            for p in self.pieces:
+                lo, hi = max(a, p.lo), min(b, p.hi)
+                if lo <= hi:
+                    fa, fb = p.value_at(lo), p.value_at(hi)
+                    segs.append((min(fa, fb), max(fa, fb)))
+        return IntervalUnion(segs, *self.chart)
+
+    def preimage(self, u: IntervalUnion) -> IntervalUnion:
+        """f^{-1}(u): the part of each component inside a piece's value
+        range, inverted on that piece."""
+        ya, yb = _ends(u)
         segs = []
         for p in self.pieces:
             vlo, vhi = p.value_range()
-            a, b = max(ylo, vlo), min(yhi, vhi)
-            if a > b:
-                continue
-            xa, xb = p.inv(a), p.inv(b)
-            segs.append((min(xa, xb), max(xa, xb)))
-        return segs
+            lo, hi = np.maximum(ya, vlo), np.minimum(yb, vhi)
+            keep = lo <= hi
+            xa, xb = p.inv_array(lo[keep]), p.inv_array(hi[keep])
+            segs += zip(np.minimum(xa, xb).tolist(),
+                        np.maximum(xa, xb).tolist())
+        return IntervalUnion(segs, *self.chart)
+
+    def longest_component(self, u: IntervalUnion) -> float:
+        return max((b - a for a, b in u.segments), default=0.0)
 
     def pull_back(self, o, lo, hi):
         """Offsets (lo', hi') around each o of the component containing o
@@ -167,19 +254,64 @@ class CircleBranches:
     """Degree-d covering map of the circle via a strictly increasing lift.
 
     ``lift`` maps [0, 1] onto [base, base + d] where base = lift(0) (a
-    possibly nonzero rotation offset); ``inv_lift`` inverts it on that
-    range.  ``lift`` acts elementwise on arrays and satisfies
-    lift(x + 1) = lift(x) + d on the whole line, where ``inv_lift_array``
-    inverts it elementwise.  Arcs are (start, length) pairs with start in
-    [0, 1) and length in (0, 1]; callers split wrapped arcs before asking
-    for preimages.
+    possibly nonzero rotation offset).  It acts elementwise on arrays and
+    satisfies lift(x + 1) = lift(x) + d on the whole line, where
+    ``inv_lift_array`` inverts it elementwise.  Sets are unions on the
+    chart [0, 1), cut at the seam.
     """
 
     degree: int
     lift: Callable[[float], float]
-    inv_lift: Callable[[float], float]
     inv_lift_array: Callable[[np.ndarray], np.ndarray]
     base: float = 0.0
+
+    def ball(self, center, eps) -> IntervalUnion:
+        """The arc of radius eps about ``center``; the whole circle when
+        2 eps >= 1."""
+        return IntervalUnion(_split((center - eps) % 1.0, min(2.0 * eps, 1.0)),
+                             0.0, 1.0)
+
+    def image(self, u: IntervalUnion) -> IntervalUnion:
+        """f(u): one arc per component; the whole circle as soon as one
+        component's image wraps it."""
+        segs = []
+        for a, b in u.segments:
+            s = a % 1.0
+            hi = s + (b - a)
+            g0 = float(self.lift(s))
+            if hi <= 1.0:
+                g1 = float(self.lift(hi))
+            else:
+                g1 = float(self.lift(hi - 1.0)) + self.degree
+            if g1 - g0 >= 1.0:
+                return IntervalUnion([(0.0, 1.0)], 0.0, 1.0)
+            segs += _split(g0 % 1.0, g1 - g0)
+        return IntervalUnion(segs, 0.0, 1.0)
+
+    def preimage(self, u: IntervalUnion) -> IntervalUnion:
+        """f^{-1}(u): each component shifted by an integer k, cut to the
+        lift's range [base, base + d] and inverted.
+
+        Preimages that straddle the seam come back as two segments.  The
+        top end base + d of the range is the image of x = 1 = 0, which the
+        bottom end already yields, so a one-point set is not counted there.
+        """
+        ya, yb = _ends(u)
+        top = self.base + self.degree
+        k = np.arange(math.floor(self.base) - 1,
+                      math.floor(self.base) + self.degree + 1)[:, None]
+        lo, hi = np.maximum(ya + k, self.base), np.minimum(yb + k, top)
+        keep = (lo < hi) | ((lo == hi) & (ya == yb) & (hi < top))
+        xa, xb = self.inv_lift_array(lo[keep]), self.inv_lift_array(hi[keep])
+        return IntervalUnion(zip(xa.tolist(), xb.tolist()), 0.0, 1.0)
+
+    def longest_component(self, u: IntervalUnion) -> float:
+        """Length of the longest arc of u, the arc through the seam joined."""
+        lengths = [b - a for a, b in u.segments]
+        if (len(lengths) > 1 and u.segments[0][0] <= MERGE_TOL
+                and u.segments[-1][1] >= 1.0 - MERGE_TOL):
+            lengths.append(lengths[0] + lengths[-1])
+        return max(lengths, default=0.0)
 
     def pull_back(self, o, lo, hi):
         """Offsets (lo', hi') around each o of the component containing o
@@ -189,39 +321,3 @@ class CircleBranches:
         v = self.lift(o)
         return (o - self.inv_lift_array(v - lo),
                 self.inv_lift_array(v + hi) - o)
-
-    def image_of_arc(self, start, length):
-        """Image arc (start, length); length saturates at 1 (full cover)."""
-        s = start % 1.0
-        g0 = float(self.lift(s))
-        hi = s + length
-        if hi <= 1.0:
-            g1 = float(self.lift(hi))
-        else:
-            g1 = float(self.lift(hi - 1.0)) + self.degree
-        new_len = g1 - g0
-        if new_len >= 1.0:
-            return (0.0, 1.0)
-        return (g0 % 1.0, new_len)
-
-    def preimages_of_arc(self, start, length):
-        """The d preimage arcs of a non-wrapping arc [start, start+length].
-
-        Preimage pieces that straddle the chart seam come back as separate
-        intervals, so the total piece count can exceed the degree.
-        """
-        if start + length > 1.0 + 1e-12:
-            raise ValueError("split wrapped arcs before taking preimages")
-        lo_rng = self.base
-        hi_rng = self.base + self.degree
-        out = []
-        k = math.floor(lo_rng - start - length)
-        while start + k <= hi_rng:
-            lo_v = max(start + k, lo_rng)
-            hi_v = min(start + length + k, hi_rng)
-            if hi_v > lo_v or (hi_v == lo_v and length == 0.0):
-                a = float(self.inv_lift(lo_v))
-                b = float(self.inv_lift(hi_v))
-                out.append((a % 1.0, b - a))
-            k += 1
-        return out

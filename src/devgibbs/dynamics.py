@@ -19,10 +19,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CapabilityError, EvaluationError, SingularityError
+from .errors import EvaluationError, SingularityError
 
 NEAR_CRITICAL_TOL = 1e-14
-BRANCH_VERIFY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -33,10 +32,9 @@ class MapSystem:
     ``deriv`` returns |f'(x)| data as a scalar for 1D maps or a (..., 2, 2)
     Jacobian for cylinder maps, and ``crit_dist`` is the distance to the
     critical/singular set (``inf`` when the set is empty).
-    ``branch_preimages`` enumerates the full solution set of f(x) = y for
-    full-branch families and is ``None`` when unavailable.
-    ``branches`` carries the piecewise-monotone structure used for
-    interval-image propagation and is optional in the same way.
+    ``branches`` is the family's branch structure (``devgibbs.branching``),
+    which images and pulls back interval sets; it is ``None`` where the
+    map has none.
     ``float_horizon`` is the longest orbit whose double-precision
     iterates still carry information, for maps that step a coordinate by
     exactly x -> d x mod 1 (the linear circle maps, and the base angle of
@@ -51,7 +49,6 @@ class MapSystem:
     step: Callable
     deriv: Callable
     crit_dist: Callable
-    branch_preimages: Optional[Callable] = None
     branches: Optional[object] = None
     float_horizon: Optional[float] = None
 
@@ -138,18 +135,23 @@ def birkhoff_sum(m: MapSystem, g, x, n: int):
     return total
 
 
-def _inverse_norm(m: MapSystem, pts):
-    """||Df(x)^{-1}|| at each point: 1/|f'| in 1D, 1/sigma_min in 2D."""
+def jacobian_data(m: MapSystem, pts):
+    """(sigma_min, sigma_max, det) of Df at each point.
+
+    In 1D these are (|f'|, |f'|, f'); ||Df^{-1}|| is 1 / sigma_min.
+    """
     d = np.asarray(m.deriv(pts), dtype=float)
     if m.domain.ndim == 1:
-        return 1.0 / np.abs(d)
+        mag = np.abs(d)
+        return mag, mag, d
     a, b = d[..., 0, 0], d[..., 0, 1]
     c, e = d[..., 1, 0], d[..., 1, 1]
     sq = a * a + b * b + c * c + e * e
     det = a * e - b * c
     disc = np.sqrt(np.maximum(sq * sq - 4.0 * det * det, 0.0))
     smin = np.sqrt(np.maximum((sq - disc) / 2.0, 0.0))
-    return 1.0 / smin
+    smax = np.sqrt((sq + disc) / 2.0)
+    return smin, smax, det
 
 
 def expansion_cocycle(m: MapSystem, x, n: int):
@@ -168,7 +170,7 @@ def expansion_cocycle(m: MapSystem, x, n: int):
         dist = np.asarray(m.crit_dist(cur), dtype=float)
         if np.any(dist < NEAR_CRITICAL_TOL):
             raise SingularityError(f"orbit hit the critical set at index {j}", index=j)
-        out[j] = _inverse_norm(m, cur)
+        out[j] = 1.0 / jacobian_data(m, cur)[0]
         if j + 1 < n:
             cur = m.domain.clamp(m.step(cur))
     return out
@@ -180,17 +182,3 @@ def truncated_distance(m: MapSystem, x, delta: float):
         raise ValueError("truncation radius must be positive")
     dist = np.asarray(m.crit_dist(np.asarray(x, dtype=float)), dtype=float)
     return np.where(dist < delta, dist, 1.0)
-
-
-def inverse_branches(m: MapSystem, y):
-    """All solutions of f(x) = y, each verified to re-evaluate onto y."""
-    if m.branch_preimages is None:
-        raise CapabilityError(f"{m.label}: inverse branches unavailable")
-    y = m.domain.require(y)
-    pre = m.branch_preimages(float(y))
-    for p in pre:
-        back = evaluate(m, p)
-        if m.domain.distance(back, y) > BRANCH_VERIFY_TOL:
-            raise CapabilityError(
-                f"{m.label}: preimage {p} re-evaluates to {back}, not {y}")
-    return sorted(pre)

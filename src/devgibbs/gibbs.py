@@ -148,34 +148,6 @@ def subexp_check(m: MapSystem, potential: PotentialModel, sampler, n_grid,
 
 
 @dataclass
-class GibbsProbeReport:
-    """Aggregate of the sandwich-constant probes on one map.
-
-    ``rows`` carries the per-(x, n) entries (mass with CI, Birkhoff sum of
-    the potential, K-hat); ``growth_statistic`` the subexponential-growth
-    proxy between the grid ends; the Delta machinery fields are present
-    when the exceptional-set rate was measured.
-    """
-
-    rows: list
-    growth_statistic: float
-    flagged: int
-    delta_hat: "float | None" = None
-    delta_rows: "list | None" = None
-    c_beta: "float | None" = None
-
-
-def probe_report(subexp: "SubexpReport", delta: "DeltaSetRate" = None
-                 ) -> GibbsProbeReport:
-    return GibbsProbeReport(
-        rows=subexp.rows, growth_statistic=subexp.statistic,
-        flagged=subexp.flagged,
-        delta_hat=None if delta is None else delta.delta_hat,
-        delta_rows=None if delta is None else delta.rows,
-        c_beta=None if delta is None else delta.c_beta)
-
-
-@dataclass
 class DeltaSetRate:
     delta_hat: float  # semilog slope of the violation fraction; -inf sentinel
     c_beta: float

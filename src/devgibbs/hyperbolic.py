@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import MapSystem, _inverse_norm, NEAR_CRITICAL_TOL
+from .dynamics import MapSystem, jacobian_data, NEAR_CRITICAL_TOL
 from .errors import ConfigError, SingularityError
 from .sampling import CHUNK, parallel_chunk_map, sample_chunks
 from .stats import ols_fit, wilson_ci
@@ -117,7 +117,8 @@ class _Scanner:
         trunc = np.where(dist < p.delta, dist, 1.0)
         t = (n - 1) + (-np.log(trunc)) / (p.b * self.log_sigma)
         np.maximum(self.thresh, t, out=self.thresh)
-        self.prefix = self.prefix + self.log_sigma + np.log(_inverse_norm(m, self.cur))
+        self.prefix = (self.prefix + self.log_sigma
+                       + np.log(1.0 / jacobian_data(m, self.cur)[0]))
         tol = 1e-12 * np.maximum(1.0, np.abs(self.runmin))
         ok = (self.prefix <= self.runmin + tol) & (n > self.thresh - _INDEX_TOL)
         np.minimum(self.runmin, self.prefix, out=self.runmin)

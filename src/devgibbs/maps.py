@@ -35,7 +35,7 @@ import numpy as np
 from .branching import (CircleBranches, IntervalBranches, MonotonePiece,
                         newton_inverse)
 from .domain import Circle, Cylinder, Interval
-from .dynamics import MapSystem
+from .dynamics import MapSystem, jacobian_data
 from .errors import CapabilityError, ConfigError, ParameterError
 from .sampling import spawn_rng
 from .stats import ols_fit
@@ -57,26 +57,12 @@ def make_quadratic(a: float) -> MapSystem:
     def crit_dist(x):
         return np.abs(np.asarray(x, dtype=float))
 
-    def preimages(y):
-        s = (1.0 - y) / a
-        if s < 0.0:
-            return []
-        if s == 0.0:
-            return [0.0]
-        r = math.sqrt(s)
-        if r > 1.0:
-            return []
-        return [-r, r]
-
     fwd = lambda t: 1.0 - a * t * t
     root = lambda y: np.sqrt(np.maximum((1.0 - y) / a, 0.0))
     pieces = (
-        MonotonePiece(-1.0, 0.0, 1.0 - a, 1.0,
-                      inv=lambda y: -math.sqrt(max((1.0 - y) / a, 0.0)), fwd=fwd,
+        MonotonePiece(-1.0, 0.0, 1.0 - a, 1.0, fwd=fwd,
                       inv_array=lambda y: -root(y)),
-        MonotonePiece(0.0, 1.0, 1.0, 1.0 - a,
-                      inv=lambda y: math.sqrt(max((1.0 - y) / a, 0.0)), fwd=fwd,
-                      inv_array=root),
+        MonotonePiece(0.0, 1.0, 1.0, 1.0 - a, fwd=fwd, inv_array=root),
     )
     return MapSystem(
         label=f"quadratic(a={a})",
@@ -85,7 +71,6 @@ def make_quadratic(a: float) -> MapSystem:
         step=step,
         deriv=deriv,
         crit_dist=crit_dist,
-        branch_preimages=preimages,
         branches=IntervalBranches(pieces),
     )
 
@@ -111,34 +96,17 @@ def make_mp(alpha: float) -> MapSystem:
     def left_fwd(t):
         return t * (1.0 + (2.0 * t) ** alpha)
 
-    def left_inv(y):
-        if y <= 0.0:
-            return 0.0
-        if y >= 1.0:
-            return 0.5
-        from scipy.optimize import brentq
-
-        return brentq(lambda t: left_fwd(t) - y, 0.0, 0.5, xtol=1e-15)
-
     def left_inv_array(y):
         # t <= t (1 + (2t)^alpha) <= 2t on [0, 1/2] brackets the root
         return newton_inverse(left_fwd,
                               lambda t: 1.0 + (1.0 + alpha) * np.power(2.0 * t, alpha),
                               y, 0.5 * y, np.minimum(y, 0.5))
 
-    right_inv = lambda y: (y + 1.0) / 2.0
-
-    def preimages(y):
-        out = [left_inv(y)] if 0.0 <= y <= 1.0 else []
-        if y > 0.0:
-            out.append((y + 1.0) / 2.0)
-        return out
-
     pieces = (
-        MonotonePiece(0.0, 0.5, 0.0, 1.0, inv=left_inv, fwd=left_fwd,
+        MonotonePiece(0.0, 0.5, 0.0, 1.0, fwd=left_fwd,
                       inv_array=left_inv_array),
-        MonotonePiece(0.5, 1.0, 0.0, 1.0, inv=right_inv,
-                      fwd=lambda t: 2.0 * t - 1.0, inv_array=right_inv),
+        MonotonePiece(0.5, 1.0, 0.0, 1.0, fwd=lambda t: 2.0 * t - 1.0,
+                      inv_array=lambda y: (y + 1.0) / 2.0),
     )
     return MapSystem(
         label=f"manneville_pomeau(alpha={alpha})",
@@ -147,7 +115,6 @@ def make_mp(alpha: float) -> MapSystem:
         step=step,
         deriv=deriv,
         crit_dist=crit_dist,
-        branch_preimages=preimages,
         branches=IntervalBranches(pieces),
     )
 
@@ -189,10 +156,8 @@ def make_perturbed_expanding(d: int, a: float) -> MapSystem:
         def lift(x):
             return d * np.asarray(x, dtype=float)
 
-        def inv_lift(v):
+        def inv_lift_array(v):
             return v / d
-
-        inv_lift_array = inv_lift
 
     else:
 
@@ -203,13 +168,6 @@ def make_perturbed_expanding(d: int, a: float) -> MapSystem:
         def lift(x):
             x = np.asarray(x, dtype=float)
             return d * x + omega - a * np.sin(TWO_PI * x)
-
-        def inv_lift(v):
-            from scipy.optimize import brentq
-
-            return brentq(
-                lambda t: d * t + omega - a * math.sin(TWO_PI * t) - v,
-                0.0, 1.0, xtol=1e-15)
 
         def inv_lift_array(v):
             # |a sin| <= a puts the root within a / d of (v - omega) / d
@@ -223,19 +181,6 @@ def make_perturbed_expanding(d: int, a: float) -> MapSystem:
     def crit_dist(x):
         return np.full(np.shape(x), np.inf)
 
-    def preimages(y):
-        out = []
-        k = math.floor(omega - y)
-        while y + k <= d + omega:
-            if omega <= y + k <= d + omega:
-                out.append(float(inv_lift(y + k)) % 1.0)
-            k += 1
-        uniq = []
-        for p in sorted(out):
-            if not uniq or abs(p - uniq[-1]) > 1e-13:
-                uniq.append(p)
-        return uniq[:d] if len(uniq) > d else uniq
-
     label = "doubling" if (d == 2 and a == 0.0) else f"perturbed_expanding(d={d}, a={a})"
     return MapSystem(
         label=label,
@@ -244,8 +189,7 @@ def make_perturbed_expanding(d: int, a: float) -> MapSystem:
         step=step,
         deriv=deriv,
         crit_dist=crit_dist,
-        branch_preimages=preimages,
-        branches=CircleBranches(degree=d, lift=lift, inv_lift=inv_lift,
+        branches=CircleBranches(degree=d, lift=lift,
                                 inv_lift_array=inv_lift_array, base=omega),
         float_horizon=52 / math.log2(d) if a == 0.0 else None,
     )
@@ -307,7 +251,6 @@ def make_viana(d: int = 16, a: float = 2.0, alpha: float = 0.01) -> MapSystem:
         step=step,
         deriv=deriv,
         crit_dist=crit_dist,
-        branch_preimages=None,
         branches=None,
         float_horizon=52 / math.log2(d),
     )
@@ -369,22 +312,6 @@ class PowerLawFit:
     table: tuple = ()
 
 
-def _singular_range(m, pts):
-    """(smallest, largest) singular value of Df at each point."""
-    d = np.asarray(m.deriv(pts), dtype=float)
-    if m.domain.ndim == 1:
-        mag = np.abs(d)
-        return mag, mag
-    a, b = d[..., 0, 0], d[..., 0, 1]
-    c, e = d[..., 1, 0], d[..., 1, 1]
-    sq = a * a + b * b + c * c + e * e
-    det = a * e - b * c
-    disc = np.sqrt(np.maximum(sq * sq - 4.0 * det * det, 0.0))
-    smin = np.sqrt(np.maximum((sq - disc) / 2.0, 0.0))
-    smax = np.sqrt((sq + disc) / 2.0)
-    return smin, smax
-
-
 def _nearby_pairs(m, xs, rng):
     """Partners y with d(x, y) < dist(x, C)/2, staying in the domain."""
     r = np.asarray(m.crit_dist(xs), dtype=float) * 0.5 * 0.999
@@ -424,11 +351,11 @@ def verify_H(m: MapSystem, samples: int = 4000, seed: int = 0,
     ys, ok_pair = _nearby_pairs(m, xs, rng)
     xs_p, ys_p, dist_p = xs[ok_pair], ys[ok_pair], dist[ok_pair]
 
-    smin, smax = _singular_range(m, xs)
-    smin_y, _ = _singular_range(m, ys_p)
+    smin, smax, det = jacobian_data(m, xs)
+    smin_y, _, det_y = jacobian_data(m, ys_p)
     smin_x = smin[ok_pair]
-    det_x = np.abs(_det(m, xs_p))
-    det_y = np.abs(_det(m, ys_p))
+    det_x = np.abs(det[ok_pair])
+    det_y = np.abs(det_y)
     gap = np.asarray(m.domain.distance(xs_p, ys_p), dtype=float)
     dlog_inv = np.abs(np.log(smin_x) - np.log(smin_y))
     dlog_det = np.abs(np.log(det_x) - np.log(det_y))
@@ -454,13 +381,6 @@ def verify_H(m: MapSystem, samples: int = 4000, seed: int = 0,
     return PowerLawFit(ok=True, B=B, beta=beta, worst_ratio=1.0, table=tuple(table))
 
 
-def _det(m, pts):
-    d = np.asarray(m.deriv(pts), dtype=float)
-    if m.domain.ndim == 1:
-        return d
-    return d[..., 0, 0] * d[..., 1, 1] - d[..., 0, 1] * d[..., 1, 0]
-
-
 @dataclass(frozen=True)
 class PreimageContraction:
     """Log-log fit of preimage-component diameters against set diameter."""
@@ -476,8 +396,10 @@ def verify_C(m: MapSystem, eps_grid, samples: int = 32, seed: int = 0,
     """Measure preimage-component diameters and fit diam <= L eps^gamma.
 
     For each eps, targets of diameter eps are placed at random (or at the
-    given anchors) and the largest preimage component diameter is recorded;
-    a log-log regression over the eps grid gives (L, gamma).
+    given anchors), shifted to lie inside an interval domain, and the
+    longest component of their preimage is recorded (on the circle the
+    arc through the seam counts as one); a log-log regression over the
+    eps grid gives (L, gamma).
     """
     eps_grid = list(eps_grid)
     if len(eps_grid) < 3:
@@ -493,9 +415,11 @@ def verify_C(m: MapSystem, eps_grid, samples: int = 32, seed: int = 0,
             centers = np.asarray(anchors, dtype=float)
         worst = 0.0
         for c in np.atleast_1d(centers):
-            comps = _preimage_components(m, float(c), eps)
-            for lo, hi in comps:
-                worst = max(worst, hi - lo)
+            c = float(c)
+            if hasattr(m.domain, "lo"):
+                c = min(max(c, m.domain.lo + eps / 2.0), m.domain.hi - eps / 2.0)
+            pre = m.branches.preimage(m.branches.ball(c, eps / 2.0))
+            worst = max(worst, m.branches.longest_component(pre))
         rows.append((eps, worst))
     x = np.log([r[0] for r in rows])
     y = np.log([max(r[1], 1e-300) for r in rows])
@@ -504,32 +428,3 @@ def verify_C(m: MapSystem, eps_grid, samples: int = 32, seed: int = 0,
                                gamma=float(fit.slope),
                                residual=float(fit.residual),
                                table=tuple(rows))
-
-
-def _preimage_components(m, center, eps):
-    if isinstance(m.branches, CircleBranches):
-        start = (center - eps / 2.0) % 1.0
-        if start + eps <= 1.0:
-            return [(a, a + ln) for a, ln in m.branches.preimages_of_arc(start, eps)]
-        first = 1.0 - start
-        out = m.branches.preimages_of_arc(start, first)
-        out += m.branches.preimages_of_arc(0.0, eps - first)
-        return [(a, a + ln) for a, ln in out]
-    lo = max(center - eps / 2.0, m.domain.lo)
-    hi = min(lo + eps, m.domain.hi)
-    lo = hi - eps if hi - eps >= m.domain.lo else lo
-    segs = m.branches.preimages_of(lo, hi)
-    return _merge_touching(segs)
-
-
-def _merge_touching(segs, tol=1e-12):
-    if not segs:
-        return []
-    segs = sorted(segs)
-    out = [list(segs[0])]
-    for lo, hi in segs[1:]:
-        if lo <= out[-1][1] + tol:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return [(lo, hi) for lo, hi in out]

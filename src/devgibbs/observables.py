@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import MapSystem, Observable
+from .dynamics import MapSystem, Observable, jacobian_data
 from .errors import ConfigError
 
 
@@ -20,14 +20,6 @@ def _coordinate(m: MapSystem, x, which: str):
     if m.domain.ndim == 1:
         return x
     return x[..., 0] if which == "angle" else x[..., 1]
-
-
-def _log_abs_det(m: MapSystem, x):
-    d = np.asarray(m.deriv(x), dtype=float)
-    if m.domain.ndim == 1:
-        return np.log(np.abs(d))
-    det = d[..., 0, 0] * d[..., 1, 1] - d[..., 0, 1] * d[..., 1, 0]
-    return np.log(np.abs(det))
 
 
 def make_observable(name: str, m: MapSystem, table=None) -> Observable:
@@ -47,7 +39,8 @@ def make_observable(name: str, m: MapSystem, table=None) -> Observable:
         return Observable(fn=lambda x: _coordinate(m, x, "fiber"),
                           label=name, modulus=1.0)
     if name == "log_deriv":
-        return Observable(fn=lambda x: _log_abs_det(m, x), label=name)
+        return Observable(fn=lambda x: np.log(np.abs(jacobian_data(m, x)[2])),
+                          label=name)
     if name == "piecewise_linear":
         if table is None:
             raise ConfigError("piecewise_linear needs a table of x,y rows")

@@ -8,6 +8,7 @@ refinement: realize the last piece's constraint set as an interval
 union, pull it back through the gap iterates along every branch,
 intersect with the previous piece's stepwise ball constraints, and
 recurse; any returned point is forward-verified before being handed out.
+The sets, images and preimages are those of ``devgibbs.branching``.
 
 Gap estimates compose two measured quantities: the exactness time at the
 radius and the wait until the next hyperbolic time strictly beyond the
@@ -20,124 +21,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .branching import CircleBranches
+from .branching import IntervalUnion
 from .dynamics import MapSystem, orbit
 from .errors import CapabilityError, ConfigError, HorizonError
 from .hyperbolic import (HyperbolicParams, HyperbolicTimeRecord,
                          hyperbolic_times, hyperbolic_times_batch)
 from .metric import BallSpec, in_dynamical_ball
 from .sampling import spawn_rng
-
-MERGE_TOL = 1e-12
-MAX_COMPONENTS = 10_000
-COVER_TOL = 1e-9
-
-
-class IntervalUnion:
-    """Sorted disjoint closed intervals inside a chart [lo, hi].
-
-    Circle sets live in the chart [0, 1); wrapped arcs are stored split.
-    """
-
-    def __init__(self, segments, lo: float, hi: float):
-        self.lo = lo
-        self.hi = hi
-        segs = []
-        for a, b in segments:
-            a, b = max(a, lo), min(b, hi)
-            if b >= a:
-                segs.append((a, b))
-        segs.sort()
-        merged: List[List[float]] = []
-        for a, b in segs:
-            if merged and a <= merged[-1][1] + MERGE_TOL:
-                merged[-1][1] = max(merged[-1][1], b)
-            else:
-                merged.append([a, b])
-        if len(merged) > MAX_COMPONENTS:
-            raise ConfigError(
-                f"interval union exceeded {MAX_COMPONENTS} components")
-        self.segments = [(a, b) for a, b in merged]
-
-    @property
-    def total_length(self) -> float:
-        return sum(b - a for a, b in self.segments)
-
-    @property
-    def empty(self) -> bool:
-        return not self.segments
-
-    def covers_chart(self, tol: float = COVER_TOL) -> bool:
-        return self.total_length >= (self.hi - self.lo) - tol
-
-    def intersect(self, a: float, b: float) -> "IntervalUnion":
-        out = []
-        for s, e in self.segments:
-            ss, ee = max(s, a), min(e, b)
-            if ee >= ss:
-                out.append((ss, ee))
-        return IntervalUnion(out, self.lo, self.hi)
-
-    def largest_component(self) -> Tuple[float, float]:
-        return max(self.segments, key=lambda seg: seg[1] - seg[0])
-
-
-def _ball_union(m: MapSystem, center: float, eps: float) -> IntervalUnion:
-    if hasattr(m.domain, "lo"):
-        return IntervalUnion([(center - eps, center + eps)],
-                             m.domain.lo, m.domain.hi)
-    segs = []
-    a = (center - eps) % 1.0
-    ln = min(2.0 * eps, 1.0)
-    if a + ln <= 1.0:
-        segs.append((a, a + ln))
-    else:
-        segs.append((a, 1.0))
-        segs.append((0.0, a + ln - 1.0))
-    return IntervalUnion(segs, 0.0, 1.0)
-
-
-def _image_union(m: MapSystem, u: IntervalUnion) -> IntervalUnion:
-    if m.branches is None:
-        raise CapabilityError(f"{m.label}: no branch structure")
-    segs = []
-    if isinstance(m.branches, CircleBranches):
-        for a, b in u.segments:
-            s, ln = m.branches.image_of_arc(a, b - a)
-            if ln >= 1.0:
-                return IntervalUnion([(0.0, 1.0)], 0.0, 1.0)
-            if s + ln <= 1.0:
-                segs.append((s, s + ln))
-            else:
-                segs.append((s, 1.0))
-                segs.append((0.0, s + ln - 1.0))
-        return IntervalUnion(segs, 0.0, 1.0)
-    for a, b in u.segments:
-        segs.extend(m.branches.image_of(a, b))
-    return IntervalUnion(segs, m.domain.lo, m.domain.hi)
-
-
-def _preimage_union(m: MapSystem, u: IntervalUnion) -> IntervalUnion:
-    if m.branches is None:
-        raise CapabilityError(f"{m.label}: no branch structure")
-    segs = []
-    if isinstance(m.branches, CircleBranches):
-        for a, b in u.segments:
-            for s, ln in m.branches.preimages_of_arc(a, b - a):
-                if s + ln <= 1.0 + MERGE_TOL:
-                    segs.append((s, min(s + ln, 1.0)))
-                else:
-                    segs.append((s, 1.0))
-                    segs.append((0.0, s + ln - 1.0))
-        return IntervalUnion(segs, 0.0, 1.0)
-    for a, b in u.segments:
-        segs.extend(m.branches.preimages_of(a, b))
-    return IntervalUnion(segs, m.domain.lo, m.domain.hi)
-
 
 @dataclass
 class ExactnessResult:
@@ -150,17 +44,19 @@ class ExactnessResult:
 def exactness_time(m: MapSystem, eps: float, probe_points: Sequence[float],
                    cap: int = 60) -> ExactnessResult:
     """Smallest N with f^N(ball) covering the space, maximized over probes."""
+    if m.branches is None:
+        raise CapabilityError(f"{m.label}: no branch structure")
     worst: Optional[int] = 0
     per = []
     residual = 0.0
     for x in probe_points:
-        u = _ball_union(m, float(x), eps)
+        u = m.branches.ball(float(x), eps)
         depth = None
         for n in range(cap + 1):
             if u.covers_chart():
                 depth = n
                 break
-            u = _image_union(m, u)
+            u = m.branches.image(u)
         per.append((float(x), depth))
         if depth is None:
             worst = None
@@ -198,6 +94,8 @@ def shadow_search(m: MapSystem, pieces: Sequence[OrbitPiece], eps: float,
 
     ``gaps[i]`` iterates separate piece i from piece i+1.  Limited to
     full-branch 1D maps; at most 8 pieces and total length + gaps <= 1000.
+    A gap whose pull-back fragments the set past ``MAX_COMPONENTS``
+    raises ``ConfigError`` naming eps, the gap and the step.
     """
     if m.branches is None:
         raise CapabilityError(f"{m.label}: shadowing needs inverse branches")
@@ -211,22 +109,29 @@ def shadow_search(m: MapSystem, pieces: Sequence[OrbitPiece], eps: float,
     if budget > 1000:
         raise ConfigError("total piece length plus gaps exceeds 1000")
 
+    br = m.branches
     future: Optional[IntervalUnion] = None
     for i in range(len(pieces) - 1, -1, -1):
         piece = pieces[i]
         pts = orbit(m, piece.x, piece.n)
-        cur = _ball_union(m, float(pts[piece.n]), eps)
+        cur = br.ball(float(pts[piece.n]), eps)
         if future is not None:
             pulled = future
-            for _ in range(gaps[i]):
-                pulled = _preimage_union(m, pulled)
+            for k in range(gaps[i]):
+                try:
+                    pulled = br.preimage(pulled)
+                except ConfigError as exc:
+                    raise ConfigError(
+                        f"shadowing at eps={eps}: {exc} at step {k + 1} of "
+                        f"the gap of {gaps[i]} between pieces {i} and "
+                        f"{i + 1}; lower that gap or raise eps") from exc
             cur = IntervalUnion(
                 [seg for a, b in cur.segments
                  for seg in pulled.intersect(a, b).segments],
                 cur.lo, cur.hi)
         for j in range(piece.n - 1, -1, -1):
-            cur = _preimage_union(m, cur)
-            ball = _ball_union(m, float(pts[j]), eps)
+            cur = br.preimage(cur)
+            ball = br.ball(float(pts[j]), eps)
             cur = IntervalUnion(
                 [seg for a, b in ball.segments
                  for seg in cur.intersect(a, b).segments],

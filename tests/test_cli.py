@@ -388,3 +388,20 @@ def test_cli_import_leaves_scipy_unloaded():
          "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_preimage_paths_leave_scipy_optimize_unloaded():
+    # every branch inverse is the vectorized Newton solve, not a root finder
+    src = os.path.dirname(os.path.dirname(run_mod.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys\n"
+        "from devgibbs import maps, specprobe as sp\n"
+        "for m in (maps.make_mp(0.5), maps.make_perturbed_expanding(4, 0.55)):\n"
+        "    sp.shadow_search(m, [sp.OrbitPiece(0.3, 3), sp.OrbitPiece(0.7, 3)],"
+        " 0.05, [6])\n"
+        "    maps.verify_C(m, [0.1, 0.05, 0.025], samples=4, seed=0)\n"
+        "print('scipy.optimize' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from devgibbs import maps
 from devgibbs.dynamics import (Observable, PotentialModel, birkhoff_sum,
-                               evaluate, expansion_cocycle, inverse_branches,
-                               orbit, truncated_distance)
+                               evaluate, expansion_cocycle, orbit,
+                               truncated_distance)
 from devgibbs.errors import (CapabilityError, DomainError, EvaluationError,
                              SingularityError)
 
@@ -119,21 +119,30 @@ def test_truncated_distance_empty_critical_set(mp):
     assert np.all(truncated_distance(mp, xs, 0.05) == 1.0)
 
 
+def point_preimages(m, y):
+    """The solutions of f(x) = y: the preimage of the one-point set {y}."""
+    pre = m.branches.preimage(m.branches.ball(y, 0.0))
+    assert all(a == b for a, b in pre.segments)
+    return [a for a, _ in pre.segments]
+
+
 def test_inverse_branches_doubling(doubling):
-    assert inverse_branches(doubling, 0.5) == pytest.approx([0.25, 0.75])
+    assert point_preimages(doubling, 0.5) == pytest.approx([0.25, 0.75])
 
 
 def test_inverse_branches_quadratic_degenerate(quadratic):
-    assert inverse_branches(quadratic, 1.0) == [0.0]
+    assert point_preimages(quadratic, 1.0) == [0.0]
 
 
 def test_inverse_branches_degree_four(pe40):
-    assert inverse_branches(pe40, 0.0) == pytest.approx([0, 0.25, 0.5, 0.75])
+    # the preimage at 1 is the point 0, counted once
+    assert point_preimages(pe40, 0.0) == pytest.approx([0, 0.25, 0.5, 0.75])
 
 
 def test_inverse_branches_unsupported(viana):
+    assert viana.branches is None
     with pytest.raises(CapabilityError):
-        inverse_branches(viana, np.array([0.1, 0.2]))
+        maps.verify_C(viana, [0.1, 0.05, 0.025], anchors=[[0.1, 0.2]])
 
 
 @pytest.mark.parametrize("family,make", [
@@ -149,7 +158,9 @@ def test_branch_closure_on_grid(family, make):
     else:
         grid = np.linspace(0.0, 1.0, 33, endpoint=False)
     for y in grid:
-        for x in inverse_branches(m, float(y)):
+        pre = point_preimages(m, float(y))
+        assert len(pre) == getattr(m.branches, "degree", 2)
+        for x in pre:
             assert float(m.domain.distance(evaluate(m, x), y)) <= 1e-9
 
 

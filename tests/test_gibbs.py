@@ -147,15 +147,6 @@ def test_delta_set_rate_matches_full_scans(family, beta, n_grid):
     assert any(0 < r[1] < 3000 for r in rows)
 
 
-def test_probe_report_bundle(doubling):
-    pot = log2_potential()
-    rep = gibbs.subexp_check(doubling, pot, UniformSampler(doubling.domain),
-                             [3, 6], 2 ** -5, 200000, seed=1, n_points=4)
-    bundle = gibbs.probe_report(rep)
-    assert bundle.rows == rep.rows
-    assert bundle.delta_hat is None
-
-
 def test_ball_mass_nondecreasing_in_eps(doubling):
     masses = []
     for eps in (0.02, 0.05, 0.1):

@@ -151,6 +151,22 @@ def test_verify_c_doubling_exact(doubling):
     assert fit.L == pytest.approx(0.5, rel=1e-9)
 
 
+@pytest.mark.parametrize("make,L,tol", [
+    (maps.make_doubling, 0.5, 1e-9),
+    (lambda: maps.make_perturbed_expanding(4, 0.0), 0.25, 1e-9),
+    (lambda: maps.make_perturbed_expanding(4, 0.55), 1 / (4 - 1.1 * math.pi),
+     1e-3),
+])
+def test_verify_c_across_the_seam(make, L, tol):
+    # targets about f(0) = omega: for omega = 0 the target wraps the seam;
+    # for a = 0.55, f'(0) < 1 makes the preimage arc through 0 the longest
+    m = make()
+    fit = maps.verify_C(m, [2 ** -k for k in range(10, 14)],
+                        anchors=[m.params["omega"]])
+    assert fit.gamma == pytest.approx(1.0, abs=tol)
+    assert fit.L == pytest.approx(L, rel=tol)
+
+
 def test_verify_c_quadratic_near_one():
     # targets [1 - eps, 1] pull back to |x| <= sqrt(eps/2): exponent 1/2
     q = maps.make_quadratic(2.0)

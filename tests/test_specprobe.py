@@ -5,6 +5,7 @@ import pytest
 
 from devgibbs import hyperbolic as hyp
 from devgibbs import maps, specprobe as sp
+from devgibbs.branching import IntervalUnion
 from devgibbs.errors import CapabilityError, ConfigError, HorizonError
 from devgibbs.sampling import UniformSampler, spawn_rng
 
@@ -13,13 +14,13 @@ PROBES = np.linspace(0.03, 0.97, 11)
 
 
 def test_interval_union_merge():
-    u = sp.IntervalUnion([(0.1, 0.2), (0.2, 0.3), (0.5, 0.6)], 0.0, 1.0)
+    u = IntervalUnion([(0.1, 0.2), (0.2, 0.3), (0.5, 0.6)], 0.0, 1.0)
     assert u.segments == [(0.1, 0.3), (0.5, 0.6)]
     assert u.total_length == pytest.approx(0.3)
 
 
 def test_interval_union_intersect_and_cover():
-    u = sp.IntervalUnion([(0.0, 1.0)], 0.0, 1.0)
+    u = IntervalUnion([(0.0, 1.0)], 0.0, 1.0)
     assert u.covers_chart()
     v = u.intersect(0.2, 0.4)
     assert v.segments == [(0.2, 0.4)]
@@ -86,6 +87,15 @@ def test_shadow_budget_limits(doubling):
     with pytest.raises(ConfigError):
         sp.shadow_search(doubling, [sp.OrbitPiece(0.1, 600),
                                     sp.OrbitPiece(0.2, 600)], 0.05, [5])
+
+
+def test_shadow_component_cap_names_eps_and_gap(doubling):
+    # 2^14 preimage arcs of the second piece's set exceed the cap
+    with pytest.raises(ConfigError, match=r"eps=0\.015625.*step 14 of the "
+                                          r"gap of 14.*lower that gap"):
+        sp.shadow_search(doubling,
+                         [sp.OrbitPiece(0.1, 3), sp.OrbitPiece(0.2, 3)],
+                         1 / 64, [14])
 
 
 def test_shadow_quadratic_pieces():
