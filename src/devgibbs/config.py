@@ -17,6 +17,31 @@ from .errors import ConfigError
 KINDS = ("deviation", "tail", "entropy", "gibbs", "spec", "contraction",
          "distortion", "bounds")
 
+# [check] target key -> (value kind, check name, result field, comparison).
+# A comparison is an operator applied as ``got <op> target`` or an
+# (absolute | relative, tolerance key, default tolerance) triple; every
+# tolerance key is a float.
+CHECKS = {
+    "rate_target": ("float", "rate", "rate", ("abs", "rate_tol", 0.02)),
+    "require_upper_ok": ("bool", "upper_ok", "upper_ok", "=="),
+    "require_lower_ok": ("bool", "lower_ok", "lower_ok", "=="),
+    "legendre_target": ("float", "legendre", "legendre",
+                        ("abs", "legendre_tol", 0.01)),
+    "kind_expected": ("str", "tail_kind", "tail_kind", "=="),
+    "slope_max": ("float", "tail_slope", "tail_rate", "<"),
+    "exponent_target": ("float", "tail_exponent", "tail_exponent",
+                        ("abs", "exponent_tol", 0.3)),
+    "entropy_target": ("float", "entropy", "entropy",
+                       ("rel", "entropy_rel_tol", 0.05)),
+    "subexp_max": ("float", "subexp", "subexp", "<="),
+    "delta_max": ("float", "delta_max", "delta_hat", "<="),
+    "delta_min": ("float", "delta_min", "delta_hat", ">="),
+    "headline_max": ("float", "headline", "headline", "<="),
+    "pass_min": ("float", "pass_min", "pass_min", ">="),
+    "ratio_max": ("float", "ratio", "ratio_max", "<="),
+    "exactness_target": ("int", "exactness", "exactness", "=="),
+}
+
 # value kinds: int, float, str, bool, int_list, float_list, num_or_word
 _SCHEMA = {
     "experiment": {
@@ -50,17 +75,9 @@ _SCHEMA = {
     "distortion": {"instances": "int", "pairs": "int",
                    "delta1": "num_or_word", "depth_lo": "int",
                    "depth_hi": "int"},
-    "check": {
-        "rate_target": "float", "rate_tol": "float",
-        "require_upper_ok": "bool", "require_lower_ok": "bool",
-        "legendre_target": "float", "legendre_tol": "float",
-        "kind_expected": "str", "slope_max": "float",
-        "exponent_target": "float", "exponent_tol": "float",
-        "entropy_target": "float", "entropy_rel_tol": "float",
-        "subexp_max": "float", "delta_max": "float", "delta_min": "float",
-        "headline_max": "float", "pass_min": "float", "ratio_max": "float",
-        "exactness_target": "int",
-    },
+    "check": {**{key: kind for key, (kind, _, _, _) in CHECKS.items()},
+              **{how[1]: "float" for _, _, _, how in CHECKS.values()
+                 if isinstance(how, tuple)}},
 }
 
 _EXPERIMENT_KEYS = set(_SCHEMA["experiment"])

@@ -87,7 +87,7 @@ def _birkhoff_walk(m: MapSystem, g, pts, n_grid):
         if j in stops:
             yield j, total
         if j < last:
-            cur = m.domain.clamp(m.step(cur))
+            cur = m.step(cur)
 
 
 def _hit_counts(exp: DeviationExperiment, n_grid, workers: int):

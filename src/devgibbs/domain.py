@@ -74,7 +74,8 @@ class Circle:
         return np.all((x >= -tol) & (x < 1.0 + tol))
 
     def clamp(self, x):
-        return np.asarray(x, dtype=float) % 1.0
+        # a tiny negative x has x % 1.0 == 1.0; the second % folds it to 0
+        return np.asarray(x, dtype=float) % 1.0 % 1.0
 
     def require(self, x):
         if not self.contains(x):
@@ -113,7 +114,7 @@ class Cylinder:
 
     def clamp(self, p):
         p = np.array(p, dtype=float, copy=True)
-        p[..., 0] = p[..., 0] % 1.0
+        p[..., 0] = p[..., 0] % 1.0 % 1.0  # as in Circle.clamp
         p[..., 1] = np.clip(p[..., 1], self.fiber_lo, self.fiber_hi)
         return p
 

@@ -9,6 +9,15 @@ their coordinates on the last axis.
 Orbits that come within ``NEAR_CRITICAL_TOL`` of the critical set raise
 ``SingularityError`` instead of propagating non-finite derivative data;
 exact critical hits are floating-point artifacts of measure zero.
+
+``orbit`` is the loop that records an orbit: ``birkhoff_sum``,
+``expansion_cocycle`` and the dynamical-ball and shadowing checks read
+their values off its rows.  Three loops step points themselves, because
+they do not keep the orbit: ``deviation._birkhoff_walk`` carries a
+running sum, where a recorded orbit of a 65,536-point chunk would take
+about 16 MB per worker at n = 30, and the ``gibbs.ball_measure`` job and
+``hyperbolic._Scanner`` drop points as they go (those that leave the
+ball, those that have their time).  No caller clamps a ``step`` result.
 """
 
 from __future__ import annotations
@@ -28,7 +37,8 @@ NEAR_CRITICAL_TOL = 1e-14
 class MapSystem:
     """A dynamical system handle.
 
-    ``step`` is the raw point update (already clamped into the domain),
+    ``step`` is the point update and maps the domain into itself (each
+    family's constructor says why), so its images are never clamped;
     ``deriv`` returns |f'(x)| data as a scalar for 1D maps or a (..., 2, 2)
     Jacobian for cylinder maps, and ``crit_dist`` is the distance to the
     critical/singular set (``inf`` when the set is empty).
@@ -91,8 +101,7 @@ class PotentialModel:
 
 def evaluate(m: MapSystem, x):
     """Apply the map once, validating the input point."""
-    x = m.domain.require(x)
-    return m.domain.clamp(m.step(x))
+    return m.step(m.domain.require(x))
 
 
 def orbit(m: MapSystem, x, n: int):
@@ -109,7 +118,7 @@ def orbit(m: MapSystem, x, n: int):
     out[0] = x
     cur = x
     for j in range(n):
-        cur = m.domain.clamp(m.step(cur))
+        cur = m.step(cur)
         out[j + 1] = cur
     return out
 
@@ -122,17 +131,13 @@ def birkhoff_sum(m: MapSystem, g, x, n: int):
     """
     if n < 1:
         raise ValueError("birkhoff_sum needs n >= 1")
-    x = m.domain.require(x)
-    cur = np.asarray(x, dtype=float)
-    total = None
-    for j in range(n):
-        val = np.asarray(g(cur), dtype=float)
-        if not np.all(np.isfinite(val)):
-            raise EvaluationError(f"observable non-finite at orbit index {j}", index=j)
-        total = val if total is None else total + val
-        if j + 1 < n:
-            cur = m.domain.clamp(m.step(cur))
-    return total
+    vals = np.asarray(g(orbit(m, x, n - 1)), dtype=float)
+    finite = np.isfinite(vals).reshape(n, -1).all(axis=1)
+    if not finite.all():
+        j = int(np.argmax(~finite))
+        raise EvaluationError(f"observable non-finite at orbit index {j}", index=j)
+    # add the rows in orbit order, as a running sum does (np.sum pairs them)
+    return np.add.accumulate(vals, axis=0)[-1]
 
 
 def jacobian_data(m: MapSystem, pts):
@@ -162,18 +167,13 @@ def expansion_cocycle(m: MapSystem, x, n: int):
     """
     if n < 1:
         raise ValueError("expansion_cocycle needs n >= 1")
-    x = m.domain.require(x)
-    cur = np.asarray(x, dtype=float)
-    batch_shape = cur.shape[:-1] if m.domain.ndim == 2 else cur.shape
-    out = np.empty((n,) + batch_shape)
-    for j in range(n):
-        dist = np.asarray(m.crit_dist(cur), dtype=float)
-        if np.any(dist < NEAR_CRITICAL_TOL):
-            raise SingularityError(f"orbit hit the critical set at index {j}", index=j)
-        out[j] = 1.0 / jacobian_data(m, cur)[0]
-        if j + 1 < n:
-            cur = m.domain.clamp(m.step(cur))
-    return out
+    orb = orbit(m, x, n - 1)
+    dist = np.asarray(m.crit_dist(orb), dtype=float)
+    near = (dist < NEAR_CRITICAL_TOL).reshape(n, -1).any(axis=1)
+    if near.any():
+        j = int(np.argmax(near))
+        raise SingularityError(f"orbit hit the critical set at index {j}", index=j)
+    return 1.0 / jacobian_data(m, orb)[0]
 
 
 def truncated_distance(m: MapSystem, x, delta: float):

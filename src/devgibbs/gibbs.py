@@ -55,7 +55,7 @@ def ball_measure(m: MapSystem, sampler, spec: BallSpec, samples: int,
             if cur.size == 0:
                 break
             if j < spec.n:
-                cur = m.domain.clamp(m.step(cur))
+                cur = m.step(cur)
         return cur.shape[0], total
 
     parts = parallel_chunk_map(job, sample_chunks(sampler, samples, seed, "ball"),

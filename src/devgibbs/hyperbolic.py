@@ -122,7 +122,7 @@ class _Scanner:
         tol = 1e-12 * np.maximum(1.0, np.abs(self.runmin))
         ok = (self.prefix <= self.runmin + tol) & (n > self.thresh - _INDEX_TOL)
         np.minimum(self.runmin, self.prefix, out=self.runmin)
-        self.cur = m.domain.clamp(m.step(self.cur))
+        self.cur = m.step(self.cur)
         self.n = n
         return ok
 

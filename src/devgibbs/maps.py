@@ -19,8 +19,8 @@ Five families are shipped:
 * ``viana`` -- the cylinder skew product
   (theta, x) -> (d theta mod 1, 1 - a x^2 + alpha cos(2 pi theta)).
   For a = 2 no fiber interval is exactly forward invariant once
-  alpha > 0; the fiber overflow (a band of width ~alpha near the fiber
-  edges) is clamped to the boundary.  With alpha = 0 the fiber orbits
+  alpha > 0; ``step`` clips the fiber overflow (a band of width ~alpha
+  near the fiber edges) to the boundary.  With alpha = 0 the fiber orbits
   reproduce the quadratic family bit for bit.
 """
 
@@ -49,6 +49,7 @@ def make_quadratic(a: float) -> MapSystem:
         raise ParameterError(f"quadratic parameter a={a} outside (0, 2]")
 
     def step(x):
+        # |a x x| <= a <= 2 under monotone rounding, so 1 - a x x is in [-1, 1]
         return 1.0 - a * np.asarray(x, dtype=float) * np.asarray(x, dtype=float)
 
     def deriv(x):
@@ -81,6 +82,7 @@ def make_mp(alpha: float) -> MapSystem:
         raise ParameterError(f"intermittency exponent alpha={alpha} outside (0, 1)")
 
     def step(x):
+        # x (1 + (2x)^alpha) <= 2x on [0, 1/2], and 2x - 1 is in (0, 1]
         x = np.asarray(x, dtype=float)
         left = x * (1.0 + np.power(2.0 * x, alpha))
         return np.where(x <= 0.5, left, 2.0 * x - 1.0)
@@ -148,6 +150,9 @@ def make_perturbed_expanding(d: int, a: float) -> MapSystem:
     if a > 0.0 and (d - TWO_PI * a) < 1.0:
         omega = 2.0 * _saddle_node_threshold(d, a)
 
+    # x -> d x - a sin(2 pi x) increases from 0 (its derivative is at least
+    # d - 2 pi a > 0), so the lift is >= omega >= 0 on [0, 1) and its
+    # remainder mod 1 lies in [0, 1)
     if a == 0.0:
 
         def step(x):
@@ -219,7 +224,7 @@ def make_viana(d: int = 16, a: float = 2.0, alpha: float = 0.01) -> MapSystem:
             out = np.empty_like(p)
             out[..., 0] = (d * p[..., 0]) % 1.0
             x = p[..., 1]
-            out[..., 1] = 1.0 - a * x * x
+            out[..., 1] = 1.0 - a * x * x  # in [-1, 1], as for quadratic
             return out
 
     else:
@@ -230,6 +235,7 @@ def make_viana(d: int = 16, a: float = 2.0, alpha: float = 0.01) -> MapSystem:
             out[..., 0] = (d * p[..., 0]) % 1.0
             x = p[..., 1]
             out[..., 1] = 1.0 - a * x * x + alpha * np.cos(TWO_PI * p[..., 0])
+            np.clip(out[..., 1], -fiber, fiber, out=out[..., 1])
             return out
 
     def deriv(p):
@@ -395,24 +401,24 @@ def verify_C(m: MapSystem, eps_grid, samples: int = 32, seed: int = 0,
              anchors=None) -> PreimageContraction:
     """Measure preimage-component diameters and fit diam <= L eps^gamma.
 
-    For each eps, targets of diameter eps are placed at random (or at the
-    given anchors), shifted to lie inside an interval domain, and the
-    longest component of their preimage is recorded (on the circle the
-    arc through the seam counts as one); a log-log regression over the
-    eps grid gives (L, gamma).
+    Targets of diameter eps are centred at points drawn at random once
+    (or at the given anchors) and shifted to lie inside an interval
+    domain, so each centre's targets are nested in eps.  The longest
+    component of their preimage is recorded (on the circle the arc
+    through the seam counts as one); a log-log regression over the eps
+    grid gives (L, gamma).
     """
     eps_grid = list(eps_grid)
     if len(eps_grid) < 3:
         raise ConfigError("preimage-contraction fit needs >= 3 grid points")
     if m.branches is None:
         raise CapabilityError(f"{m.label}: no branch structure for preimage sets")
-    rng = spawn_rng(seed, "verify_c")
+    if anchors is None:
+        centers = m.domain.sample(spawn_rng(seed, "verify_c"), samples)
+    else:
+        centers = np.asarray(anchors, dtype=float)
     rows = []
     for eps in eps_grid:
-        if anchors is None:
-            centers = m.domain.sample(rng, samples)
-        else:
-            centers = np.asarray(anchors, dtype=float)
         worst = 0.0
         for c in np.atleast_1d(centers):
             c = float(c)

@@ -61,15 +61,10 @@ def dn_distance(m: MapSystem, x, y, n: int) -> float:
 
 
 def in_dynamical_ball(m: MapSystem, y, spec: BallSpec) -> bool:
-    """Membership with the inclusive convention j = 0..n; early exit."""
-    cx = np.asarray(m.domain.require(spec.center), dtype=float)
-    cy = np.asarray(m.domain.require(y), dtype=float)
-    for _ in range(spec.n + 1):
-        if float(m.domain.distance(cx, cy)) > spec.eps:
-            return False
-        cx = m.domain.clamp(m.step(cx))
-        cy = m.domain.clamp(m.step(cy))
-    return True
+    """Membership with the inclusive convention j = 0..n."""
+    gaps = m.domain.distance(orbit(m, spec.center, spec.n),
+                             orbit(m, y, spec.n))
+    return not np.any(gaps > spec.eps)
 
 
 @dataclass

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
+from .config import CHECKS, ExperimentConfig
 from .deviation import (DeviationExperiment, bound_report, free_energy_table,
                         legendre_rate, rate_curve, rate_estimate)
 from .dynamics import PotentialModel
@@ -430,31 +430,10 @@ def _run_contraction(cfg, m, emit_json):
             "ratio_median": float(np.median(ratios))}
 
 
-# [check] key -> (check name, result field, comparison).  A comparison is
-# an operator applied as ``got <op> target`` or an (absolute | relative,
-# tolerance key, default tolerance) triple.
-_CHECKS = {
-    "rate_target": ("rate", "rate", ("abs", "rate_tol", 0.02)),
-    "require_upper_ok": ("upper_ok", "upper_ok", "=="),
-    "require_lower_ok": ("lower_ok", "lower_ok", "=="),
-    "legendre_target": ("legendre", "legendre", ("abs", "legendre_tol", 0.01)),
-    "kind_expected": ("tail_kind", "tail_kind", "=="),
-    "slope_max": ("tail_slope", "tail_rate", "<"),
-    "exponent_target": ("tail_exponent", "tail_exponent",
-                        ("abs", "exponent_tol", 0.3)),
-    "entropy_target": ("entropy", "entropy", ("rel", "entropy_rel_tol", 0.05)),
-    "subexp_max": ("subexp", "subexp", "<="),
-    "delta_max": ("delta_max", "delta_hat", "<="),
-    "delta_min": ("delta_min", "delta_hat", ">="),
-    "headline_max": ("headline", "headline", "<="),
-    "pass_min": ("pass_min", "pass_min", ">="),
-    "ratio_max": ("ratio", "ratio_max", "<="),
-    "exactness_target": ("exactness", "exactness", "=="),
-}
 _OPS = {"==": operator.eq, "<": operator.lt, "<=": operator.le,
         ">=": operator.ge}
 # tolerance key -> the target key whose check it modifies
-_TOLERANCES = {how[1]: key for key, (_, _, how) in _CHECKS.items()
+_TOLERANCES = {how[1]: key for key, (_, _, _, how) in CHECKS.items()
                if isinstance(how, tuple)}
 
 
@@ -477,10 +456,10 @@ def _evaluate_checks(spec: dict, results: dict):
             if _TOLERANCES[key] not in spec:
                 record(key, False, f"{key} without {_TOLERANCES[key]}")
             continue
-        if key not in _CHECKS:
+        if key not in CHECKS:
             record(key, False, f"no evaluator for [check] {key}")
             continue
-        name, field, how = _CHECKS[key]
+        _, name, field, how = CHECKS[key]
         got = results.get(field)
         if isinstance(how, tuple):
             mode, tol_key, default = how

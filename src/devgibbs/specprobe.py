@@ -30,7 +30,6 @@ from .dynamics import MapSystem, orbit
 from .errors import CapabilityError, ConfigError, HorizonError
 from .hyperbolic import (HyperbolicParams, HyperbolicTimeRecord,
                          hyperbolic_times, hyperbolic_times_batch)
-from .metric import BallSpec, in_dynamical_ball
 from .sampling import spawn_rng
 
 @dataclass
@@ -110,10 +109,10 @@ def shadow_search(m: MapSystem, pieces: Sequence[OrbitPiece], eps: float,
         raise ConfigError("total piece length plus gaps exceeds 1000")
 
     br = m.branches
+    orbits = [orbit(m, piece.x, piece.n) for piece in pieces]
     future: Optional[IntervalUnion] = None
     for i in range(len(pieces) - 1, -1, -1):
-        piece = pieces[i]
-        pts = orbit(m, piece.x, piece.n)
+        piece, pts = pieces[i], orbits[i]
         cur = br.ball(float(pts[piece.n]), eps)
         if future is not None:
             pulled = future
@@ -143,19 +142,13 @@ def shadow_search(m: MapSystem, pieces: Sequence[OrbitPiece], eps: float,
 
     a, b = future.largest_component()
     z = 0.5 * (a + b)
+    zs = orbit(m, z, budget)
     t = 0
-    ok = True
     for i, piece in enumerate(pieces):
-        w = z
-        for _ in range(t):
-            w = float(m.domain.clamp(m.step(w)))
-        if not in_dynamical_ball(m, w, BallSpec(piece.x, piece.n, eps)):
-            ok = False
-            break
+        if np.any(m.domain.distance(zs[t:t + piece.n + 1], orbits[i]) > eps):
+            return ShadowResult(found=False, z=None, verified=False,
+                                failed_stage=i)
         t += piece.n + (gaps[i] if i < len(gaps) else 0)
-    if not ok:
-        return ShadowResult(found=False, z=None, verified=False,
-                            failed_stage=i)
     return ShadowResult(found=True, z=z, verified=True, failed_stage=None)
 
 

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devgibbs import maps
+from devgibbs.domain import Circle, Cylinder
 from devgibbs.dynamics import (Observable, PotentialModel, birkhoff_sum,
                                evaluate, expansion_cocycle, orbit,
                                truncated_distance)
 from devgibbs.errors import (CapabilityError, DomainError, EvaluationError,
                              SingularityError)
+from devgibbs.observables import make_observable
 
 
 def test_evaluate_doubling(doubling):
@@ -76,6 +80,19 @@ def test_birkhoff_nonfinite_raises(quadratic):
     assert exc.value.index == 0
 
 
+def test_birkhoff_nonfinite_index_past_zero(doubling):
+    # 0.25 -> 0.5 -> 0: log|x| is first non-finite at orbit index 2
+    def logx(x):
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(np.asarray(x)))
+
+    g = Observable(fn=logx, label="logx")
+    for x in (0.25, np.array([0.3, 0.25])):
+        with pytest.raises(EvaluationError) as exc:
+            birkhoff_sum(doubling, g, x, 3)
+        assert exc.value.index == 2
+
+
 def test_cocycle_doubling(doubling):
     assert expansion_cocycle(doubling, 0.77, 3) == pytest.approx([0.5] * 3)
 
@@ -102,6 +119,13 @@ def test_cocycle_near_critical_raises(quadratic):
     with pytest.raises(SingularityError) as exc:
         expansion_cocycle(quadratic, 1e-15, 1)
     assert exc.value.index == 0
+
+
+def test_cocycle_near_critical_index_past_zero(quadratic):
+    # f(sqrt(1/2)) rounds to -2.2e-16, within NEAR_CRITICAL_TOL of 0
+    with pytest.raises(SingularityError) as exc:
+        expansion_cocycle(quadratic, math.sqrt(0.5), 3)
+    assert exc.value.index == 1
 
 
 def test_truncated_distance_far():
@@ -179,6 +203,81 @@ def test_domain_invariance(make):
     for _ in range(20):
         cur = m.domain.clamp(m.step(cur))
         assert m.domain.contains(cur)
+
+
+ULP_HALF = (np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0))
+CIRCLE_EDGES = (0.0, 5e-324, *ULP_HALF, np.nextafter(1.0, 0.0))
+
+
+def _edge_points(m):
+    """Domain ends, 0.5 +- 1 ulp, critical points, jumps, fiber ends."""
+    dom = m.domain
+    if dom.ndim == 2:
+        fibers = (dom.fiber_lo, np.nextafter(dom.fiber_lo, 0.0), -1.0, 0.0,
+                  *ULP_HALF, 1.0, np.nextafter(dom.fiber_hi, 0.0),
+                  dom.fiber_hi)
+        return np.array([(t, x) for t in CIRCLE_EDGES for x in fibers])
+    if hasattr(dom, "lo"):
+        return np.array([dom.lo, np.nextafter(dom.lo, dom.hi), 0.0, *ULP_HALF,
+                         np.nextafter(dom.hi, dom.lo), dom.hi])
+    return np.array(CIRCLE_EDGES)
+
+
+FAMILY_MAKERS = {
+    "doubling": maps.make_doubling,
+    "quadratic": lambda: maps.make_quadratic(2.0),
+    "mp": lambda: maps.make_mp(0.5),
+    "pe4": lambda: maps.make_perturbed_expanding(4, 0.55),
+    "viana": lambda: maps.make_viana(16, 2.0, 0.01),
+}
+
+
+@pytest.mark.parametrize("make", FAMILY_MAKERS.values(), ids=FAMILY_MAKERS)
+def test_step_stays_in_domain(make):
+    # the MapSystem contract: step images need no clamp (on the circle
+    # tol=0 also means strictly below 1.0)
+    m = make()
+    pts = np.concatenate([m.domain.sample(np.random.default_rng(3), 20000),
+                          _edge_points(m)])
+    assert m.domain.contains(m.step(pts), tol=0)
+    ref = np.empty((201,) + pts.shape)
+    ref[0] = cur = pts
+    for j in range(200):
+        cur = m.domain.clamp(m.step(cur))
+        ref[j + 1] = cur
+    assert np.array_equal(orbit(m, pts, 200), ref)
+
+
+@pytest.mark.parametrize("make", FAMILY_MAKERS.values(), ids=FAMILY_MAKERS)
+def test_birkhoff_sum_adds_in_orbit_order(make):
+    # a running sum over the orbit, bit for bit (not numpy's pairwise sum)
+    m = make()
+    g = make_observable("cos2pi", m)
+    pts = m.domain.sample(np.random.default_rng(4), 64)
+    for x in (pts, pts[0]):
+        orb = orbit(m, x, 39)
+        ref = g(orb[0])
+        for row in orb[1:]:
+            ref = ref + g(row)
+        assert np.array_equal(birkhoff_sum(m, g, x, 40), ref)
+
+
+def test_chart_folds_negative_zero_remainder():
+    # (-1e-20) % 1.0 == 1.0, which lies outside the [0, 1) chart
+    assert Circle().require(-1e-20) == 0.0
+    assert Cylinder(-1.0, 1.0).require([-1e-20, 0.0])[0] == 0.0
+    assert orbit(maps.make_doubling(), -1e-20, 2)[0] == 0.0
+
+
+def test_no_clamp_on_a_step_result():
+    # every step keeps its image in the domain; clamping it again is waste
+    pattern = re.compile(r"clamp\(\s*(?:[\w.]+\.)?step\(")
+    assert pattern.search("m.domain.clamp(m.step(cur))")
+    assert pattern.search("self.m.domain.clamp(\n    step(x))")
+    offenders = [path.name
+                 for path in sorted(Path(maps.__file__).parent.glob("*.py"))
+                 if pattern.search(path.read_text())]
+    assert offenders == []
 
 
 @given(st.floats(min_value=-0.999, max_value=0.999),

@@ -183,6 +183,15 @@ def test_verify_c_perturbed_near_affine():
     assert fit.gamma >= 0.9
 
 
+def test_verify_c_rows_grow_with_eps():
+    # the same centres at every eps give nested targets and preimages
+    pe = maps.make_perturbed_expanding(4, 0.55)
+    fit = maps.verify_C(pe, [2 ** -k for k in range(3, 8)],
+                        samples=16, seed=2)
+    arcs = [arc for _, arc in sorted(fit.table)]
+    assert arcs == sorted(arcs)
+
+
 def test_verify_c_needs_three_gridpoints(doubling):
     with pytest.raises(ConfigError):
         maps.verify_C(doubling, [0.1, 0.05], samples=4, seed=0)
