@@ -80,7 +80,7 @@ def _check_float_horizon(m: MapSystem, n: int, setting: str):
 def _birkhoff_walk(m: MapSystem, g, pts, n_grid):
     """Yield (n, S_n g) at each n of the grid, stepping the points once."""
     stops, last = set(n_grid), max(n_grid)
-    cur = np.asarray(pts, dtype=float)
+    cur = np.asarray(m.domain.require(pts), dtype=float)
     total = np.zeros(cur.shape[:-1] if m.domain.ndim == 2 else cur.shape)
     for j in range(1, last + 1):
         total += g(cur)

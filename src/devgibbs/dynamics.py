@@ -18,6 +18,8 @@ running sum, where a recorded orbit of a 65,536-point chunk would take
 about 16 MB per worker at n = 30, and the ``gibbs.ball_measure`` job and
 ``hyperbolic._Scanner`` drop points as they go (those that leave the
 ball, those that have their time).  No caller clamps a ``step`` result.
+``step`` keeps the domain only from inside it, so each of the four loops
+checks the points it is handed with ``domain.require`` on the way in.
 """
 
 from __future__ import annotations

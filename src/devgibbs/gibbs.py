@@ -47,7 +47,7 @@ def ball_measure(m: MapSystem, sampler, spec: BallSpec, samples: int,
     center_orbit = orbit(m, spec.center, spec.n)
 
     def job(idx, pts):
-        cur = np.asarray(pts, dtype=float)
+        cur = np.asarray(m.domain.require(pts), dtype=float)
         total = cur.shape[0]
         for j in range(spec.n + 1):
             ok = m.domain.distance(cur, center_orbit[j]) <= spec.eps

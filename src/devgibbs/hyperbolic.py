@@ -95,7 +95,7 @@ class _Scanner:
     def __init__(self, m: MapSystem, x, params: HyperbolicParams, first=0):
         self.m = m
         self.params = params
-        self.cur = np.array(x, dtype=float, copy=True)
+        self.cur = np.asarray(m.domain.require(x), dtype=float)  # a new array
         batch = self.cur.shape[:-1] if m.domain.ndim == 2 else self.cur.shape
         self.prefix = np.zeros(batch)
         self.runmin = np.zeros(batch)
@@ -141,7 +141,7 @@ def hyperbolic_times_batch(m: MapSystem, xs, params: HyperbolicParams) -> list:
     point, in the order of ``xs``.  A ``SingularityError`` names the index
     of the start point whose orbit hit the critical set.
     """
-    xs = m.domain.require(np.asarray(xs, dtype=float))
+    xs = np.asarray(xs, dtype=float)
     out = []
     for lo in range(0, len(xs), CHUNK):
         block = xs[lo:lo + CHUNK]

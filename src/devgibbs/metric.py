@@ -62,9 +62,7 @@ def dn_distance(m: MapSystem, x, y, n: int) -> float:
 
 def in_dynamical_ball(m: MapSystem, y, spec: BallSpec) -> bool:
     """Membership with the inclusive convention j = 0..n."""
-    gaps = m.domain.distance(orbit(m, spec.center, spec.n),
-                             orbit(m, y, spec.n))
-    return not np.any(gaps > spec.eps)
+    return dn_distance(m, spec.center, y, spec.n + 1) <= spec.eps
 
 
 @dataclass

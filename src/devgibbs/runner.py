@@ -199,7 +199,7 @@ def _run_deviation(cfg, m, sampler, workers, emit_csv, emit_json, emit_svg):
         table = read_table(dev["g_file"])
     g = make_observable(dev["g"], m, table=table)
     if "sampler_file" in dev:
-        sampler = load_empirical(dev["sampler_file"])
+        sampler = load_empirical(dev["sampler_file"], m.domain)
     exp = DeviationExperiment(
         map=m, g=g, c=dev["c"], sampler=sampler,
         n_grid=tuple(dev["n"]), samples=cfg.samples, seed=cfg.seed,

@@ -16,6 +16,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .errors import DomainError
+
 CHUNK = 1 << 16
 
 
@@ -65,13 +67,19 @@ def read_table(path: str) -> list:
     return rows
 
 
-def load_empirical(path: str) -> "EmpiricalSampler":
-    """Empirical sampler from a text file of points, one per line.
+def load_empirical(path: str, domain) -> "EmpiricalSampler":
+    """Empirical sampler from a text file of points of ``domain``, one a line.
 
     Cylinder points use two comma- or whitespace-separated coordinates.
+    The points pass ``domain.require``, which moves a point within the
+    edge tolerance onto the domain; a ``DomainError`` names the file.
     """
     pts = [vals[0] if len(vals) == 1 else vals for vals in read_table(path)]
-    return EmpiricalSampler(points=np.asarray(pts), label=f"file:{path}")
+    try:
+        pts = domain.require(np.asarray(pts, dtype=float))
+    except DomainError as exc:
+        raise DomainError(f"sampler_file {path}: {exc}") from None
+    return EmpiricalSampler(points=pts, label=f"file:{path}")
 
 
 def sample_chunks(sampler, total: int, seed: int, tag: str):

@@ -232,6 +232,51 @@ t_grid = [0.0, 0.5, 1.0]
     assert (out / "rate_curve.csv").exists()
 
 
+def test_empirical_sampler_points_checked_against_domain(tmp_path):
+    # quadratic(2) sends a point outside [-1, 1] off to -inf; one within
+    # the edge tolerance is moved onto the edge, as if the file said 1.0
+    def run(name, edge):
+        pts = tmp_path / f"{name}.txt"
+        pts.write_text("".join(f"{v!r}\n" for v in
+                               [edge] + [i / 500 - 1 for i in range(1000)]))
+        out = tmp_path / name
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"""\
+family = quadratic
+kind = deviation
+seed = 4
+samples = 2000
+out = {out}
+
+[map]
+a = 2.0
+
+[deviation]
+g = identity
+sampler_file = {pts}
+c = 0.1
+n = [4, 6, 8]
+fe_n = 6
+fe_samples = 2000
+t_grid = [-1.0, 0.0, 1.0]
+""")
+        return CliRunner().invoke(main, ["run", str(cfg)]), out, pts
+
+    res, edge_out, _ = run("edge", 1.0)
+    assert res.exit_code == 0, res.output
+    res, near_out, _ = run("near", 1.0000000000005)
+    assert res.exit_code == 0, res.output
+    data = sorted(f for f in os.listdir(edge_out) if f != "manifest.json")
+    assert data and data == sorted(f for f in os.listdir(near_out)
+                                   if f != "manifest.json")
+    for fname in data:
+        assert ((edge_out / fname).read_bytes()
+                == (near_out / fname).read_bytes()), fname
+    res, _, pts = run("outside", 1.1)
+    assert res.exit_code == 2
+    assert f"sampler_file {pts}" in res.output
+
+
 def test_failed_run_removes_stale_manifest(tmp_path):
     out = tmp_path / "out"
     runner = CliRunner()

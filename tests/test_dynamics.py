@@ -280,6 +280,35 @@ def test_no_clamp_on_a_step_result():
     assert offenders == []
 
 
+def test_stepping_loops_check_their_input(quadratic):
+    # step keeps the domain only from inside it: on quadratic(2) the
+    # point 1.1 runs off to -inf, so every loop that steps points it was
+    # handed checks them once, on the way in
+    from devgibbs.deviation import (DeviationExperiment, free_energy_table,
+                                    rate_curve)
+    from devgibbs.gibbs import ball_measure
+    from devgibbs.hyperbolic import HyperbolicParams, first_times_batch
+    from devgibbs.metric import BallSpec
+    from devgibbs.sampling import EmpiricalSampler
+
+    outside = EmpiricalSampler(points=np.array([0.3, 1.1]))
+    g = make_observable("identity", quadratic)
+    exp = DeviationExperiment(map=quadratic, g=g, c=0.0, sampler=outside,
+                              n_grid=(4, 8), samples=1000, seed=0)
+    loops = [
+        lambda: orbit(quadratic, outside.points, 3),
+        lambda: rate_curve(exp),
+        lambda: free_energy_table(quadratic, outside, g, [0.5], 4, 1000, 0),
+        lambda: ball_measure(quadratic, outside, BallSpec(1.0, 2, 0.2),
+                             1000, 0),
+        lambda: first_times_batch(quadratic, outside.points,
+                                  HyperbolicParams(1.2, 0.1, 0.25, 50)),
+    ]
+    for run in loops:
+        with pytest.raises(DomainError):
+            run()
+
+
 @given(st.floats(min_value=-0.999, max_value=0.999),
        st.floats(min_value=-0.999, max_value=0.999))
 @settings(max_examples=60, deadline=None)
