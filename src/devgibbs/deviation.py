@@ -156,6 +156,24 @@ def rate_estimate(curve: RateCurve, window: tuple) -> OLSFit:
                    np.log(curve.p_hat[mask]))
 
 
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) over a float array, bit for bit as scipy's.
+
+    The steps of scipy 1.17 (Blanchard, Higham & Higham 2021): shift by
+    top = max(a), take the k terms equal to top out of the sum, and return
+    log1p(sum(exp(a - top)) / k) + log(k) + top.
+    """
+    a = np.asarray(a, dtype=float)
+    top = a.max()
+    at_top = a == top
+    k = np.float64(np.count_nonzero(at_top))
+    terms = a - top
+    np.exp(terms, out=terms)
+    # the k terms at the top are exp(0) = 1; subtracting the mask zeroes them
+    np.subtract(terms, at_top, out=terms)
+    return float(np.log1p(terms.sum() / k) + np.log(k) + top)
+
+
 def free_energy(m: MapSystem, sampler, g, t: float, n: int, samples: int,
                 seed: int, workers: int = 1) -> float:
     """(1/n) log of the empirical mean of exp(t S_n g), via log-sum-exp."""
@@ -171,8 +189,6 @@ def free_energy_table(m: MapSystem, sampler, g, t_grid, n: int, samples: int,
     S_n g is computed once per chunk and every t is evaluated on it, so
     psi-hat is exactly convex in t up to rounding.
     """
-    from scipy.special import logsumexp
-
     if n < 1:
         raise ConfigError(f"free-energy depth n={n} must be >= 1")
     _check_float_horizon(m, n, "fe_n")

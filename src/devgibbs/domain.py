@@ -18,9 +18,19 @@ from .errors import DomainError
 _EDGE_TOL = 1e-12
 
 
+def frac(x):
+    """x mod 1, bit for bit as numpy's float ``x % 1.0`` but faster.
+
+    For finite x both round the real x - floor(x) once: numpy takes the
+    exact fmod(x, 1) and adds 1 when it is negative, the subtraction
+    takes it directly.  Integers give +0.0 either way.
+    """
+    return x - np.floor(x)
+
+
 def circle_dist(a, b):
     """Arc-length distance on R/Z."""
-    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % 1.0
+    d = frac(np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
     return np.minimum(d, 1.0 - d)
 
 
@@ -74,8 +84,8 @@ class Circle:
         return np.all((x >= -tol) & (x < 1.0 + tol))
 
     def clamp(self, x):
-        # a tiny negative x has x % 1.0 == 1.0; the second % folds it to 0
-        return np.asarray(x, dtype=float) % 1.0 % 1.0
+        # a tiny negative x has frac(x) == 1.0; the second frac folds it to 0
+        return frac(frac(np.asarray(x, dtype=float)))
 
     def require(self, x):
         if not self.contains(x):
@@ -114,7 +124,7 @@ class Cylinder:
 
     def clamp(self, p):
         p = np.array(p, dtype=float, copy=True)
-        p[..., 0] = p[..., 0] % 1.0 % 1.0  # as in Circle.clamp
+        p[..., 0] = frac(frac(p[..., 0]))  # as in Circle.clamp
         p[..., 1] = np.clip(p[..., 1], self.fiber_lo, self.fiber_hi)
         return p
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .branching import (CircleBranches, IntervalBranches, MonotonePiece,
                         newton_inverse)
-from .domain import Circle, Cylinder, Interval
+from .domain import Circle, Cylinder, Interval, frac
 from .dynamics import MapSystem, jacobian_data
 from .errors import CapabilityError, ConfigError, ParameterError
 from .sampling import spawn_rng
@@ -156,7 +156,7 @@ def make_perturbed_expanding(d: int, a: float) -> MapSystem:
     if a == 0.0:
 
         def step(x):
-            return (d * np.asarray(x, dtype=float)) % 1.0
+            return frac(d * np.asarray(x, dtype=float))
 
         def lift(x):
             return d * np.asarray(x, dtype=float)
@@ -168,7 +168,7 @@ def make_perturbed_expanding(d: int, a: float) -> MapSystem:
 
         def step(x):
             x = np.asarray(x, dtype=float)
-            return (d * x + omega - a * np.sin(TWO_PI * x)) % 1.0
+            return frac(d * x + omega - a * np.sin(TWO_PI * x))
 
         def lift(x):
             x = np.asarray(x, dtype=float)
@@ -222,7 +222,7 @@ def make_viana(d: int = 16, a: float = 2.0, alpha: float = 0.01) -> MapSystem:
         def step(p):
             p = np.asarray(p, dtype=float)
             out = np.empty_like(p)
-            out[..., 0] = (d * p[..., 0]) % 1.0
+            out[..., 0] = frac(d * p[..., 0])
             x = p[..., 1]
             out[..., 1] = 1.0 - a * x * x  # in [-1, 1], as for quadratic
             return out
@@ -232,7 +232,7 @@ def make_viana(d: int = 16, a: float = 2.0, alpha: float = 0.01) -> MapSystem:
         def step(p):
             p = np.asarray(p, dtype=float)
             out = np.empty_like(p)
-            out[..., 0] = (d * p[..., 0]) % 1.0
+            out[..., 0] = frac(d * p[..., 0])
             x = p[..., 1]
             out[..., 1] = 1.0 - a * x * x + alpha * np.cos(TWO_PI * p[..., 0])
             np.clip(out[..., 1], -fiber, fiber, out=out[..., 1])
@@ -327,7 +327,7 @@ def _nearby_pairs(m, xs, rng):
     else:
         ys = xs.copy()
         v = (2.0 * rng.random(len(xs)) - 1.0)
-        ys[:, 0] = (ys[:, 0] + u * np.minimum(r, 0.49)) % 1.0
+        ys[:, 0] = frac(ys[:, 0] + u * np.minimum(r, 0.49))
         ys[:, 1] = ys[:, 1] + v * r
         ys = m.domain.clamp(ys)
     keep = (m.domain.distance(xs, ys) < np.asarray(m.crit_dist(xs)) * 0.5) \

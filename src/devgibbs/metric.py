@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import frac
 from .dynamics import MapSystem, birkhoff_sum, orbit
 from .errors import ConfigError, ImpossibleCoverError, SamplingError
 from .hyperbolic import HyperbolicParams, is_hyperbolic_time, sample_anchors
@@ -223,7 +224,7 @@ def _covering_arc(m, pts, n, eps, need):
     if not hasattr(m.domain, "lo"):
         # wrapped arcs become ranges over a virtually doubled index space
         length = b - a
-        a = a % 1.0
+        a = frac(a)
         b = a + length
         pos = np.concatenate([pos, pos + 1.0])
     lo_idx = np.searchsorted(pos, a - 1e-15, side="left")

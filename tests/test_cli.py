@@ -425,13 +425,32 @@ def test_viana_contraction_probes_refused(tmp_path, kind):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported inside the few functions that use it
+    # no module of the package imports scipy; only the tests use it
     src = os.path.dirname(os.path.dirname(run_mod.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", "import sys, devgibbs.cli; "
          "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_deviation_run_leaves_scipy_unloaded(tmp_path):
+    # the free-energy table's log-sum-exp is numpy's, so a deviation run
+    # loads no scipy module
+    src = os.path.dirname(os.path.dirname(run_mod.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    cfg = os.path.join(os.path.dirname(run_mod.__file__), "configs",
+                       "deviation_doubling.cfg")
+    code = (
+        "import sys\n"
+        "from devgibbs.config import parse_config\n"
+        "from devgibbs.runner import run\n"
+        f"with open({cfg!r}) as fh:\n"
+        f"    run(parse_config(fh.read()), out_dir={str(tmp_path / 'out')!r})\n"
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 

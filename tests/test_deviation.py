@@ -9,7 +9,7 @@ from scipy import stats as sps
 from devgibbs import deviation as dev
 from devgibbs import maps
 from devgibbs.dynamics import Observable
-from devgibbs.errors import ConfigError
+from devgibbs.errors import ConfigError, RangeError
 from devgibbs.observables import make_observable
 from devgibbs.sampling import UniformSampler, sample_chunks
 from devgibbs.stats import combined_se
@@ -131,6 +131,43 @@ def test_free_energy_convexity(doubling):
                                     100000, seed=5)
     second = np.diff(psi, 2)
     assert np.all(second >= -1e-6)
+
+
+def test_free_energy_overflow_raises(doubling):
+    # t * S_n g past the largest double is refused, not summed as inf
+    g = make_observable("indicator_half", doubling)
+    for t in (1e308, -1e308):
+        with pytest.raises(RangeError), np.errstate(over="ignore"):
+            dev.free_energy(doubling, UniformSampler(doubling.domain), g,
+                            t, 4, 1000, seed=0)
+
+
+def _assert_lse_matches_scipy(a):
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    a = np.asarray(a, dtype=float)
+    ours = np.float64(dev.logsumexp(a))
+    assert ours.tobytes() == np.float64(scipy_logsumexp(a)).tobytes()
+
+
+def test_logsumexp_matches_scipy_bitwise():
+    rng = np.random.default_rng(11)
+    cases = [[3.5], [-700.0], [0.0] * 5, [2.25] * 7, [1.0, 1.0, 0.5],
+             [-700.0, 700.0, 700.0, 0.0], rng.uniform(-700, 700, 1000),
+             rng.normal(size=65536), rng.uniform(-1e-3, 1e-3, 257)]
+    # t * S_n g of an indicator sits on an integer lattice: ties everywhere
+    lattice = rng.binomial(12, 0.5, 65536).astype(float)
+    cases += [t * lattice for t in np.arange(-1.0, 2.0001, 0.05)]
+    for a in cases:
+        _assert_lse_matches_scipy(a)
+
+
+@given(st.lists(st.one_of(st.floats(-700.0, 700.0),
+                          st.sampled_from([-3.0, 0.0, 1.5, 700.0])),
+                min_size=1, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_logsumexp_matches_scipy_on_random_arrays(xs):
+    _assert_lse_matches_scipy(xs)
 
 
 def test_legendre_cramer_closed_form():

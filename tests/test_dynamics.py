@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devgibbs import maps
-from devgibbs.domain import Circle, Cylinder
+from devgibbs.domain import Circle, Cylinder, frac
 from devgibbs.dynamics import (Observable, PotentialModel, birkhoff_sum,
                                evaluate, expansion_cocycle, orbit,
                                truncated_distance)
@@ -267,6 +267,21 @@ def test_chart_folds_negative_zero_remainder():
     assert Circle().require(-1e-20) == 0.0
     assert Cylinder(-1.0, 1.0).require([-1e-20, 0.0])[0] == 0.0
     assert orbit(maps.make_doubling(), -1e-20, 2)[0] == 0.0
+
+
+EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17, -1e-13,
+                1.0 - 2.0 ** -53, 2.0 ** 53, -2.0 ** 53, 1e300, -1e300]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_frac_matches_float_remainder_bitwise(xs):
+    x = np.array(xs + EDGE_DOUBLES)
+    assert np.array_equal(frac(x).view(np.int64), (x % 1.0).view(np.int64))
+    # Circle.clamp folds twice, so a tiny negative x lands on 0, not 1
+    assert np.array_equal(frac(frac(x)).view(np.int64),
+                          (x % 1.0 % 1.0).view(np.int64))
 
 
 def test_no_clamp_on_a_step_result():
