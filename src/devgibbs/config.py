@@ -15,7 +15,7 @@ from typing import Optional
 from .errors import ConfigError
 
 KINDS = ("deviation", "tail", "entropy", "gibbs", "spec", "contraction",
-         "distortion", "bounds")
+         "distortion")
 
 # [check] target key -> (value kind, check name, result field, comparison).
 # A comparison is an operator applied as ``got <op> target`` or an
@@ -175,14 +175,13 @@ def parse_config(text: str) -> ExperimentConfig:
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
 
-    kind_section = "deviation" if kind == "bounds" else kind
     for lineno, key, raw in pending_kind_keys:
         if key in _SCHEMA.get("map", {}):
             sections.setdefault("map", {})[key] = _parse_value(
                 raw, _SCHEMA["map"][key], lineno)
-        elif key in _SCHEMA.get(kind_section, {}):
-            sections.setdefault(kind_section, {})[key] = _parse_value(
-                raw, _SCHEMA[kind_section][key], lineno)
+        elif key in _SCHEMA.get(kind, {}):
+            sections.setdefault(kind, {})[key] = _parse_value(
+                raw, _SCHEMA[kind][key], lineno)
         else:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
 
@@ -192,7 +191,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("missing required key 'seed' (runs must be seeded)")
 
     samples = exp.get("samples")
-    if kind in ("deviation", "bounds"):
+    if kind == "deviation":
         if samples is None:
             raise ConfigError("missing required key 'samples'")
         if samples < 1000:

@@ -33,8 +33,6 @@ import numpy as np
 
 from .dynamics import MapSystem, Observable
 from .errors import ConfigError, RangeError
-from .gibbs import ball_measure
-from .metric import BallSpec
 from .sampling import parallel_chunk_map, sample_chunks
 from .stats import OLSFit, ols_fit, wilson_ci
 
@@ -110,15 +108,6 @@ def _hit_counts(exp: DeviationExperiment, n_grid, workers: int):
                                                   exp.seed, "dev"),
                                workers=workers)
     return sum(h for h, _ in parts), sum(t for _, t in parts)
-
-
-def deviation_probability(exp: DeviationExperiment, n: int, workers: int = 1):
-    """Fraction of sampled points with average beyond c, with Wilson CI."""
-    if n not in set(int(v) for v in exp.n_grid):
-        raise ConfigError(f"n={n} not in the experiment grid")
-    hits, total = _hit_counts(exp, (n,), workers)
-    h = int(hits[0])
-    return h / total, wilson_ci(h, total), h, total
 
 
 @dataclass
@@ -229,53 +218,6 @@ def legendre_rate(ts, psi, c: float) -> LegendreResult:
     k = int(np.argmax(vals))
     return LegendreResult(value=float(vals[k]), t_star=float(ts[k]),
                           boundary=k in (0, len(ts) - 1))
-
-
-@dataclass
-class RelativeEntropyEstimate:
-    """Ball-mass decay rates along the given points.
-
-    ``slope_*`` fits -log mass against n (bias from the ball width cancels
-    in the slope); ``raw_*`` is -(1/n) log mass at the deepest n, which
-    carries a log(width)/n offset and is reported for completeness.  The
-    max aggregates stand in for the essential supremum.
-    """
-
-    slope_max: float
-    slope_mean: float
-    raw_max: float
-    raw_mean: float
-    flagged: int
-    rows: list  # (point_id, n, mass)
-
-
-def relative_entropy_estimate(m: MapSystem, nu_sampler, points, n_grid,
-                              eps: float, samples: int, seed: int,
-                              workers: int = 1) -> RelativeEntropyEstimate:
-    n_grid = sorted(int(v) for v in n_grid)
-    if len(n_grid) < 2:
-        raise ConfigError("relative entropy needs >= 2 depths for the slope")
-    slopes, raws, rows = [], [], []
-    flagged = 0
-    for pid, x in enumerate(points):
-        masses = []
-        for n in n_grid:
-            est = ball_measure(m, nu_sampler, BallSpec(x, n, eps), samples,
-                               seed + 1000 * pid + n, workers=workers)
-            rows.append((pid, n, est.mass))
-            masses.append(est.mass)
-        if any(v <= 0 for v in masses):
-            flagged += 1
-            continue
-        logm = np.log(masses)
-        slopes.append(-ols_fit(np.asarray(n_grid, dtype=float), logm).slope)
-        raws.append(-logm[-1] / n_grid[-1])
-    if not slopes:
-        raise ConfigError("all points starved; enlarge eps or samples")
-    return RelativeEntropyEstimate(
-        slope_max=float(np.max(slopes)), slope_mean=float(np.mean(slopes)),
-        raw_max=float(np.max(raws)), raw_mean=float(np.mean(raws)),
-        flagged=flagged, rows=rows)
 
 
 @dataclass

@@ -10,6 +10,8 @@ The Delta_n machinery replaces per-sample constant estimation (quadratic
 cost) with its hyperbolic-time surrogate: the constant at n is controlled
 by the current gap between consecutive hyperbolic times, so the
 exceptional set is {gap > c_beta * n} with c_beta = beta / (|P| + sup|phi|).
+The times on either side of each grid n come from one
+``hyperbolic.straddling_times`` scan per sample chunk.
 For unbounded potentials sup|phi| is read at the 99.9th percentile of
 sampled values and flagged as clipped.
 """
@@ -23,7 +25,7 @@ import numpy as np
 
 from .dynamics import MapSystem, PotentialModel, birkhoff_sum, orbit
 from .errors import ConfigError
-from .hyperbolic import HyperbolicParams, _Scanner
+from .hyperbolic import HyperbolicParams, gap_horizon, straddling_times
 from .metric import BallSpec
 from .sampling import parallel_chunk_map, sample_chunks, spawn_rng
 from .stats import ols_fit, wilson_ci
@@ -154,7 +156,9 @@ class DeltaSetRate:
     sup_phi: float
     clipped: bool
     rows: list  # (n, violations, samples, fraction)
-    censored: int  # samples whose next time stayed beyond the scan horizon
+    #: (sample, n) pairs whose next time lies beyond the scan horizon and
+    #: that the horizon gap does not already count as violations
+    censored: int
 
 
 def _estimate_sup_phi(potential: PotentialModel, sampler, seed: int,
@@ -181,40 +185,16 @@ def delta_set_rate(m: MapSystem, params: HyperbolicParams, sampler,
     n_grid = sorted(int(v) for v in n_grid)
     sup_phi, clipped = _estimate_sup_phi(potential, sampler, seed)
     c_beta = beta / (abs(potential.pressure) + sup_phi)
-    horizon = int(n_grid[-1] * 1.5) + 50
+    grid = np.asarray(n_grid, dtype=np.int64)[:, None]
+    horizon = gap_horizon(n_grid[-1])
 
     def job(idx, pts):
-        scan = _Scanner(m, np.asarray(pts, dtype=float), params)
-        npts = len(pts)
-        last = np.zeros(npts, dtype=np.int64)
-        snap_last = np.zeros((len(n_grid), npts), dtype=np.int64)
-        snap_next = np.zeros((len(n_grid), npts), dtype=np.int64)
-        for n in range(1, horizon + 1):
-            ok = scan.advance()
-            hit = scan.live[ok]
-            if len(hit):
-                for gi, gn in enumerate(n_grid):
-                    if n > gn:  # next hyperbolic time strictly beyond gn
-                        fill = hit[snap_next[gi, hit] == 0]
-                        snap_next[gi, fill] = n
-                last[hit] = n
-            for gi, gn in enumerate(n_grid):
-                if n == gn:
-                    snap_last[gi] = last.copy()
-            if n > n_grid[-1]:  # a time past the grid fixes every snapshot
-                scan.retire(ok)
-                if not scan.live.size:
-                    break
-        viol = np.zeros(len(n_grid), dtype=np.int64)
-        cens = 0
-        for gi, gn in enumerate(n_grid):
-            gap_known = snap_next[gi] > 0
-            never = snap_last[gi] == 0
-            gap = np.where(gap_known, snap_next[gi] - snap_last[gi], horizon)
-            v = never | (gap > c_beta * gn)
-            cens += int(np.sum(~gap_known & ~never & ~(gap > c_beta * gn)))
-            viol[gi] = int(np.sum(v))
-        return viol, len(pts), cens
+        before, after = straddling_times(m, pts, params, n_grid)
+        known, never = after > 0, before == 0
+        gap = np.where(known, after - before, horizon)
+        wide = gap > c_beta * grid
+        viol = np.sum(never | wide, axis=1)
+        return viol, len(pts), int(np.sum(~known & ~never & ~wide))
 
     parts = parallel_chunk_map(job, sample_chunks(sampler, samples, seed,
                                                   "delta"),

@@ -15,9 +15,12 @@ tolerance (product side) and a 1e-9 index tolerance (recurrence side),
 ties resolving in favour of acceptance.
 
 One scan loop, ``hyperbolic_times_batch``, finds the times of a whole
-batch of start points; ``hyperbolic_times`` is a batch of one.  Only
-``first_times_batch`` has its own loop, which retires each point from
-the scan at its first time.
+batch of start points; ``hyperbolic_times`` is a batch of one.  Two
+loops retire points from the scan once their answer is settled:
+``first_times_batch`` at each point's first time, and
+``straddling_times``, which finds the times on either side of each n of
+a grid (the gaps that specification and the Delta_n set read), at each
+point's first time past the grid.
 """
 
 from __future__ import annotations
@@ -231,6 +234,44 @@ def first_times_batch(m: MapSystem, xs, params: HyperbolicParams) -> np.ndarray:
     return first
 
 
+def gap_horizon(n: int) -> int:
+    """Scan horizon for the next hyperbolic time after n."""
+    return int(1.5 * n) + 50
+
+
+def straddling_times(m: MapSystem, xs, params: HyperbolicParams, n_grid):
+    """Hyperbolic times on either side of each grid n, per start point.
+
+    Returns ``(before, after)``, int64 arrays of shape
+    ``(len(n_grid), len(xs))``: ``before[k, i]`` is the last time <= n_k
+    of point i and ``after[k, i]`` its first time > n_k, 0 when there is
+    none within ``gap_horizon(max n)`` (``params.n_max`` is not read).
+    A point leaves the scan at its first time past max n, which settles
+    its column: it is no longer stepped or checked against the critical
+    set.
+    """
+    grid = np.asarray(n_grid, dtype=np.int64)
+    top = int(grid.max())
+    scan = _Scanner(m, np.asarray(xs, dtype=float), params)
+    last = np.zeros(scan.live.shape, dtype=np.int64)
+    before = np.zeros((len(grid), scan.live.size), dtype=np.int64)
+    after = np.zeros_like(before)
+    for n in range(1, gap_horizon(top) + 1):
+        ok = scan.advance()
+        hit = scan.live[ok]
+        if hit.size:
+            last[hit] = n
+            cols = after[:, hit]
+            cols[(cols == 0) & (grid < n)[:, None]] = n
+            after[:, hit] = cols
+        before[grid == n] = last
+        if n > top:
+            scan.retire(ok)
+            if not scan.live.size:
+                break
+    return before, after
+
+
 @dataclass
 class TailCurve:
     """Monotone curve n -> fraction of samples with first time beyond n."""
@@ -300,12 +341,6 @@ def classify_tail(curve: TailCurve, window: Optional[tuple] = None) -> TailFit:
                    semilog_residual=semi.residual, loglog_residual=logg.residual,
                    rate_stderr=semi.stderr, exponent_stderr=logg.stderr,
                    window=(int(lo), int(hi)))
-
-
-def pliss_density(m: MapSystem, x, N: int, params: HyperbolicParams) -> float:
-    """Fraction of times <= N that are hyperbolic for x."""
-    rec = hyperbolic_times(m, x, replace(params, n_max=N))
-    return len(rec.times) / N
 
 
 @dataclass(frozen=True)

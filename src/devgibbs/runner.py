@@ -144,7 +144,7 @@ def run(cfg: ExperimentConfig, out_dir=None, workers=None) -> RunManifest:
         written.append(path)
 
     try:
-        if cfg.kind in ("deviation", "bounds"):
+        if cfg.kind == "deviation":
             results.update(_run_deviation(cfg, m, sampler, workers,
                                           emit_csv, emit_json, emit_svg))
         elif cfg.kind == "tail":
@@ -331,6 +331,7 @@ def _run_gibbs(cfg, m, sampler, workers, emit_csv, emit_json):
                             workers=workers)
         out["delta_hat"] = dr.delta_hat
         out["delta_rows"] = [list(r) for r in dr.rows]
+        out["delta_censored"] = dr.censored
         out["c_beta"] = dr.c_beta
         out["sup_phi"] = dr.sup_phi
         out["sup_phi_clipped"] = dr.clipped

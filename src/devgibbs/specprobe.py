@@ -14,13 +14,15 @@ Gap estimates compose two measured quantities: the exactness time at the
 radius and the wait until the next hyperbolic time strictly beyond the
 piece length.  Their ratio to the piece length is the statistic whose
 smallness is the non-uniform specification property's numerical face.
-``nonuniform_spec_statistic`` scans all its sampled points in one batch.
+``gap_estimate`` and ``nonuniform_spec_statistic`` read the next time
+from ``hyperbolic.straddling_times``, which scans to ``gap_horizon`` of
+the largest piece length; the statistic scans all its sampled points in
+one batch, and each point leaves the scan at its first time past the grid.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,8 +30,7 @@ import numpy as np
 from .branching import IntervalUnion
 from .dynamics import MapSystem, orbit
 from .errors import CapabilityError, ConfigError, HorizonError
-from .hyperbolic import (HyperbolicParams, HyperbolicTimeRecord,
-                         hyperbolic_times, hyperbolic_times_batch)
+from .hyperbolic import HyperbolicParams, gap_horizon, straddling_times
 from .sampling import spawn_rng
 
 @dataclass
@@ -161,29 +162,22 @@ class GapEstimate:
     verified_fraction: Optional[float] = None
 
 
-def next_time_after(times: np.ndarray, n: int) -> Optional[int]:
-    """Smallest detected time strictly greater than n (next-strict rule)."""
-    after = times[times > n]
-    return int(after[0]) if len(after) else None
-
-
 def gap_estimate(m: MapSystem, x, n: int, eps: float,
                  params: HyperbolicParams, exactness: int,
-                 record: Optional[HyperbolicTimeRecord] = None,
                  verify: int = 0, seed: int = 0) -> GapEstimate:
     """p-hat(x, n, eps) = exactness time + wait to the next hyperbolic time.
 
-    With ``verify`` > 0 the estimate is cross-checked by shadowing searches
-    toward that many sampled continuations with gap p-hat; the fraction of
-    forward-verified successes is reported.
+    The next time is the first one strictly beyond n, searched up to
+    ``gap_horizon(n)``.  With ``verify`` > 0 the estimate is cross-checked
+    by shadowing searches toward that many sampled continuations with gap
+    p-hat; the fraction of forward-verified successes is reported.
     """
-    if record is None:
-        horizon = max(params.n_max, 2 * n + 50)
-        record = hyperbolic_times(m, x, replace(params, n_max=horizon))
-    nxt = next_time_after(record.times, n)
-    if nxt is None:
+    _, after = straddling_times(m, [x], params, [n])
+    nxt = int(after[0, 0])
+    if not nxt:
         raise HorizonError(
-            f"no hyperbolic time beyond n={n} within horizon {record.n_max}")
+            f"no hyperbolic time beyond n={n} within horizon "
+            f"gap_horizon({n}) = {gap_horizon(n)}")
     p_hat = exactness + (nxt - n)
     verified = None
     if verify > 0:
@@ -233,37 +227,17 @@ def nonuniform_spec_statistic(m: MapSystem, sampler, eps_grid, n_grid,
         if not res.found:
             raise HorizonError(f"exactness cap {cap} exceeded at eps={eps}")
         exact[eps] = res.n
-    horizon = int(n_grid[-1] * 1.5) + 50
-    scan_params = replace(params, n_max=horizon)
     pts = sampler.sample(spawn_rng(seed, "gapstat-pts"), samples)
-    sup_table = {(eps, n): 0.0 for eps in eps_grid for n in n_grid}
-    censored = 0
-    for times in hyperbolic_times_batch(m, pts, scan_params):
-        bad = False
-        for n in n_grid:
-            nxt = next_time_after(times, n)
-            if nxt is None:
-                bad = True
-                continue
-            for eps in eps_grid:
-                val = (exact[eps] + (nxt - n)) / n
-                key = (eps, n)
-                if val > sup_table[key]:
-                    sup_table[key] = val
-        if bad:
-            censored += 1
+    _, after = straddling_times(m, pts, params, n_grid)
+    sup_table = {}
+    for n, row in zip(n_grid, after):
+        lag = row[row > 0] - n
+        for eps in eps_grid:
+            vals = (exact[eps] + lag) / n
+            sup_table[(eps, n)] = float(vals.max(initial=0.0))
+    censored = int(np.sum(np.any(after == 0, axis=0)))
     return GapReport(eps_grid=eps_grid, n_grid=n_grid, sup_table=sup_table,
                      exactness=exact,
                      headline=sup_table[(eps_grid[0], n_grid[-1])],
                      censored_fraction=censored / samples,
                      sampling=getattr(sampler, "label", "unknown"))
-
-
-def gap_statistic_from_times(times, n_grid, exactness: int):
-    """The same aggregation applied to a synthetic record of times."""
-    times = np.asarray(times, dtype=int)
-    out = {}
-    for n in sorted(int(v) for v in n_grid):
-        nxt = next_time_after(times, n)
-        out[n] = math.inf if nxt is None else (exactness + (nxt - n)) / n
-    return out

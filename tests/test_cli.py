@@ -201,6 +201,52 @@ n_max = 200
     assert header == "n,survivors,fraction,ci_low,ci_high"
 
 
+def test_bounds_kind_is_unknown(tmp_path):
+    # bounds was an alias of deviation: same stage, same files and checks
+    text = MINIMAL.replace("seed = 42", "seed = 42\nkind = bounds")
+    with pytest.raises(ConfigError,
+                       match="unknown experiment kind 'bounds'"):
+        parse_config(text)
+    cfg = tmp_path / "bounds.cfg"
+    cfg.write_text(text)
+    res = CliRunner().invoke(main, ["validate", str(cfg)])
+    assert res.exit_code == 1
+    assert "unknown experiment kind 'bounds'" in res.output
+
+
+def test_gibbs_run_emits_delta_censored(tmp_path):
+    # MP's indifferent fixed point leaves some next times past the horizon,
+    # so the count is not zero
+    from devgibbs import gibbs, hyperbolic, maps
+    from devgibbs.sampling import UniformSampler
+    out = tmp_path / "gibbs"
+    cfg = tmp_path / "gibbs.cfg"
+    cfg.write_text(f"""\
+family = manneville_pomeau
+kind = gibbs
+seed = 4
+samples = 20000
+out = {out}
+
+[gibbs]
+n_grid = [2, 4]
+eps = 0.05
+points = 6
+beta = 3.0
+delta_n_grid = [15, 30, 45]
+delta_samples = 3000
+""")
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 0, res.output
+    rep = json.loads((out / "subexp.json").read_text())
+    m = maps.make_family("manneville_pomeau")
+    dr = gibbs.delta_set_rate(m, hyperbolic.default_params(m),
+                              UniformSampler(m.domain), 3.0, [15, 30, 45],
+                              3000, 4, run_mod._log_deriv_potential(m))
+    assert rep["delta_censored"] == dr.censored > 0
+    assert rep["delta_rows"] == [list(r) for r in dr.rows]
+
+
 def test_piecewise_observable_and_empirical_sampler(tmp_path):
     table = tmp_path / "g.txt"
     table.write_text("0.0 0.0\n0.5 1.0\n1.0 0.0\n")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from devgibbs.dynamics import Observable
 from devgibbs.errors import ConfigError, RangeError
 from devgibbs.observables import make_observable
 from devgibbs.sampling import UniformSampler, sample_chunks
-from devgibbs.stats import combined_se
+from helpers import combined_se
 
 
 def experiment(m, g, c, n_grid, samples=2000, seed=1, direction="ge"):
@@ -20,6 +21,13 @@ def experiment(m, g, c, n_grid, samples=2000, seed=1, direction="ge"):
                                    sampler=UniformSampler(m.domain),
                                    n_grid=tuple(n_grid), samples=samples,
                                    seed=seed, direction=direction)
+
+
+def probability(exp, n):
+    """p-hat, Wilson interval, hits and samples of the one-row curve at n."""
+    row = dev.rate_curve(replace(exp, n_grid=(n,)))
+    return (float(row.p_hat[0]), (float(row.ci_low[0]), float(row.ci_high[0])),
+            int(row.hits[0]), int(row.samples[0]))
 
 
 def test_experiment_validation(doubling):
@@ -35,21 +43,21 @@ def test_experiment_validation(doubling):
 def test_probability_sure_event(doubling):
     g = Observable(fn=lambda x: np.full(np.shape(x), 1.7), label="const")
     exp = experiment(doubling, g, 0.7, [5])
-    p, ci, hits, total = dev.deviation_probability(exp, 5)
+    p, ci, hits, total = probability(exp, 5)
     assert p == 1.0 and hits == total
 
 
 def test_probability_impossible_event(doubling):
     g = make_observable("indicator_half", doubling)
     exp = experiment(doubling, g, 1.5, [5])
-    p, ci, hits, total = dev.deviation_probability(exp, 5)
+    p, ci, hits, total = probability(exp, 5)
     assert p == 0.0
 
 
 def test_probability_matches_binomial(doubling):
     g = make_observable("indicator_half", doubling)
     exp = experiment(doubling, g, 0.7, [20], samples=200000, seed=11)
-    p, ci, hits, total = dev.deviation_probability(exp, 20)
+    p, ci, hits, total = probability(exp, 20)
     exact = float(sps.binom.sf(13, 20, 0.5))
     assert exact == pytest.approx(0.05766, abs=5e-5)
     assert ci[0] <= exact <= ci[1]
@@ -199,31 +207,10 @@ def test_seed_exchangeability(doubling):
     vals = []
     for seed in (21, 22):
         exp = experiment(doubling, g, 0.7, [15], samples=50000, seed=seed)
-        p, ci, hits, total = dev.deviation_probability(exp, 15)
+        p, ci, hits, total = probability(exp, 15)
         vals.append((p, total))
     se = combined_se(vals[0][0], vals[0][1], vals[1][0], vals[1][1])
     assert abs(vals[0][0] - vals[1][0]) <= 3 * se
-
-
-def test_relative_entropy_doubling(doubling):
-    g = make_observable("indicator_half", doubling)
-    pts = [0.2137, 0.5811, 0.8413]
-    est = dev.relative_entropy_estimate(
-        doubling, UniformSampler(doubling.domain), pts, [6, 8, 10, 12],
-        eps=2 ** -5, samples=300000, seed=7)
-    # slope removes the ball-width offset: the decay rate is log 2
-    assert est.slope_mean == pytest.approx(math.log(2), abs=0.05)
-    # the raw value at depth n carries the log(2 eps)/n bias exactly
-    expected_raw = math.log(2) - math.log(2 * 2 ** -5) / 12
-    assert est.raw_mean == pytest.approx(expected_raw, abs=0.05)
-    assert est.flagged == 0
-
-
-def test_relative_entropy_small_depth_is_small(doubling):
-    est = dev.relative_entropy_estimate(
-        doubling, UniformSampler(doubling.domain), [0.4], [1, 2],
-        eps=0.45, samples=20000, seed=8)
-    assert est.raw_mean <= 0.6
 
 
 def test_bound_report_doubling_shape():
@@ -275,7 +262,7 @@ def test_rate_curve_one_pass_matches_brute_force(grid, c, direction, obs,
     curve = dev.rate_curve(exp)
     for n, hits in zip(curve.n, curve.hits):
         assert hits == brute_force_hits(exp, int(n))
-        assert hits == dev.deviation_probability(exp, int(n))[2]
+        assert hits == probability(exp, int(n))[2]
 
 
 def test_rate_curve_one_pass_across_chunks(doubling):

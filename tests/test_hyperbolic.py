@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,16 @@ from devgibbs.domain import Interval
 from devgibbs.dynamics import MapSystem
 from devgibbs.errors import ConfigError, SingularityError
 from devgibbs.sampling import UniformSampler
-from devgibbs.stats import combined_se
+from helpers import combined_se
 
 
 def params(sigma=1.4, delta=0.1, b=0.25, n_max=100):
     return hyp.HyperbolicParams(sigma=sigma, delta=delta, b=b, n_max=n_max)
+
+
+def density(m, x, N, p):
+    """Fraction of the times 1..N that are hyperbolic for x."""
+    return len(hyp.hyperbolic_times(m, x, replace(p, n_max=N)).times) / N
 
 
 def test_param_validation():
@@ -35,7 +41,7 @@ def test_doubling_every_time_hyperbolic(doubling):
 
 def test_sigma_two_boundary_inclusive(doubling):
     # 2^-k <= 2^-k exactly: ties resolve to acceptance
-    assert hyp.pliss_density(doubling, 0.618, 20, params(sigma=2.0)) == 1.0
+    assert density(doubling, 0.618, 20, params(sigma=2.0)) == 1.0
 
 
 def test_mp_first_step_threshold(mp):
@@ -143,7 +149,7 @@ def test_classify_tail_needs_points():
 
 
 def test_pliss_density_doubling(doubling):
-    assert hyp.pliss_density(doubling, 0.4321, 50, params()) == 1.0
+    assert density(doubling, 0.4321, 50, params()) == 1.0
 
 
 def test_lag_statistic_doubling(doubling):
@@ -338,6 +344,44 @@ def test_point_with_first_time_is_not_checked_for_singularity(quadratic):
         _eager_first_times(quadratic, xs, p)
     with pytest.raises(SingularityError, match="start point 1 .* index 1"):
         hyp.hyperbolic_times_batch(quadratic, xs, p)
+
+
+@given(st.sampled_from(["quadratic", "manneville_pomeau",
+                        "perturbed_expanding"]),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
+                max_size=8),
+       st.lists(st.integers(1, 100), min_size=1, max_size=4, unique=True))
+@example("manneville_pomeau", [1e-8, 0.6, 0.02], [5, 40])  # 1e-8: no time
+# u = (1 + 2^-1/2) / 2 is the start point 2^-1/2, which steps onto 0
+@example("quadratic", [0.3, (1 + 2 ** -0.5) / 2], [1, 3])
+@settings(max_examples=60, deadline=None)
+def test_straddling_times_match_single_scans(name, us, grid):
+    m = FAMILIES[name]
+    grid = sorted(grid)
+    p = hyp.default_params(m, n_max=7)  # the scan horizon comes from the grid
+    xs = _start_points(m, [(u, 0.0) for u in us])
+    full = replace(p, n_max=int(1.5 * grid[-1]) + 50)
+    singles = []
+    for x in xs:
+        try:
+            singles.append(hyp.hyperbolic_times(m, x, full).times)
+        except SingularityError:
+            singles.append(None)
+    try:
+        before, after = hyp.straddling_times(m, xs, p, grid)
+    except SingularityError:
+        # only a point whose full scan hits the critical set can fail it
+        assert any(times is None for times in singles)
+        return
+    assert before.shape == after.shape == (len(grid), len(xs))
+    assert before.dtype == after.dtype == np.int64
+    for i, times in enumerate(singles):
+        if times is None:
+            continue  # settled before its orbit reached the critical set
+        for k, n in enumerate(grid):
+            lo, hi = times[times <= n], times[times > n]
+            assert before[k, i] == (lo[-1] if len(lo) else 0)
+            assert after[k, i] == (hi[0] if len(hi) else 0)
 
 
 def test_sample_anchors_match_one_candidate_at_a_time(quadratic):

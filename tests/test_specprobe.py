@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -120,6 +118,17 @@ def test_gap_estimate_horizon_error(mp):
         sp.gap_estimate(mp, 1e-8, 30, 0.05, params, exactness=3)
 
 
+def test_gap_estimate_searches_to_gap_horizon(doubling, mp):
+    # the horizon is gap_horizon(n), whatever n_max the parameters carry
+    with pytest.raises(HorizonError, match=r"gap_horizon\(30\) = 95"):
+        sp.gap_estimate(mp, 1e-8, 30, 0.05,
+                        hyp.HyperbolicParams(1.2, 0.1, 0.25, 1000),
+                        exactness=3)
+    ge = sp.gap_estimate(doubling, 0.37, 300, 1 / 64,
+                         hyp.default_params(doubling, n_max=5), exactness=5)
+    assert (ge.next_time, ge.p_hat) == (301, 6)
+
+
 def test_nonuniform_statistic_doubling(doubling):
     params = hyp.default_params(doubling, n_max=1100)
     rep = sp.nonuniform_spec_statistic(doubling,
@@ -128,17 +137,6 @@ def test_nonuniform_statistic_doubling(doubling):
                                        samples=40, seed=3)
     assert rep.headline == pytest.approx(6 / 1000)
     assert rep.censored_fraction == 0.0
-
-
-def test_lacunar_stub_headline_near_one():
-    times = [2 ** k for k in range(1, 11)]
-    stats = sp.gap_statistic_from_times(times, [520], exactness=5)
-    assert stats[520] > 0.9  # geometric gaps defeat the property
-
-
-def test_gap_stub_plain_record():
-    stats = sp.gap_statistic_from_times([10, 20, 30, 40], [25], exactness=4)
-    assert stats[25] == pytest.approx((4 + 5) / 25)
 
 
 def test_gap_estimate_shadow_verified(doubling):
