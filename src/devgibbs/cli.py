@@ -13,8 +13,8 @@ from importlib import resources
 import click
 
 from .config import parse_config
-from .errors import ConfigError, DevgibbsError
-from .maps import FAMILIES
+from .errors import ConfigError, DevgibbsError, ParameterError
+from .maps import FAMILIES, make_family
 from .observables import OBSERVABLES
 from .runner import run as run_experiment
 
@@ -33,6 +33,11 @@ def _load(path: str):
     return parse_config(text)
 
 
+def _refuse(why):
+    click.echo(f"config error: {why}", err=True)
+    sys.exit(1)
+
+
 def _bundled_configs():
     pkg = resources.files("devgibbs") / "configs"
     return sorted(p for p in pkg.iterdir() if p.name.endswith(".cfg"))
@@ -47,8 +52,12 @@ def _bundled_configs():
               help="worker count override (also DEVGIBBS_WORKERS)")
 def run(config, check, out, workers):
     """Run one experiment config, or all bundled ones with --check."""
-    if workers is None and os.environ.get("DEVGIBBS_WORKERS"):
-        workers = int(os.environ["DEVGIBBS_WORKERS"])
+    raw = os.environ.get("DEVGIBBS_WORKERS")
+    if workers is None and raw:
+        try:
+            workers = int(raw)
+        except ValueError:
+            _refuse(f"DEVGIBBS_WORKERS={raw!r} is not an integer")
     targets = []
     if config is not None:
         targets.append(("file", config))
@@ -68,17 +77,15 @@ def run(config, check, out, workers):
                 cfg = parse_config(target.read_text())
                 name = target.name
         except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(1)
+            _refuse(exc)
         try:
             sub = None
             if kind == "bundled":
                 sub = os.path.join(cfg.out, os.path.splitext(name)[0])
             manifest = run_experiment(cfg, out_dir=out or sub,
                                       workers=workers)
-        except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(1)
+        except (ConfigError, ParameterError) as exc:
+            _refuse(exc)
         except DevgibbsError as exc:
             click.echo(f"runtime error: {exc}", err=True)
             sys.exit(2)
@@ -100,9 +107,9 @@ def validate(config):
     """Parse and validate a config without running it."""
     try:
         cfg = _load(config)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(1)
+        make_family(cfg.family, cfg.map_params)
+    except (ConfigError, ParameterError) as exc:
+        _refuse(exc)
     click.echo(f"ok: kind={cfg.kind} family={cfg.family} seed={cfg.seed}")
 
 

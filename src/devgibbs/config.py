@@ -14,9 +14,6 @@ from typing import Optional
 
 from .errors import ConfigError
 
-KINDS = ("deviation", "tail", "entropy", "gibbs", "spec", "contraction",
-         "distortion")
-
 # [check] target key -> (value kind, check name, result field, comparison).
 # A comparison is an operator applied as ``got <op> target`` or an
 # (absolute | relative, tolerance key, default tolerance) triple; every
@@ -63,23 +60,23 @@ _SCHEMA = {
     },
     "tail": {"window": "int_list"},
     "entropy": {"n_grid": "int_list", "eps_grid": "float_list",
-                "mass_deficit": "float", "method": "str"},
+                "mass_deficit": "float"},
     "gibbs": {"eps": "float", "n_grid": "int_list", "points": "int",
               "beta": "float", "delta_n_grid": "int_list",
               "delta_samples": "int"},
     "spec": {"eps_grid": "float_list", "n_grid": "int_list",
              "base_points": "int", "probes": "int", "cap": "int"},
-    "contraction": {"instances": "int", "pairs": "int",
-                    "delta1": "num_or_word", "depth_lo": "int",
-                    "depth_hi": "int"},
-    "distortion": {"instances": "int", "pairs": "int",
-                   "delta1": "num_or_word", "depth_lo": "int",
-                   "depth_hi": "int"},
+    **{kind: {"instances": "int", "pairs": "int", "delta1": "num_or_word",
+              "depth_lo": "int", "depth_hi": "int"}
+       for kind in ("contraction", "distortion")},
     "check": {**{key: kind for key, (kind, _, _, _) in CHECKS.items()},
               **{how[1]: "float" for _, _, _, how in CHECKS.values()
                  if isinstance(how, tuple)}},
 }
 
+# every other section is an experiment kind, run by ``runner.STAGES[kind]``
+KINDS = tuple(name for name in _SCHEMA
+              if name not in ("experiment", "map", "hyperbolic", "check"))
 _EXPERIMENT_KEYS = set(_SCHEMA["experiment"])
 
 

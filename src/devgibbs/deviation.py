@@ -15,7 +15,9 @@ convex in t as the Legendre transform assumes.  The rows are therefore
 correlated.  Over seeds 0-29 of the bundled deviation config the
 seed-to-seed sd of the fitted rate is 0.0011, against 0.0006 with an
 independent sample set per row; the mean is unchanged (-0.0989 against
--0.0987).
+-0.0987).  ``rate_stderr``, the OLS standard error of the slope, measures
+the misfit of the ceil(c n) lattice, not sampling noise: 0.0153 at seed
+42, where the exact binomial log-probabilities alone give 0.0151.
 
 Zero-hit rows are flagged and excluded from regressions rather than
 imputed: imputation would bias the slope, exclusion only shortens the
@@ -126,12 +128,11 @@ def rate_curve(exp: DeviationExperiment, workers: int = 1) -> RateCurve:
     n = np.array([int(v) for v in exp.n_grid])
     hits, total = _hit_counts(exp, n, workers)
     p = hits / total
-    ci = [wilson_ci(int(h), total) for h in hits]
+    ci_low, ci_high = wilson_ci(hits, total)
     with np.errstate(divide="ignore"):
         log_rate = np.where(hits > 0, np.log(np.maximum(p, 1e-300)) / n, NEG_INF)
     return RateCurve(n=n, hits=hits, samples=np.full(len(n), total), p_hat=p,
-                     ci_low=np.array([lo for lo, _ in ci]),
-                     ci_high=np.array([hi for _, hi in ci]),
+                     ci_low=ci_low, ci_high=ci_high,
                      log_rate=log_rate, flagged=hits == 0)
 
 
@@ -240,19 +241,6 @@ class BoundReport:
     discontinuous_g: bool = False
     proxy_note: str = ("legendre_rate is a Gartner-Ellis proxy for the "
                        "variational supremum on conformal benchmarks")
-
-    def as_dict(self):
-        return {
-            "measured_rate": self.measured_rate,
-            "tail_rate": self.tail_rate,
-            "legendre_rate": self.legendre_rate,
-            "slack": self.slack,
-            "upper_ok": self.upper_ok,
-            "lower_ok": self.lower_ok,
-            "uninformative_upper": self.uninformative_upper,
-            "discontinuous_g": self.discontinuous_g,
-            "proxy_note": self.proxy_note,
-        }
 
 
 def bound_report(measured_rate: float, tail_rate: float, legendre_value: float,

@@ -44,10 +44,6 @@ class Interval:
     def ndim(self):
         return 1
 
-    @property
-    def diameter(self):
-        return self.hi - self.lo
-
     def contains(self, x, tol=_EDGE_TOL):
         x = np.asarray(x, dtype=float)
         return np.all((x >= self.lo - tol) & (x <= self.hi + tol))
@@ -74,10 +70,6 @@ class Circle:
     @property
     def ndim(self):
         return 1
-
-    @property
-    def diameter(self):
-        return 0.5
 
     def contains(self, x, tol=_EDGE_TOL):
         x = np.asarray(x, dtype=float)
@@ -110,10 +102,6 @@ class Cylinder:
     @property
     def ndim(self):
         return 2
-
-    @property
-    def diameter(self):
-        return max(0.5, self.fiber_hi - self.fiber_lo)
 
     def contains(self, p, tol=_EDGE_TOL):
         p = np.asarray(p, dtype=float)

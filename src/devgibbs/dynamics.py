@@ -74,7 +74,6 @@ class Observable:
 
     fn: Callable
     label: str
-    modulus: Optional[float] = None
 
     def __call__(self, x):
         return self.fn(x)

@@ -104,7 +104,6 @@ def gibbs_constant(m: MapSystem, potential: PotentialModel, x, n: int,
 @dataclass
 class SubexpReport:
     statistic: float  # max over points of (log K_nmax - log K_nmin) / nmax
-    per_point: list  # (point_id, stat) for usable points
     rows: list  # (point_id, n, mass, ci_low, ci_high, snphi, k_hat, log_k_over_n)
     flagged: int
 
@@ -146,7 +145,7 @@ def subexp_check(m: MapSystem, potential: PotentialModel, sampler, n_grid,
     if not per_point:
         raise ConfigError("all sampled centers starved in the subexp check")
     return SubexpReport(statistic=float(max(s for _, s in per_point)),
-                        per_point=per_point, rows=rows, flagged=flagged)
+                        rows=rows, flagged=flagged)
 
 
 @dataclass

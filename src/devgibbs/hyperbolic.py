@@ -304,14 +304,14 @@ def tail_curve(m: MapSystem, sampler, params: HyperbolicParams,
     ns = np.arange(1, params.n_max + 1)
     survivors = total - found_by
     fraction = survivors / total
-    ci = np.array([wilson_ci(int(s), total) for s in survivors])
+    ci_low, ci_high = wilson_ci(survivors, total)
     alive = survivors > 0
     last = int(np.max(np.nonzero(alive)[0])) + 1 if np.any(alive) else 0
     truncated = last < params.n_max
     keep = slice(0, max(last, 1))
     return TailCurve(n=ns[keep], survivors=survivors[keep],
-                     fraction=fraction[keep], ci_low=ci[keep, 0],
-                     ci_high=ci[keep, 1], samples=total, truncated=truncated)
+                     fraction=fraction[keep], ci_low=ci_low[keep],
+                     ci_high=ci_high[keep], samples=total, truncated=truncated)
 
 
 @dataclass(frozen=True)

@@ -299,7 +299,14 @@ def make_family(name: str, params: Optional[dict] = None) -> MapSystem:
         name = "manneville_pomeau"
     if name not in FAMILIES:
         raise ParameterError(f"unknown family {name!r}; see list-families")
-    return FAMILIES[name]["make"](params or {})
+    params = params or {}
+    takes = FAMILIES[name]["defaults"]
+    for key in params:
+        if key not in takes:
+            raise ConfigError(
+                f"family = {name} takes no [map] key {key!r}; it takes "
+                + (", ".join(takes) if takes else "none"))
+    return FAMILIES[name]["make"](params)
 
 
 # --- condition checkers -----------------------------------------------------

@@ -26,18 +26,18 @@ def make_observable(name: str, m: MapSystem, table=None) -> Observable:
     if name == "indicator_half":
         return Observable(
             fn=lambda x: (_coordinate(m, x, "angle") < 0.5).astype(float),
-            label=name, modulus=None)
+            label=name)
     if name == "spin_half":
         return Observable(
             fn=lambda x: np.where(_coordinate(m, x, "angle") < 0.5, 1.0, -1.0),
-            label=name, modulus=None)
+            label=name)
     if name == "cos2pi":
         return Observable(
             fn=lambda x: np.cos(2.0 * np.pi * _coordinate(m, x, "angle")),
-            label=name, modulus=2.0 * np.pi)
+            label=name)
     if name == "identity":
         return Observable(fn=lambda x: _coordinate(m, x, "fiber"),
-                          label=name, modulus=1.0)
+                          label=name)
     if name == "log_deriv":
         return Observable(fn=lambda x: np.log(np.abs(jacobian_data(m, x)[2])),
                           label=name)

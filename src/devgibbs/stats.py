@@ -10,19 +10,25 @@ import numpy as np
 Z95 = 1.959963984540054
 
 
-def wilson_ci(hits: int, total: int, z: float = Z95):
-    """Wilson score interval for a binomial proportion.
+def wilson_ci(hits, total, z: float = Z95):
+    """Wilson score intervals for binomial proportions, elementwise.
 
-    Chosen over the Wald interval for correct coverage when the
-    proportion sits deep in the rare-event tail.
+    ``hits`` and ``total`` are counts or arrays of counts; a row without
+    trials gets (0, 1).  Chosen over the Wald interval for correct
+    coverage when the proportion sits deep in the rare-event tail.
     """
-    if total <= 0:
-        return (0.0, 1.0)
-    p = hits / total
-    denom = 1.0 + z * z / total
-    center = (p + z * z / (2.0 * total)) / denom
-    spread = z * np.sqrt((p * (1.0 - p) + z * z / (4.0 * total)) / total) / denom
-    return (max(0.0, center - spread), min(1.0, center + spread))
+    hits = np.asarray(hits, dtype=float)
+    total = np.asarray(total, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = hits / total
+        denom = 1.0 + z * z / total
+        center = (p + z * z / (2.0 * total)) / denom
+        spread = z * np.sqrt((p * (1.0 - p) + z * z / (4.0 * total))
+                             / total) / denom
+    empty = total <= 0
+    # [()] turns a 0-d result into a scalar and leaves arrays as they are
+    return (np.where(empty, 0.0, np.maximum(0.0, center - spread))[()],
+            np.where(empty, 1.0, np.minimum(1.0, center + spread))[()])
 
 
 @dataclass(frozen=True)

@@ -515,3 +515,79 @@ def test_preimage_paths_leave_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_every_kind_has_one_stage():
+    from devgibbs.config import KINDS
+    assert set(run_mod.STAGES) == set(KINDS)
+
+
+@pytest.mark.parametrize("args, env, named", [
+    (["--workers", "0"], {}, "worker count 0"),
+    (["--workers", "-3"], {}, "worker count -3"),
+    ([], {"DEVGIBBS_WORKERS": "two"}, "DEVGIBBS_WORKERS='two'"),
+])
+def test_bad_worker_count_is_a_config_error(tmp_path, args, env, named):
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN.format(out=out))
+    res = CliRunner().invoke(main, ["run", str(cfg), *args], env=env)
+    assert res.exit_code == 1, res.output
+    assert f"config error: {named}" in res.output
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("family, line, takes", [
+    ("quadratic", "d = 7", "it takes a"),
+    ("doubling", "a = 0.3", "it takes none"),
+])
+def test_map_key_the_family_does_not_take(tmp_path, family, line, takes):
+    out = tmp_path / "out"
+    cfg = tmp_path / "map.cfg"
+    cfg.write_text(TINY_RUN.format(out=out).replace(
+        "family = doubling", f"family = {family}") + f"\n[map]\n{line}\n")
+    key = line.split()[0]
+    for command in ("validate", "run"):
+        res = CliRunner().invoke(main, [command, str(cfg)])
+        assert res.exit_code == 1, res.output
+        assert f"takes no [map] key {key!r}; {takes}" in res.output
+    assert not out.exists()
+
+
+def test_family_parameter_out_of_range_is_a_config_error(tmp_path):
+    cfg = tmp_path / "range.cfg"
+    cfg.write_text("family = quadratic\nkind = tail\nseed = 1\n"
+                   f"out = {tmp_path / 'out'}\n\n[map]\na = 3.0\n")
+    for command in ("validate", "run"):
+        res = CliRunner().invoke(main, [command, str(cfg)])
+        assert res.exit_code == 1, res.output
+        assert "config error: quadratic parameter a=3.0" in res.output
+
+
+def test_deviation_tail_rate_measure(tmp_path):
+    # the bound's tail rate is read off a first-time tail of a tenth of the
+    # samples, at the run's seed and hyperbolic parameters
+    from dataclasses import replace
+    from devgibbs import hyperbolic, maps
+    from devgibbs.sampling import UniformSampler
+    text = (TINY_RUN.replace("family = doubling", "family = quadratic")
+            .replace("samples = 5000", "samples = 20000")
+            .replace("tail_rate = neg_inf", "tail_rate = measure")
+            + "\n[hyperbolic]\nn_max = 200\n")
+    m = maps.make_family("quadratic")
+    tc = hyperbolic.tail_curve(m, UniformSampler(m.domain),
+                               replace(hyperbolic.default_params(m),
+                                       n_max=200), 2000, 9)
+    try:
+        fit = hyperbolic.classify_tail(tc)
+        want = fit.rate if fit.kind == "exponential" else 0.0
+    except ConfigError:
+        want = float("-inf")
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        cfg = tmp_path / f"measure{workers}.cfg"
+        cfg.write_text(text.format(out=out))
+        res = CliRunner().invoke(main, ["run", str(cfg), "--workers", workers])
+        assert res.exit_code == 0, res.output
+        rep = json.loads((out / "bound_report.json").read_text())
+        assert rep["tail_rate"] == want

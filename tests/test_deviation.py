@@ -308,3 +308,29 @@ def test_float_horizon_refused(doubling, pe40, pe4):
     with pytest.raises(ConfigError, match="lower n to at most 26"):
         experiment(pe40, g4, 0.7, [10, 27])
     experiment(pe4, make_observable("indicator_half", pe4), 0.7, [10, 100])
+
+
+def _wilson_row(hits, total, z=1.959963984540054):
+    """One Wilson interval in plain floats: the per-row reference."""
+    if total <= 0:
+        return 0.0, 1.0
+    p = hits / total
+    denom = 1.0 + z * z / total
+    center = (p + z * z / (2.0 * total)) / denom
+    spread = z * math.sqrt((p * (1.0 - p) + z * z / (4.0 * total))
+                           / total) / denom
+    return max(0.0, center - spread), min(1.0, center + spread)
+
+
+@given(st.lists(st.tuples(st.integers(0, 10 ** 7), st.integers(0, 10 ** 7)),
+                min_size=1, max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_wilson_ci_over_arrays_matches_each_row(pairs):
+    from devgibbs.stats import wilson_ci
+    pairs = [(min(h, t), t) for h, t in pairs]
+    lo, hi = wilson_ci(np.array([h for h, _ in pairs]),
+                       np.array([t for _, t in pairs]))
+    assert [(float(a), float(b)) for a, b in zip(lo, hi)] == \
+        [_wilson_row(h, t) for h, t in pairs]
+    h, t = pairs[0]
+    assert tuple(map(float, wilson_ci(h, t))) == _wilson_row(h, t)

@@ -291,7 +291,7 @@ def _eager_first_times(m, xs, p):
                           st.floats(0.0, 1.0, exclude_max=True)),
                 min_size=1, max_size=16),
        st.integers(1, 400))
-@example("quadratic", [(0.3, 0.0), (2 ** -0.5, 0.0)], 50)
+@example("quadratic", [(0.65, 0.0), ((1 + 2 ** -0.5) / 2, 0.0)], 50)
 @example("manneville_pomeau", [(0.001, 0.0), (0.6, 0.0), (0.02, 0.0)], 400)
 @settings(max_examples=80, deadline=None)
 def test_retiring_first_times_match_eager_loop(name, us, n_max):
