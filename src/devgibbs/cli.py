@@ -14,7 +14,7 @@ import click
 
 from .config import parse_config
 from .errors import ConfigError, DevgibbsError, ParameterError
-from .maps import FAMILIES, make_family
+from .maps import FAMILIES, family_defaults, make_family
 from .observables import OBSERVABLES
 from .runner import run as run_experiment
 
@@ -116,9 +116,10 @@ def validate(config):
 @main.command("list-families")
 def list_families():
     """Show the built-in map families and their parameters."""
-    for name, info in FAMILIES.items():
-        defaults = ", ".join(f"{k}={v}" for k, v in info["defaults"].items())
-        click.echo(f"{name}: {info['doc']}"
+    for name, (_, doc) in FAMILIES.items():
+        defaults = ", ".join(f"{k}={v}"
+                             for k, v in family_defaults(name).items())
+        click.echo(f"{name}: {doc}"
                    + (f" (defaults: {defaults})" if defaults else ""))
 
 

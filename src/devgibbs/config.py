@@ -205,6 +205,10 @@ def parse_config(text: str) -> ExperimentConfig:
             # the word parser is shared with delta1, where auto calibrates
             raise ConfigError("tail_rate = auto has no meaning; use neg_inf, "
                               "none, measure or a number")
+    if kind in ("spec", "gibbs") and "n_max" in sections.get("hyperbolic", {}):
+        raise ConfigError(
+            f"[hyperbolic] n_max is not read by kind = {kind}: its scans "
+            f"run to gap_horizon(max n) = 1.5 max n + 50; remove the key")
     if samples is not None and samples < 1:
         raise ConfigError("samples must be positive")
 

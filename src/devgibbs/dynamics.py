@@ -16,7 +16,7 @@ their values off its rows.  Three loops step points themselves, because
 they do not keep the orbit: ``deviation._birkhoff_walk`` carries a
 running sum, where a recorded orbit of a 65,536-point chunk would take
 about 16 MB per worker at n = 30, and the ``gibbs.ball_measure`` job and
-``hyperbolic._Scanner`` drop points as they go (those that leave the
+``hyperbolic._scan`` drop points as they go (those that leave the
 ball, those that have their time).  No caller clamps a ``step`` result.
 ``step`` keeps the domain only from inside it, so each of the four loops
 checks the points it is handed with ``domain.require`` on the way in.
@@ -53,6 +53,7 @@ class MapSystem:
     the skew product): each step drops log2 d mantissa bits, so by step
     52 / log2 d that coordinate has collapsed onto a grid that ends at 0.
     It is ``None`` where no such bound is known.
+    ``family`` is the ``maps`` family that built the map, if any.
     """
 
     label: str
@@ -63,6 +64,7 @@ class MapSystem:
     crit_dist: Callable
     branches: Optional[object] = None
     float_horizon: Optional[float] = None
+    family: Optional[str] = None
 
     def __call__(self, x):
         return evaluate(self, x)

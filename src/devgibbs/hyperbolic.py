@@ -14,13 +14,15 @@ time.  Boundary comparisons are inclusive up to a 1e-12 relative
 tolerance (product side) and a 1e-9 index tolerance (recurrence side),
 ties resolving in favour of acceptance.
 
-One scan loop, ``hyperbolic_times_batch``, finds the times of a whole
-batch of start points; ``hyperbolic_times`` is a batch of one.  Two
-loops retire points from the scan once their answer is settled:
-``first_times_batch`` at each point's first time, and
-``straddling_times``, which finds the times on either side of each n of
-a grid (the gaps that specification and the Delta_n set read), at each
-point's first time past the grid.
+One generator, ``_scan``, steps a batch of start points, yields at each
+n the points for which n is a hyperbolic time and, once n is past its
+``settle`` time, retires them: they are no longer stepped or checked
+against the critical set.  Every time query reads it:
+``hyperbolic_times_batch`` retires no point (``hyperbolic_times`` is a
+batch of one), ``first_times_batch`` retires each point at its first
+time, and ``straddling_times`` (the times on either side of each n of a
+grid, which specification, the Delta_n set and distortion read) at its
+first time past the grid.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .dynamics import MapSystem, jacobian_data, NEAR_CRITICAL_TOL
 from .errors import ConfigError, SingularityError
-from .sampling import CHUNK, parallel_chunk_map, sample_chunks
+from .sampling import parallel_chunk_map, sample_chunks
 from .stats import ols_fit, wilson_ci
 
 _INDEX_TOL = 1e-9
@@ -56,13 +58,12 @@ class HyperbolicParams:
             raise ConfigError("orbit horizon n_max must be >= 1")
 
 
-#: per-family defaults; all overridable through configuration.
+#: defaults per ``MapSystem.family``; all overridable through configuration.
 #: The quadratic triple needs b*log(sigma) large enough (and delta small
 #: enough) that blocking windows opened by near-critical passes stay
 #: subcritical; otherwise a positive fraction of points never acquires a
 #: hyperbolic time and the first-time tail stalls.
 DEFAULT_PARAMS = {
-    "doubling": dict(sigma=1.4, delta=0.1, b=0.25),
     "perturbed_expanding": dict(sigma=1.4, delta=0.1, b=0.25),
     "quadratic": dict(sigma=float(np.exp(0.35)), delta=0.01, b=0.45),
     "manneville_pomeau": dict(sigma=1.2, delta=0.1, b=0.25),
@@ -71,10 +72,10 @@ DEFAULT_PARAMS = {
 
 
 def default_params(m: MapSystem, n_max: int = 1000) -> HyperbolicParams:
-    for key, vals in DEFAULT_PARAMS.items():
-        if m.label.startswith(key):
-            return HyperbolicParams(n_max=n_max, **vals)
-    return HyperbolicParams(sigma=1.4, delta=0.1, b=0.25, n_max=n_max)
+    if m.family not in DEFAULT_PARAMS:
+        raise ConfigError(f"{m.label} has no default hyperbolic-time "
+                          f"parameters; give sigma, delta and b")
+    return HyperbolicParams(n_max=n_max, **DEFAULT_PARAMS[m.family])
 
 
 @dataclass
@@ -92,10 +93,10 @@ class HyperbolicTimeRecord:
 class _Scanner:
     """Vectorized incremental detector over a batch of start points.
 
-    ``live`` holds the start index, from ``first``, of each point scanned.
+    ``live`` holds the index in the batch of each point still scanned.
     """
 
-    def __init__(self, m: MapSystem, x, params: HyperbolicParams, first=0):
+    def __init__(self, m: MapSystem, x, params: HyperbolicParams):
         self.m = m
         self.params = params
         self.cur = np.asarray(m.domain.require(x), dtype=float)  # a new array
@@ -103,7 +104,7 @@ class _Scanner:
         self.prefix = np.zeros(batch)
         self.runmin = np.zeros(batch)
         self.thresh = np.full(batch, -np.inf)
-        self.live = first + np.arange(self.prefix.size)
+        self.live = np.arange(self.prefix.size)
         self.log_sigma = np.log(params.sigma)
         self.n = 0
 
@@ -136,26 +137,33 @@ class _Scanner:
                                self.thresh, self.live))
 
 
-def hyperbolic_times_batch(m: MapSystem, xs, params: HyperbolicParams) -> list:
-    """All hyperbolic times up to the horizon of each start point.
+def _scan(m: MapSystem, xs, params: HyperbolicParams, settle: int,
+          horizon: int):
+    """Yield ``(n, hit)`` for n = 1..horizon, ``hit`` the indices into
+    ``xs`` of the points for which n is a hyperbolic time.
 
-    One ``_Scanner`` run per block of at most ``CHUNK`` points, keeping
-    the block's (n_max, block) hit mask; returns one sorted int array per
-    point, in the order of ``xs``.  A ``SingularityError`` names the index
-    of the start point whose orbit hit the critical set.
+    Once n > ``settle`` the points in ``hit`` leave the scan, which ends
+    when no point is left.  A ``SingularityError`` names the index of the
+    start point whose orbit hit the critical set.
     """
-    xs = np.asarray(xs, dtype=float)
-    out = []
-    for lo in range(0, len(xs), CHUNK):
-        block = xs[lo:lo + CHUNK]
-        scan = _Scanner(m, block, params, first=lo)
-        hits = np.empty((params.n_max, len(block)), dtype=bool)
-        for row in hits:
-            row[...] = scan.advance()
-        point, step = np.nonzero(hits.T)
-        ends = np.cumsum(np.bincount(point, minlength=len(block)))[:-1]
-        out.extend(np.split(step + 1, ends))
-    return out
+    scan = _Scanner(m, np.asarray(xs, dtype=float), params)
+    for n in range(1, horizon + 1):
+        ok = scan.advance()
+        yield n, scan.live[ok]
+        if n > settle:
+            scan.retire(ok)
+            if not scan.live.size:
+                return
+
+
+def hyperbolic_times_batch(m: MapSystem, xs, params: HyperbolicParams) -> list:
+    """The sorted hyperbolic times up to the horizon of each point of xs."""
+    hits = np.zeros((params.n_max, len(xs)), dtype=bool)
+    for n, hit in _scan(m, xs, params, params.n_max, params.n_max):
+        hits[n - 1, hit] = True
+    point, step = np.nonzero(hits.T)
+    ends = np.cumsum(np.bincount(point, minlength=len(xs)))
+    return np.split(step + 1, ends[:-1]) if len(xs) else []
 
 
 def hyperbolic_times(m: MapSystem, x, params: HyperbolicParams) -> HyperbolicTimeRecord:
@@ -223,14 +231,9 @@ def first_times_batch(m: MapSystem, xs, params: HyperbolicParams) -> np.ndarray:
     Each point leaves the scan at its first time: it is no longer stepped
     or checked against the critical set.
     """
-    scan = _Scanner(m, np.asarray(xs, dtype=float), params)
-    first = np.zeros(scan.live.shape, dtype=np.int64)
-    for n in range(1, params.n_max + 1):
-        ok = scan.advance()
-        first[scan.live[ok]] = n
-        scan.retire(ok)
-        if not scan.live.size:
-            break
+    first = np.zeros(len(xs), dtype=np.int64)
+    for n, hit in _scan(m, xs, params, 0, params.n_max):
+        first[hit] = n
     return first
 
 
@@ -252,23 +255,16 @@ def straddling_times(m: MapSystem, xs, params: HyperbolicParams, n_grid):
     """
     grid = np.asarray(n_grid, dtype=np.int64)
     top = int(grid.max())
-    scan = _Scanner(m, np.asarray(xs, dtype=float), params)
-    last = np.zeros(scan.live.shape, dtype=np.int64)
-    before = np.zeros((len(grid), scan.live.size), dtype=np.int64)
+    before = np.zeros((len(grid), len(xs)), dtype=np.int64)
     after = np.zeros_like(before)
-    for n in range(1, gap_horizon(top) + 1):
-        ok = scan.advance()
-        hit = scan.live[ok]
+    last = np.zeros(len(xs), dtype=np.int64)
+    for n, hit in _scan(m, xs, params, top, gap_horizon(top)):
         if hit.size:
             last[hit] = n
             cols = after[:, hit]
             cols[(cols == 0) & (grid < n)[:, None]] = n
             after[:, hit] = cols
         before[grid == n] = last
-        if n > top:
-            scan.retire(ok)
-            if not scan.live.size:
-                break
     return before, after
 
 
@@ -300,7 +296,6 @@ def tail_curve(m: MapSystem, sampler, params: HyperbolicParams,
     total = int(hist.sum())
     # survivors(n) = count of first time > n (the never-found bin counts too)
     found_by = np.cumsum(hist[1:])
-    never = hist[0]
     ns = np.arange(1, params.n_max + 1)
     survivors = total - found_by
     fraction = survivors / total

@@ -26,6 +26,7 @@ Five families are shipped:
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -43,7 +44,7 @@ from .stats import ols_fit
 TWO_PI = 2.0 * math.pi
 
 
-def make_quadratic(a: float) -> MapSystem:
+def make_quadratic(a: float = 2.0) -> MapSystem:
     """The parabola family f(x) = 1 - a x^2 on [-1, 1]."""
     if not (0.0 < a <= 2.0):
         raise ParameterError(f"quadratic parameter a={a} outside (0, 2]")
@@ -67,6 +68,7 @@ def make_quadratic(a: float) -> MapSystem:
     )
     return MapSystem(
         label=f"quadratic(a={a})",
+        family="quadratic",
         domain=Interval(-1.0, 1.0),
         params={"a": a},
         step=step,
@@ -76,7 +78,7 @@ def make_quadratic(a: float) -> MapSystem:
     )
 
 
-def make_mp(alpha: float) -> MapSystem:
+def make_mp(alpha: float = 0.5) -> MapSystem:
     """The intermittent map x(1 + (2x)^alpha) / 2x - 1 on [0, 1]."""
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"intermittency exponent alpha={alpha} outside (0, 1)")
@@ -112,6 +114,7 @@ def make_mp(alpha: float) -> MapSystem:
     )
     return MapSystem(
         label=f"manneville_pomeau(alpha={alpha})",
+        family="manneville_pomeau",
         domain=Interval(0.0, 1.0),
         params={"alpha": alpha},
         step=step,
@@ -128,7 +131,7 @@ def _saddle_node_threshold(d: int, a: float) -> float:
     return (1 - d) * x_plus + a * math.sin(TWO_PI * x_plus)
 
 
-def make_perturbed_expanding(d: int, a: float) -> MapSystem:
+def make_perturbed_expanding(d: int = 4, a: float = 0.55) -> MapSystem:
     """The circle map f(x) = d x + omega - a sin(2 pi x) mod 1.
 
     For a < (d-1)/(2 pi) the map is expanding everywhere and omega = 0.
@@ -189,6 +192,7 @@ def make_perturbed_expanding(d: int, a: float) -> MapSystem:
     label = "doubling" if (d == 2 and a == 0.0) else f"perturbed_expanding(d={d}, a={a})"
     return MapSystem(
         label=label,
+        family="perturbed_expanding",
         domain=Circle(),
         params={"d": float(d), "a": a, "omega": omega},
         step=step,
@@ -217,26 +221,15 @@ def make_viana(d: int = 16, a: float = 2.0, alpha: float = 0.01) -> MapSystem:
     fiber = 1.0 + alpha
     dom = Cylinder(-fiber, fiber)
 
-    if alpha == 0.0:
-
-        def step(p):
-            p = np.asarray(p, dtype=float)
-            out = np.empty_like(p)
-            out[..., 0] = frac(d * p[..., 0])
-            x = p[..., 1]
-            out[..., 1] = 1.0 - a * x * x  # in [-1, 1], as for quadratic
-            return out
-
-    else:
-
-        def step(p):
-            p = np.asarray(p, dtype=float)
-            out = np.empty_like(p)
-            out[..., 0] = frac(d * p[..., 0])
-            x = p[..., 1]
-            out[..., 1] = 1.0 - a * x * x + alpha * np.cos(TWO_PI * p[..., 0])
-            np.clip(out[..., 1], -fiber, fiber, out=out[..., 1])
-            return out
+    def step(p):
+        # alpha = 0 adds +-0.0 and clips nothing: quadratic, bit for bit
+        p = np.asarray(p, dtype=float)
+        out = np.empty_like(p)
+        out[..., 0] = frac(d * p[..., 0])
+        x = p[..., 1]
+        out[..., 1] = 1.0 - a * x * x + alpha * np.cos(TWO_PI * p[..., 0])
+        np.clip(out[..., 1], -fiber, fiber, out=out[..., 1])
+        return out
 
     def deriv(p):
         p = np.asarray(p, dtype=float)
@@ -252,6 +245,7 @@ def make_viana(d: int = 16, a: float = 2.0, alpha: float = 0.01) -> MapSystem:
 
     return MapSystem(
         label=f"viana(d={d}, a={a}, alpha={alpha})",
+        family="viana",
         domain=dom,
         params={"d": float(d), "a": a, "alpha": alpha},
         step=step,
@@ -262,36 +256,24 @@ def make_viana(d: int = 16, a: float = 2.0, alpha: float = 0.01) -> MapSystem:
     )
 
 
+#: name -> (constructor, doc); the constructor's keywords are the [map] keys
 FAMILIES = {
-    "doubling": {
-        "make": lambda params: make_doubling(),
-        "defaults": {},
-        "doc": "doubling map on the circle (uniformly expanding benchmark)",
-    },
-    "quadratic": {
-        "make": lambda params: make_quadratic(params.get("a", 2.0)),
-        "defaults": {"a": 2.0},
-        "doc": "f(x) = 1 - a x^2 on [-1, 1], a in (0, 2]",
-    },
-    "manneville_pomeau": {
-        "make": lambda params: make_mp(params.get("alpha", 0.5)),
-        "defaults": {"alpha": 0.5},
-        "doc": "intermittent interval map, indifferent fixed point at 0",
-    },
-    "perturbed_expanding": {
-        "make": lambda params: make_perturbed_expanding(
-            int(params.get("d", 4)), params.get("a", 0.55)),
-        "defaults": {"d": 4, "a": 0.55},
-        "doc": "circle map d x + omega - a sin(2 pi x) mod 1, a < d/(2 pi)",
-    },
-    "viana": {
-        "make": lambda params: make_viana(
-            int(params.get("d", 16)), params.get("a", 2.0),
-            params.get("alpha", 0.01)),
-        "defaults": {"d": 16, "a": 2.0, "alpha": 0.01},
-        "doc": "cylinder skew product over theta -> d theta mod 1",
-    },
+    "doubling": (make_doubling,
+                 "doubling map on the circle (uniformly expanding benchmark)"),
+    "quadratic": (make_quadratic, "f(x) = 1 - a x^2 on [-1, 1], a in (0, 2]"),
+    "manneville_pomeau": (
+        make_mp, "intermittent interval map, indifferent fixed point at 0"),
+    "perturbed_expanding": (
+        make_perturbed_expanding,
+        "circle map d x + omega - a sin(2 pi x) mod 1, a < d/(2 pi)"),
+    "viana": (make_viana, "cylinder skew product over theta -> d theta mod 1"),
 }
+
+
+def family_defaults(name: str) -> dict:
+    """The [map] keys of a family with their default values."""
+    sig = inspect.signature(FAMILIES[name][0])
+    return {key: p.default for key, p in sig.parameters.items()}
 
 
 def make_family(name: str, params: Optional[dict] = None) -> MapSystem:
@@ -300,13 +282,13 @@ def make_family(name: str, params: Optional[dict] = None) -> MapSystem:
     if name not in FAMILIES:
         raise ParameterError(f"unknown family {name!r}; see list-families")
     params = params or {}
-    takes = FAMILIES[name]["defaults"]
+    takes = family_defaults(name)
     for key in params:
         if key not in takes:
             raise ConfigError(
                 f"family = {name} takes no [map] key {key!r}; it takes "
                 + (", ".join(takes) if takes else "none"))
-    return FAMILIES[name]["make"](params)
+    return FAMILIES[name][0](**params)
 
 
 # --- condition checkers -----------------------------------------------------

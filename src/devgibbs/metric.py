@@ -336,8 +336,6 @@ def _cell_subset(m, pts, n, eps, delta, method):
 class ContractionReport:
     pass_fraction: float
     worst_ratio: float
-    pairs_used: int
-    delta1: float
 
 
 def sample_ball_pairs(m: MapSystem, x, n: int, delta1: float, pairs: int,
@@ -382,8 +380,6 @@ def backward_contraction_check(m: MapSystem, x, n: int,
     return ContractionReport(
         pass_fraction=float(np.mean(passed)),
         worst_ratio=float(np.max(ratio)),
-        pairs_used=int(end.shape[0]),
-        delta1=delta1,
     )
 
 

@@ -32,8 +32,8 @@ from .deviation import (DeviationExperiment, bound_report, free_energy_table,
 from .dynamics import PotentialModel
 from .errors import ConfigError, DevgibbsError, SamplingError
 from .gibbs import delta_set_rate, subexp_check
-from .hyperbolic import (classify_tail, default_params, hyperbolic_times_batch,
-                         sample_anchors, tail_curve)
+from .hyperbolic import (classify_tail, default_params, sample_anchors,
+                         straddling_times, tail_curve)
 from .maps import make_family
 from .metric import backward_contraction_check, calibrate_delta1, \
     distortion_estimate, katok_entropy
@@ -278,7 +278,7 @@ def _run_spec(cfg, m, sampler, workers, emit):
     rep = nonuniform_spec_statistic(
         m, sampler, sec.get("eps_grid", [1 / 64, 1 / 32]),
         sec.get("n_grid", [100, 1000]),
-        _hyper_params(cfg, m, n_max_default=1600),
+        _hyper_params(cfg, m),
         sec.get("base_points", 100), cfg.seed,
         probe_count=sec.get("probes", 12), cap=sec.get("cap", 60))
     emit("gap_report.json", json_text({
@@ -350,19 +350,18 @@ def _run_distortion(cfg, m, sampler, workers, emit):
     sec, params, d1, instances, settings = _anchors(cfg, m, cap=0.25)
     pairs = sec.get("pairs", 1000)
     pot = _log_deriv_potential(m)
-    deep = {}  # one scan per depth n, to the horizon 3 n
-    for n in sorted({n for _, n in instances}):
-        xs = [x for x, d in instances if d == n]
-        deep[n] = iter(hyperbolic_times_batch(m, xs,
-                                              replace(params, n_max=3 * n)))
+    # the second depth is the first hyperbolic time in [1.8 n, 2.2 n]:
+    # the first time past ceil(1.8 n) - 1, when it is at most 2.2 n
+    depths = sorted({n for _, n in instances})
+    _, after = straddling_times(m, [x for x, _ in instances], params,
+                                [math.ceil(1.8 * n) - 1 for n in depths])
     ratios = []
     for i, (x, n) in enumerate(instances):
-        twos = [t for t in next(deep[n]) if 1.8 * n <= t <= 2.2 * n]
-        if not twos:
+        n2 = int(after[depths.index(n), i])
+        if not 0 < n2 <= 2.2 * n:
             continue
         k1 = distortion_estimate(m, pot, x, n, pairs, d1, cfg.seed + i)
-        k2 = distortion_estimate(m, pot, x, int(twos[0]), pairs, d1,
-                                 cfg.seed + 50021 + i)
+        k2 = distortion_estimate(m, pot, x, n2, pairs, d1, cfg.seed + 50021 + i)
         ratios.append(max(k1 / k2, k2 / k1))
     if not ratios:
         raise SamplingError(

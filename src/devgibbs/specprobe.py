@@ -38,7 +38,6 @@ class ExactnessResult:
     found: bool
     n: Optional[int]
     residual: float  # uncovered length at the cap when not found
-    per_probe: list  # (probe point, cover depth or None)
 
 
 def exactness_time(m: MapSystem, eps: float, probe_points: Sequence[float],
@@ -47,7 +46,6 @@ def exactness_time(m: MapSystem, eps: float, probe_points: Sequence[float],
     if m.branches is None:
         raise CapabilityError(f"{m.label}: no branch structure")
     worst: Optional[int] = 0
-    per = []
     residual = 0.0
     for x in probe_points:
         u = m.branches.ball(float(x), eps)
@@ -57,7 +55,6 @@ def exactness_time(m: MapSystem, eps: float, probe_points: Sequence[float],
                 depth = n
                 break
             u = m.branches.image(u)
-        per.append((float(x), depth))
         if depth is None:
             worst = None
             residual = max(residual,
@@ -65,9 +62,8 @@ def exactness_time(m: MapSystem, eps: float, probe_points: Sequence[float],
         elif worst is not None:
             worst = max(worst, depth)
     if worst is None:
-        return ExactnessResult(found=False, n=None, residual=residual,
-                               per_probe=per)
-    return ExactnessResult(found=True, n=worst, residual=0.0, per_probe=per)
+        return ExactnessResult(found=False, n=None, residual=residual)
+    return ExactnessResult(found=True, n=worst, residual=0.0)
 
 
 @dataclass(frozen=True)

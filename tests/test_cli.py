@@ -444,12 +444,13 @@ def test_no_hyperbolic_time_in_depth_window(tmp_path, kind):
 
 def test_distortion_without_time_near_twice_depth(tmp_path, monkeypatch):
     # a map whose hyperbolic times stop at depth_hi: none lies near 2n
-    real = run_mod.hyperbolic_times_batch
+    real = run_mod.straddling_times
 
-    def capped(m, xs, params):
-        return [times[times <= 12] for times in real(m, xs, params)]
+    def capped(m, xs, params, n_grid):
+        before, after = real(m, xs, params, n_grid)
+        return before, after * (after <= 12)
 
-    monkeypatch.setattr(run_mod, "hyperbolic_times_batch", capped)
+    monkeypatch.setattr(run_mod, "straddling_times", capped)
     msg = _stage_error(tmp_path,
                        HYPERBOLIC_RUN.format(kind="distortion", n_max=100))
     assert "twice its depth" in msg
@@ -562,6 +563,22 @@ def test_family_parameter_out_of_range_is_a_config_error(tmp_path):
         res = CliRunner().invoke(main, [command, str(cfg)])
         assert res.exit_code == 1, res.output
         assert "config error: quadratic parameter a=3.0" in res.output
+
+
+@pytest.mark.parametrize("kind", ["spec", "gibbs"])
+def test_n_max_of_a_gap_scan_kind_is_a_config_error(tmp_path, kind):
+    # spec and gibbs scan to gap_horizon(max n), whatever n_max says
+    out = tmp_path / "out"
+    cfg = tmp_path / "gap.cfg"
+    cfg.write_text(f"family = doubling\nkind = {kind}\nseed = 3\n"
+                   f"out = {out}\n\n[hyperbolic]\nn_max = 100\n")
+    for command in ("validate", "run"):
+        res = CliRunner().invoke(main, [command, str(cfg)])
+        assert res.exit_code == 1, res.output
+        assert (f"config error: [hyperbolic] n_max is not read by "
+                f"kind = {kind}") in res.output
+        assert "1.5 max n + 50" in res.output
+    assert not out.exists()
 
 
 def test_deviation_tail_rate_measure(tmp_path):

@@ -253,19 +253,9 @@ def test_batch_scan_matches_single_scans(name, us, n_max, n):
             assert (n in times) == hyp.naive_is_hyperbolic_time(m, x, n, p)
 
 
-def test_batch_scan_blocks_join_in_order(pe4, monkeypatch):
-    xs = np.random.default_rng(5).random(11)
-    p = hyp.default_params(pe4, n_max=200)
-    whole = hyp.hyperbolic_times_batch(pe4, xs, p)
-    monkeypatch.setattr(hyp, "CHUNK", 4)
-    for a, b in zip(whole, hyp.hyperbolic_times_batch(pe4, xs, p)):
-        assert np.array_equal(a, b)
-
-
-def test_batch_scan_names_singular_start_point(quadratic, monkeypatch):
+def test_batch_scan_names_singular_start_point(quadratic):
     # 1 - 2 x^2 maps 2^-1/2 to the critical point 0 up to rounding
     p = hyp.default_params(quadratic, n_max=20)
-    monkeypatch.setattr(hyp, "CHUNK", 2)
     with pytest.raises(SingularityError, match="start point 3 .* index 1"):
         hyp.hyperbolic_times_batch(quadratic, [0.3, 0.2, 0.7, 2 ** -0.5], p)
 
@@ -319,6 +309,16 @@ def _halving():
                      step=lambda x: np.asarray(x, dtype=float) / 2,
                      deriv=lambda x: np.where(np.asarray(x) >= 0.5, 4.0, 0.5),
                      crit_dist=lambda x: np.abs(np.asarray(x, dtype=float)))
+
+
+def test_default_params_are_keyed_on_the_family():
+    # doubling is a perturbed_expanding map and shares its defaults
+    for m in FAMILIES.values():
+        assert hyp.default_params(m) == hyp.HyperbolicParams(
+            n_max=1000, **hyp.DEFAULT_PARAMS[m.family])
+    assert FAMILIES["doubling"].family == "perturbed_expanding"
+    with pytest.raises(ConfigError, match="halving has no default"):
+        hyp.default_params(_halving())
 
 
 def test_first_times_name_singular_start_point_after_retiring():

@@ -8,6 +8,13 @@ from devgibbs.dynamics import evaluate, orbit
 from devgibbs.errors import CapabilityError, ConfigError, ParameterError
 
 
+def test_family_defaults_are_constructor_keywords():
+    assert maps.family_defaults("perturbed_expanding") == {"d": 4, "a": 0.55}
+    assert maps.family_defaults("doubling") == {}
+    pe = maps.make_family("perturbed_expanding", {"a": 0.3})
+    assert pe.params["d"] == 4.0 and pe.params["a"] == 0.3
+
+
 def test_quadratic_values():
     q = maps.make_quadratic(2.0)
     assert evaluate(q, 0.6) == pytest.approx(0.28)

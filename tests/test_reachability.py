@@ -101,3 +101,29 @@ def test_allowed_names_exist_and_are_unreached():
     # exists, is a stale exemption
     assert sorted(ALLOWED) == sorted(
         name for name in unreached_names() if name in ALLOWED)
+
+
+def _scanner_steps(tree):
+    """(enclosing function, method) of each ``.advance()``/``.retire()``."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("advance", "retire")):
+            out.append((func, node.func.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+def test_only_scan_steps_the_hyperbolic_scanner():
+    # one loop steps and retires scanned points; every time query reads it
+    steps = {(path.stem, func, method)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for func, method in _scanner_steps(ast.parse(path.read_text()))}
+    assert steps == {("hyperbolic", "_scan", "advance"),
+                     ("hyperbolic", "_scan", "retire")}
