@@ -209,6 +209,16 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"[hyperbolic] n_max is not read by kind = {kind}: its scans "
             f"run to gap_horizon(max n) = 1.5 max n + 50; remove the key")
+    # kinds that scan only on a key of their own section: tail_rate or beta
+    own = sections.get(kind, {})
+    unread = {"entropy": "it runs no hyperbolic-time scan",
+              "deviation": "it scans only with tail_rate = measure",
+              "gibbs": "it scans only when [gibbs] beta is set"}
+    if (sections.get("hyperbolic") and kind in unread
+            and own.get("tail_rate") != "measure" and "beta" not in own):
+        raise ConfigError(
+            f"[hyperbolic] {next(iter(sections['hyperbolic']))} is not read "
+            f"by kind = {kind}: {unread[kind]}; remove the key")
     if samples is not None and samples < 1:
         raise ConfigError("samples must be positive")
 

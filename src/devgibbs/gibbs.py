@@ -53,7 +53,7 @@ def ball_measure(m: MapSystem, sampler, spec: BallSpec, samples: int,
         total = cur.shape[0]
         for j in range(spec.n + 1):
             ok = m.domain.distance(cur, center_orbit[j]) <= spec.eps
-            cur = cur[ok] if m.domain.ndim == 1 else cur[ok, :]
+            cur = cur[ok]
             if cur.size == 0:
                 break
             if j < spec.n:
@@ -124,7 +124,7 @@ def subexp_check(m: MapSystem, potential: PotentialModel, sampler, n_grid,
     per_point = []
     flagged = 0
     for pid in range(n_points):
-        x = pts[pid] if m.domain.ndim == 1 else pts[pid, :]
+        x = pts[pid]
         ks = {}
         bad = False
         for n in n_grid:

@@ -14,15 +14,16 @@ time.  Boundary comparisons are inclusive up to a 1e-12 relative
 tolerance (product side) and a 1e-9 index tolerance (recurrence side),
 ties resolving in favour of acceptance.
 
-One generator, ``_scan``, steps a batch of start points, yields at each
-n the points for which n is a hyperbolic time and, once n is past its
-``settle`` time, retires them: they are no longer stepped or checked
-against the critical set.  Every time query reads it:
-``hyperbolic_times_batch`` retires no point (``hyperbolic_times`` is a
-batch of one), ``first_times_batch`` retires each point at its first
-time, and ``straddling_times`` (the times on either side of each n of a
-grid, which specification, the Delta_n set and distortion read) at its
-first time past the grid.
+One generator, ``_scan``, holds the whole scan state.  It steps a batch
+of start points, yields at each n the points for which n is a hyperbolic
+time and, once n is past its ``settle`` time, retires them before the
+next step: they are no longer stepped or checked against the critical
+set.  Every time query reads it: ``hyperbolic_times`` (all times of one
+point up to the horizon) retires no point, ``first_times_batch`` retires
+each point at its first time, ``straddling_times`` (the times on either
+side of each n of a grid, which specification, the Delta_n set and
+distortion read) at its first time past the grid, and ``sample_anchors``
+scans each block of candidates only to the top of its depth window.
 """
 
 from __future__ import annotations
@@ -90,53 +91,6 @@ class HyperbolicTimeRecord:
         return None if self.none_found else int(self.times[0])
 
 
-class _Scanner:
-    """Vectorized incremental detector over a batch of start points.
-
-    ``live`` holds the index in the batch of each point still scanned.
-    """
-
-    def __init__(self, m: MapSystem, x, params: HyperbolicParams):
-        self.m = m
-        self.params = params
-        self.cur = np.asarray(m.domain.require(x), dtype=float)  # a new array
-        batch = self.cur.shape[:-1] if m.domain.ndim == 2 else self.cur.shape
-        self.prefix = np.zeros(batch)
-        self.runmin = np.zeros(batch)
-        self.thresh = np.full(batch, -np.inf)
-        self.live = np.arange(self.prefix.size)
-        self.log_sigma = np.log(params.sigma)
-        self.n = 0
-
-    def advance(self):
-        """Move to time n+1 and return the hyperbolicity mask at that time."""
-        m, p = self.m, self.params
-        n = self.n + 1
-        dist = np.asarray(m.crit_dist(self.cur), dtype=float)
-        if np.any(dist < NEAR_CRITICAL_TOL):
-            point = int(self.live[dist < NEAR_CRITICAL_TOL][0])
-            raise SingularityError(
-                f"orbit of start point {point} hit the critical set at "
-                f"index {n - 1}", index=n - 1)
-        trunc = np.where(dist < p.delta, dist, 1.0)
-        t = (n - 1) + (-np.log(trunc)) / (p.b * self.log_sigma)
-        np.maximum(self.thresh, t, out=self.thresh)
-        self.prefix = (self.prefix + self.log_sigma
-                       + np.log(1.0 / jacobian_data(m, self.cur)[0]))
-        tol = 1e-12 * np.maximum(1.0, np.abs(self.runmin))
-        ok = (self.prefix <= self.runmin + tol) & (n > self.thresh - _INDEX_TOL)
-        np.minimum(self.runmin, self.prefix, out=self.runmin)
-        self.cur = m.step(self.cur)
-        self.n = n
-        return ok
-
-    def retire(self, done):
-        """Stop scanning the points of the boolean mask ``done``."""
-        self.cur, self.prefix, self.runmin, self.thresh, self.live = (
-            a[~done] for a in (self.cur, self.prefix, self.runmin,
-                               self.thresh, self.live))
-
-
 def _scan(m: MapSystem, xs, params: HyperbolicParams, settle: int,
           horizon: int):
     """Yield ``(n, hit)`` for n = 1..horizon, ``hit`` the indices into
@@ -146,29 +100,40 @@ def _scan(m: MapSystem, xs, params: HyperbolicParams, settle: int,
     when no point is left.  A ``SingularityError`` names the index of the
     start point whose orbit hit the critical set.
     """
-    scan = _Scanner(m, np.asarray(xs, dtype=float), params)
+    cur = m.domain.require(np.asarray(xs, dtype=float))
+    batch = cur.shape[:-1] if m.domain.ndim == 2 else cur.shape
+    prefix, runmin = np.zeros(batch), np.zeros(batch)
+    thresh = np.full(batch, -np.inf)
+    live = np.arange(prefix.size)  # the index in xs of each scanned point
+    log_sigma = np.log(params.sigma)
     for n in range(1, horizon + 1):
-        ok = scan.advance()
-        yield n, scan.live[ok]
+        dist = np.asarray(m.crit_dist(cur), dtype=float)
+        if np.any(dist < NEAR_CRITICAL_TOL):
+            point = int(live[dist < NEAR_CRITICAL_TOL][0])
+            raise SingularityError(
+                f"orbit of start point {point} hit the critical set at "
+                f"index {n - 1}", index=n - 1)
+        trunc = np.where(dist < params.delta, dist, 1.0)
+        t = (n - 1) + (-np.log(trunc)) / (params.b * log_sigma)
+        np.maximum(thresh, t, out=thresh)
+        prefix = prefix + log_sigma + np.log(1.0 / jacobian_data(m, cur)[0])
+        tol = 1e-12 * np.maximum(1.0, np.abs(runmin))
+        ok = (prefix <= runmin + tol) & (n > thresh - _INDEX_TOL)
+        np.minimum(runmin, prefix, out=runmin)
+        yield n, live[ok]
         if n > settle:
-            scan.retire(ok)
-            if not scan.live.size:
+            cur, prefix, runmin, thresh, live = (
+                a[~ok] for a in (cur, prefix, runmin, thresh, live))
+            if not live.size:
                 return
-
-
-def hyperbolic_times_batch(m: MapSystem, xs, params: HyperbolicParams) -> list:
-    """The sorted hyperbolic times up to the horizon of each point of xs."""
-    hits = np.zeros((params.n_max, len(xs)), dtype=bool)
-    for n, hit in _scan(m, xs, params, params.n_max, params.n_max):
-        hits[n - 1, hit] = True
-    point, step = np.nonzero(hits.T)
-    ends = np.cumsum(np.bincount(point, minlength=len(xs)))
-    return np.split(step + 1, ends[:-1]) if len(xs) else []
+        cur = m.step(cur)
 
 
 def hyperbolic_times(m: MapSystem, x, params: HyperbolicParams) -> HyperbolicTimeRecord:
     """All hyperbolic times of x up to the horizon: a batch of one."""
-    times = hyperbolic_times_batch(m, [x], params)[0]
+    times = np.array([n for n, hit in _scan(m, [x], params, params.n_max,
+                                            params.n_max) if hit.size],
+                     dtype=np.int64)
     return HyperbolicTimeRecord(x=x, times=times, n_max=params.n_max,
                                 none_found=len(times) == 0)
 
@@ -209,17 +174,23 @@ def sample_anchors(m: MapSystem, draw, params: HyperbolicParams, lo: int,
     ``draw()`` gives one candidate at a time, so the random stream does not
     depend on the scan blocks, which start at the number of anchors still
     wanted and double when one falls short.  Returns the anchors and the
-    number of candidates examined, at most ``limit``.
+    number of candidates examined, at most ``limit``.  The scan stops at
+    ``min(hi, params.n_max)``: a later critical-set hit does not fail it.
     """
+    top = min(hi, params.n_max)
     anchors, tried, size = [], 0, 0
     while len(anchors) < want and tried < limit:
         size = min(limit - tried, max(want - len(anchors), 2 * size))
         xs = [draw() for _ in range(size)]
-        for x, times in zip(xs, hyperbolic_times_batch(m, xs, params)):
+        hits = np.zeros((max(top - lo + 1, 0), size), dtype=bool)
+        for n, hit in _scan(m, xs, params, top, top):
+            if n >= lo:
+                hits[n - lo, hit] = True
+        for x, col in zip(xs, hits.T):
             tried += 1
-            cand = times[(times >= lo) & (times <= hi)]
+            cand = np.flatnonzero(col)
             if len(cand):
-                anchors.append((x, int(cand[len(cand) // 2])))
+                anchors.append((x, lo + int(cand[len(cand) // 2])))
                 if len(anchors) == want:
                     break
     return anchors, tried

@@ -194,10 +194,7 @@ def _covering_direct(m, pts, n, eps, need):
     npts = pts.shape[0]
     member = np.empty((npts, npts), dtype=bool)
     for i in range(npts):
-        if m.domain.ndim == 1:
-            dev = np.max(m.domain.distance(orb[:, i:i + 1], orb), axis=0)
-        else:
-            dev = np.max(m.domain.distance(orb[:, i:i + 1, :], orb), axis=0)
+        dev = np.max(m.domain.distance(orb[:, i:i + 1], orb), axis=0)
         member[i] = dev <= eps
     alive = np.ones(npts, dtype=bool)
     gain = member.sum(axis=1)  # member @ alive

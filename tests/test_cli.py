@@ -581,6 +581,38 @@ def test_n_max_of_a_gap_scan_kind_is_a_config_error(tmp_path, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family,kind,body,condition", [
+    ("doubling", "entropy", "", "it runs no hyperbolic-time scan"),
+    ("doubling", "deviation",
+     "g = indicator_half\nc = 0.7\nn = [8, 12]\ntail_rate = neg_inf\n",
+     "it scans only with tail_rate = measure"),
+    ("manneville_pomeau", "gibbs", "eps = 0.05\nn_grid = [2, 4]\n",
+     "it scans only when [gibbs] beta is set"),
+])
+def test_unread_hyperbolic_keys_are_a_config_error(tmp_path, family, kind,
+                                                   body, condition):
+    # these runs write the same bytes with and without the keys
+    out = tmp_path / "out"
+    cfg = tmp_path / "unread.cfg"
+    cfg.write_text(f"family = {family}\nkind = {kind}\nseed = 3\n"
+                   f"samples = 5000\nout = {out}\n\n[{kind}]\n{body}\n"
+                   f"[hyperbolic]\nsigma = 1.9\ndelta = 0.3\nb = 0.1\n")
+    for command in ("validate", "run"):
+        res = CliRunner().invoke(main, [command, str(cfg)])
+        assert res.exit_code == 1, res.output
+        assert (f"config error: [hyperbolic] sigma is not read by "
+                f"kind = {kind}: {condition}") in res.output
+    assert not out.exists()
+
+
+def test_hyperbolic_keys_of_a_scanning_run_validate():
+    dev = TINY_RUN.replace("tail_rate = neg_inf", "tail_rate = measure")
+    gibbs = "family = doubling\nkind = gibbs\nseed = 3\n\n[gibbs]\nbeta = 3\n"
+    for text in (dev, gibbs):
+        cfg = parse_config(text + "\n[hyperbolic]\nsigma = 1.9\n")
+        assert cfg.section("hyperbolic") == {"sigma": 1.9}
+
+
 def test_deviation_tail_rate_measure(tmp_path):
     # the bound's tail rate is read off a first-time tail of a tenth of the
     # samples, at the run's seed and hyperbolic parameters

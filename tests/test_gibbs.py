@@ -9,6 +9,7 @@ from devgibbs.dynamics import MapSystem, PotentialModel
 from devgibbs.domain import Interval
 from devgibbs.metric import BallSpec
 from devgibbs.sampling import UniformSampler, sample_chunks
+from helpers import all_times
 
 
 def log2_potential():
@@ -115,8 +116,7 @@ def _reference_delta_rows(m, params, n_grid, samples, seed, c_beta):
     viol, cens = [0] * len(n_grid), 0
     for _, pts in sample_chunks(UniformSampler(m.domain), samples, seed,
                                 "delta"):
-        full = hyp.hyperbolic_times_batch(m, pts,
-                                          replace(params, n_max=horizon))
+        full = all_times(m, pts, replace(params, n_max=horizon))
         for times in full:
             for gi, gn in enumerate(n_grid):
                 before, after = times[times <= gn], times[times > gn]

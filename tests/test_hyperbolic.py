@@ -12,7 +12,7 @@ from devgibbs.domain import Interval
 from devgibbs.dynamics import MapSystem
 from devgibbs.errors import ConfigError, SingularityError
 from devgibbs.sampling import UniformSampler
-from helpers import combined_se
+from helpers import all_times, combined_se
 
 
 def params(sigma=1.4, delta=0.1, b=0.25, n_max=100):
@@ -242,9 +242,9 @@ def test_batch_scan_matches_single_scans(name, us, n_max, n):
         except SingularityError:
             # an orbit through the critical set fails the whole batch
             with pytest.raises(SingularityError):
-                hyp.hyperbolic_times_batch(m, xs, p)
+                all_times(m, xs, p)
             return
-    batch = hyp.hyperbolic_times_batch(m, xs, p)
+    batch = all_times(m, xs, p)
     assert len(batch) == len(xs)
     for x, times, single in zip(xs, batch, singles):
         assert np.array_equal(times, single)
@@ -257,20 +257,16 @@ def test_batch_scan_names_singular_start_point(quadratic):
     # 1 - 2 x^2 maps 2^-1/2 to the critical point 0 up to rounding
     p = hyp.default_params(quadratic, n_max=20)
     with pytest.raises(SingularityError, match="start point 3 .* index 1"):
-        hyp.hyperbolic_times_batch(quadratic, [0.3, 0.2, 0.7, 2 ** -0.5], p)
+        all_times(quadratic, [0.3, 0.2, 0.7, 2 ** -0.5], p)
 
 
 
 
 def _eager_first_times(m, xs, p):
     """Reference loop: every point is stepped until the last first time."""
-    scan = hyp._Scanner(m, np.asarray(xs, dtype=float), p)
-    first = np.zeros(scan.prefix.shape, dtype=np.int64)
-    for n in range(1, p.n_max + 1):
-        ok = scan.advance()
-        newly = ok & (first == 0)
-        if np.any(newly):
-            first[newly] = n
+    first = np.zeros(len(xs), dtype=np.int64)
+    for n, hit in hyp._scan(m, xs, p, p.n_max, p.n_max):
+        first[hit[first[hit] == 0]] = n
         if np.all(first > 0):
             break
     return first
@@ -343,7 +339,7 @@ def test_point_with_first_time_is_not_checked_for_singularity(quadratic):
     with pytest.raises(SingularityError, match="start point 1 .* index 1"):
         _eager_first_times(quadratic, xs, p)
     with pytest.raises(SingularityError, match="start point 1 .* index 1"):
-        hyp.hyperbolic_times_batch(quadratic, xs, p)
+        all_times(quadratic, xs, p)
 
 
 @given(st.sampled_from(["quadratic", "manneville_pomeau",
@@ -400,3 +396,13 @@ def test_sample_anchors_match_one_candidate_at_a_time(quadratic):
             if cand:
                 ref.append((x, int(cand[len(cand) // 2])))
         assert got == ref and tried == guard
+
+
+def test_sample_anchors_scan_only_their_depth_window():
+    # 0.9 has the time 1 in [1, 2]; 1e-13 halves below the critical
+    # tolerance at orbit index 4, past the window, so it is not refused
+    draws = iter([0.9, 1e-13])
+    got = hyp.sample_anchors(_halving(), draws.__next__,
+                             hyp.HyperbolicParams(1.4, 0.1, 0.25, 10),
+                             1, 2, 2, 2)
+    assert got == ([(0.9, 1)], 2)

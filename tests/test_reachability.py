@@ -103,16 +103,16 @@ def test_allowed_names_exist_and_are_unreached():
         name for name in unreached_names() if name in ALLOWED)
 
 
-def _scanner_steps(tree):
-    """(enclosing function, method) of each ``.advance()``/``.retire()``."""
+def _step_sites(tree):
+    """Dotted name of the function around each ``.step(...)`` call."""
     out = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
+            func = f"{func}.{node.name}" if func else node.name
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("advance", "retire")):
-            out.append((func, node.func.attr))
+                and node.func.attr == "step"):
+            out.append(func)
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
@@ -120,10 +120,11 @@ def _scanner_steps(tree):
     return out
 
 
-def test_only_scan_steps_the_hyperbolic_scanner():
-    # one loop steps and retires scanned points; every time query reads it
-    steps = {(path.stem, func, method)
-             for path in sorted(PACKAGE.glob("*.py"))
-             for func, method in _scanner_steps(ast.parse(path.read_text()))}
-    assert steps == {("hyperbolic", "_scan", "advance"),
-                     ("hyperbolic", "_scan", "retire")}
+def test_only_the_stepping_loops_call_step():
+    # one scan loop steps hyperbolic-time candidates; the other sites are
+    # the orbit kernels and the Birkhoff and ball-mass walks
+    sites = {(path.stem, func) for path in sorted(PACKAGE.glob("*.py"))
+             for func in _step_sites(ast.parse(path.read_text()))}
+    assert sites == {("dynamics", "evaluate"), ("dynamics", "orbit"),
+                     ("deviation", "_birkhoff_walk"),
+                     ("gibbs", "ball_measure.job"), ("hyperbolic", "_scan")}
