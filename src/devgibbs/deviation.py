@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MapSystem, Observable
+from .dynamics import MapSystem, Observable, check_float_horizon
 from .errors import ConfigError, RangeError
 from .sampling import parallel_chunk_map, sample_chunks
 from .stats import OLSFit, ols_fit, wilson_ci
@@ -63,18 +63,7 @@ class DeviationExperiment:
             raise ConfigError(f"samples={self.samples} below minimum {MIN_SAMPLES}")
         if self.direction not in ("ge", "gt"):
             raise ConfigError("direction must be 'ge' or 'gt'")
-        _check_float_horizon(self.map, grid[-1], "n")
-
-
-def _check_float_horizon(m: MapSystem, n: int, setting: str):
-    """Refuse orbit lengths past the map's floating-point horizon."""
-    h = m.float_horizon
-    if h is not None and n > h:
-        raise ConfigError(
-            f"{setting}={n} exceeds the floating-point horizon "
-            f"{math.floor(h)} of {m.label}: the d x mod 1 coordinate of a "
-            f"double-precision orbit collapses to 0 by then; lower {setting} "
-            f"to at most {math.floor(h)}")
+        check_float_horizon(self.map, grid[-1], "n")
 
 
 def _birkhoff_walk(m: MapSystem, g, pts, n_grid):
@@ -181,7 +170,7 @@ def free_energy_table(m: MapSystem, sampler, g, t_grid, n: int, samples: int,
     """
     if n < 1:
         raise ConfigError(f"free-energy depth n={n} must be >= 1")
-    _check_float_horizon(m, n, "fe_n")
+    check_float_horizon(m, n, "fe_n")
     ts = np.asarray(list(t_grid), dtype=float)
 
     def job(idx, pts):

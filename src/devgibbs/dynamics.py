@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EvaluationError, SingularityError
+from .errors import ConfigError, EvaluationError, SingularityError
 
 NEAR_CRITICAL_TOL = 1e-14
 
@@ -68,6 +68,17 @@ class MapSystem:
 
     def __call__(self, x):
         return evaluate(self, x)
+
+
+def check_float_horizon(m: MapSystem, n: int, setting: str):
+    """Refuse orbit lengths past the map's floating-point horizon."""
+    h = m.float_horizon
+    if h is not None and n > h:
+        raise ConfigError(
+            f"{setting}={n} exceeds the floating-point horizon "
+            f"{math.floor(h)} of {m.label}: the d x mod 1 coordinate of a "
+            f"double-precision orbit collapses to 0 by then; lower {setting} "
+            f"to at most {math.floor(h)}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,11 @@ One generator, ``_scan``, holds the whole scan state.  It steps a batch
 of start points, yields at each n the points for which n is a hyperbolic
 time and, once n is past its ``settle`` time, retires them before the
 next step: they are no longer stepped or checked against the critical
-set.  Every time query reads it: ``hyperbolic_times`` (all times of one
+set.  Points retire by index, from one packed state array, and only at
+a step where some point retires; only the points nearer than delta to
+the critical set update their recurrence threshold (a farther point
+adds n - 1, which never blocks n); no step is taken past the horizon.
+Every time query reads it: ``hyperbolic_times`` (all times of one
 point up to the horizon) retires no point, ``first_times_batch`` retires
 each point at its first time, ``straddling_times`` (the times on either
 side of each n of a grid, which specification, the Delta_n set and
@@ -97,35 +101,46 @@ def _scan(m: MapSystem, xs, params: HyperbolicParams, settle: int,
     ``xs`` of the points for which n is a hyperbolic time.
 
     Once n > ``settle`` the points in ``hit`` leave the scan, which ends
-    when no point is left.  A ``SingularityError`` names the index of the
-    start point whose orbit hit the critical set.
+    when no point is left or, without a further step, at n = ``horizon``.
+    A ``SingularityError`` names the start point whose orbit hit the
+    critical set.
     """
     cur = m.domain.require(np.asarray(xs, dtype=float))
-    batch = cur.shape[:-1] if m.domain.ndim == 2 else cur.shape
-    prefix, runmin = np.zeros(batch), np.zeros(batch)
-    thresh = np.full(batch, -np.inf)
-    live = np.arange(prefix.size)  # the index in xs of each scanned point
+    live = np.arange(len(cur))  # the index in xs of each scanned point
+    # prefix sums, their running minimum, recurrence threshold - _INDEX_TOL
+    state = np.repeat([[0.0], [0.0], [-np.inf]], live.size, axis=1)
+    prefix, runmin, block = state
     log_sigma = np.log(params.sigma)
     for n in range(1, horizon + 1):
         dist = np.asarray(m.crit_dist(cur), dtype=float)
-        if np.any(dist < NEAR_CRITICAL_TOL):
+        low = dist.min(initial=np.inf)
+        if low < NEAR_CRITICAL_TOL:
             point = int(live[dist < NEAR_CRITICAL_TOL][0])
             raise SingularityError(
                 f"orbit of start point {point} hit the critical set at "
                 f"index {n - 1}", index=n - 1)
-        trunc = np.where(dist < params.delta, dist, 1.0)
-        t = (n - 1) + (-np.log(trunc)) / (params.b * log_sigma)
-        np.maximum(thresh, t, out=thresh)
-        prefix = prefix + log_sigma + np.log(1.0 / jacobian_data(m, cur)[0])
-        tol = 1e-12 * np.maximum(1.0, np.abs(runmin))
-        ok = (prefix <= runmin + tol) & (n > thresh - _INDEX_TOL)
+        if low < params.delta:
+            # truncated to 1 at dist >= delta, the threshold n - 1 blocks no n
+            near = np.flatnonzero(dist < params.delta)
+            t = (n - 1) + (-np.log(dist[near])) / (params.b * log_sigma)
+            block[near] = np.maximum(block[near], t - _INDEX_TOL)
+        inv = 1.0 / jacobian_data(m, cur)[0]
+        prefix += log_sigma
+        prefix += np.log(inv, out=inv)
+        tol = np.maximum(np.abs(runmin), 1.0)
+        tol *= 1e-12
+        tol += runmin
+        ok = prefix <= tol
+        ok &= block < n
         np.minimum(runmin, prefix, out=runmin)
-        yield n, live[ok]
-        if n > settle:
-            cur, prefix, runmin, thresh, live = (
-                a[~ok] for a in (cur, prefix, runmin, thresh, live))
-            if not live.size:
-                return
+        hit = np.flatnonzero(ok)
+        yield n, live[hit]
+        if n > settle and hit.size:
+            keep = np.flatnonzero(np.logical_not(ok, out=ok))
+            cur, live, state = cur[keep], live[keep], state.take(keep, axis=1)
+            prefix, runmin, block = state
+        if n == horizon or not live.size:
+            return
         cur = m.step(cur)
 
 
@@ -229,13 +244,15 @@ def straddling_times(m: MapSystem, xs, params: HyperbolicParams, n_grid):
     before = np.zeros((len(grid), len(xs)), dtype=np.int64)
     after = np.zeros_like(before)
     last = np.zeros(len(xs), dtype=np.int64)
+    stops = set(grid.tolist())
     for n, hit in _scan(m, xs, params, top, gap_horizon(top)):
         if hit.size:
             last[hit] = n
             cols = after[:, hit]
             cols[(cols == 0) & (grid < n)[:, None]] = n
             after[:, hit] = cols
-        before[grid == n] = last
+        if n in stops:
+            before[grid == n] = last
     return before, after
 
 

@@ -29,7 +29,7 @@ from . import __version__
 from .config import CHECKS, ExperimentConfig
 from .deviation import (DeviationExperiment, bound_report, free_energy_table,
                         legendre_rate, rate_curve, rate_estimate)
-from .dynamics import PotentialModel
+from .dynamics import PotentialModel, check_float_horizon
 from .errors import ConfigError, DevgibbsError, SamplingError
 from .gibbs import delta_set_rate, subexp_check
 from .hyperbolic import (classify_tail, default_params, sample_anchors,
@@ -102,12 +102,13 @@ def run(cfg: ExperimentConfig, out_dir=None, workers=None) -> RunManifest:
         raise ConfigError(f"worker count {workers} must be >= 1")
     m = make_family(cfg.family, cfg.map_params)
     out = out_dir or cfg.out
-    os.makedirs(out, exist_ok=True)
     earlier = _manifest_files(out)
     t0 = time.time()
     files = {}
 
     def emit(name, text):
+        # a stage that refuses its settings before it emits leaves no directory
+        os.makedirs(out, exist_ok=True)
         data = text.encode()
         files[name] = hashlib.sha256(data).hexdigest()
         with open(os.path.join(out, name), "wb") as fh:
@@ -209,8 +210,10 @@ def _run_deviation(cfg, m, sampler, workers, emit):
 
 
 def _run_tail(cfg, m, sampler, workers, emit):
-    tc = tail_curve(m, sampler, _hyper_params(cfg, m), cfg.samples or 100000,
-                    cfg.seed, workers=workers)
+    params = _hyper_params(cfg, m)
+    check_float_horizon(m, params.n_max, "n_max")
+    tc = tail_curve(m, sampler, params, cfg.samples or 100000, cfg.seed,
+                    workers=workers)
     emit("tail.csv", csv_text(
         ["n", "survivors", "fraction", "ci_low", "ci_high"],
         zip(tc.n, tc.survivors, tc.fraction, tc.ci_low, tc.ci_high)))

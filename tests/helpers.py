@@ -1,5 +1,7 @@
 """Helpers shared by the test modules."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from devgibbs import hyperbolic as hyp
@@ -20,3 +22,15 @@ def all_times(m, xs, params):
         for i in hit:
             times[i].append(n)
     return [np.array(t, dtype=np.int64) for t in times]
+
+
+def count_steps(m):
+    """A copy of m whose ``step`` appends the number of points of each call
+    to the returned list: its length counts calls, its sum point-steps."""
+    sizes = []
+
+    def step(x):
+        sizes.append(np.shape(x)[0] if np.ndim(x) else 1)
+        return m.step(x)
+
+    return replace(m, step=step), sizes

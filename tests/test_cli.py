@@ -154,6 +154,16 @@ def test_run_determinism_across_workers(tmp_path):
     assert digests[0] == digests[1]
 
 
+@pytest.mark.parametrize("name", ["tail_quadratic.cfg", "spec_doubling.cfg"])
+def test_scan_configs_are_worker_invariant(tmp_path, name):
+    # the bundled configs that read the hyperbolic-time scan
+    from importlib import resources
+    text = (resources.files("devgibbs") / "configs" / name).read_text()
+    files = [run_mod.run(parse_config(text), out_dir=str(tmp_path / f"w{w}"),
+                         workers=w).files for w in (1, 2)]
+    assert files[0] == files[1]
+
+
 def test_run_check_failure_exit_code(tmp_path):
     out = tmp_path / "out"
     cfg = tmp_path / "failing.cfg"
@@ -407,6 +417,37 @@ def test_viana_deviation_past_float_horizon(tmp_path):
     assert res.exit_code == 1
     assert "n=16 exceeds" in res.output
     assert "lower n to at most 13" in res.output
+
+
+VIANA_TAIL = """\
+family = viana
+kind = tail
+seed = 7
+samples = 20000
+out = {out}
+
+[hyperbolic]
+n_max = {n_max}
+
+[tail]
+window = [1, 12]
+"""
+
+
+def test_viana_tail_past_float_horizon(tmp_path):
+    # from step 14 on the base angle of every orbit is exactly 0
+    out = tmp_path / "out"
+    cfg = tmp_path / "viana.cfg"
+    cfg.write_text(VIANA_TAIL.format(out=out, n_max=300))
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 1
+    assert "n_max=300 exceeds the floating-point horizon 13" in res.output
+    assert "lower n_max to at most 13" in res.output
+    assert not out.exists()
+    cfg.write_text(VIANA_TAIL.format(out=out, n_max=12))
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 0, res.output
+    assert (out / "tail_fit.json").is_file()
 
 
 HYPERBOLIC_RUN = """\

@@ -12,7 +12,7 @@ from devgibbs.domain import Interval
 from devgibbs.dynamics import MapSystem
 from devgibbs.errors import ConfigError, SingularityError
 from devgibbs.sampling import UniformSampler
-from helpers import all_times, combined_se
+from helpers import all_times, combined_se, count_steps
 
 
 def params(sigma=1.4, delta=0.1, b=0.25, n_max=100):
@@ -260,6 +260,47 @@ def test_batch_scan_names_singular_start_point(quadratic):
         all_times(quadratic, [0.3, 0.2, 0.7, 2 ** -0.5], p)
 
 
+@given(st.sampled_from(sorted(FAMILIES)),
+       st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                          st.floats(0.0, 1.0, exclude_max=True)),
+                min_size=1, max_size=4),
+       st.integers(1, 40), st.sampled_from([None, 2.0]))
+# x = 0.70534 maps to 0.0050, inside the default delta 0.01 of quadratic
+@example("quadratic", [((1 + 0.70534) / 2, 0.0), (0.3, 0.0)], 12, None)
+@settings(max_examples=100, deadline=None)
+def test_scan_matches_naive_checker_at_every_n(name, us, n_max, delta):
+    m = FAMILIES[name]
+    p = hyp.default_params(m, n_max=n_max)
+    if delta is not None:
+        p = replace(p, delta=delta)
+    xs = _start_points(m, us)
+    try:
+        batch = all_times(m, xs, p)
+    except SingularityError:
+        # some orbit reaches the critical set before index n_max
+        with pytest.raises(SingularityError):
+            for x in xs:
+                hyp.naive_is_hyperbolic_time(m, x, n_max, p)
+        return
+    for x, times in zip(xs, batch):
+        for n in range(1, n_max + 1):
+            assert (n in times) == hyp.naive_is_hyperbolic_time(m, x, n, p)
+
+
+def test_empty_batch(quadratic):
+    p = hyp.default_params(quadratic, n_max=20)
+    first = hyp.first_times_batch(quadratic, [], p)
+    assert first.dtype == np.int64 and first.shape == (0,)
+    for times in hyp.straddling_times(quadratic, [], p, [5]):
+        assert times.dtype == np.int64 and times.shape == (1, 0)
+    assert all_times(quadratic, [], p) == []
+
+
+def test_scan_does_not_step_past_its_horizon(quadratic):
+    # the states at n = 1..16 take 15 steps
+    m, sizes = count_steps(quadratic)
+    hyp.hyperbolic_times(m, 0.3, hyp.default_params(quadratic, n_max=16))
+    assert len(sizes) == 15
 
 
 def _eager_first_times(m, xs, p):
