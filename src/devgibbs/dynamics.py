@@ -10,16 +10,12 @@ Orbits that come within ``NEAR_CRITICAL_TOL`` of the critical set raise
 ``SingularityError`` instead of propagating non-finite derivative data;
 exact critical hits are floating-point artifacts of measure zero.
 
-``orbit`` is the loop that records an orbit: ``birkhoff_sum``,
-``expansion_cocycle`` and the dynamical-ball and shadowing checks read
-their values off its rows.  Three loops step points themselves, because
-they do not keep the orbit: ``deviation._birkhoff_walk`` carries a
-running sum, where a recorded orbit of a 65,536-point chunk would take
-about 16 MB per worker at n = 30, and the ``gibbs.ball_measure`` job and
-``hyperbolic._scan`` drop points as they go (those that leave the
-ball, those that have their time).  No caller clamps a ``step`` result.
-``step`` keeps the domain only from inside it, so each of the four loops
-checks the points it is handed with ``domain.require`` on the way in.
+``walk`` is the one stepping loop.  It checks the points it is handed
+with ``domain.require``, since ``step`` keeps the domain only from inside
+it, and steps only the points its reader keeps: ``orbit`` records them,
+``birkhoff_sums`` adds g along them, and the ``gibbs.ball_measure`` job
+and ``hyperbolic._scan`` retire points as they go.  No caller clamps a
+``step`` result.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, EvaluationError, SingularityError
+from .errors import ConfigError, EvaluationError, RangeError, SingularityError
 
 NEAR_CRITICAL_TOL = 1e-14
 
@@ -115,7 +111,27 @@ class PotentialModel:
 
 def evaluate(m: MapSystem, x):
     """Apply the map once, validating the input point."""
-    return m.step(m.domain.require(x))
+    return orbit(m, x, 1)[1]
+
+
+class walk:
+    """Iterate ``(j, live states)`` for j = 0..n from points checked on the
+    way in.  ``keep(idx)``, a mask or an index array, retires the others;
+    the walk ends once no point is live and takes no step after j = n."""
+
+    def __init__(self, m: MapSystem, xs, n: int):
+        self.m, self.n = m, n
+        self.cur = np.asarray(m.domain.require(xs), dtype=float)
+
+    def __iter__(self):
+        for j in range(self.n + 1):
+            yield j, self.cur
+            if j == self.n or not self.cur.size:
+                return
+            self.cur = self.m.step(self.cur)
+
+    def keep(self, idx):
+        self.cur = self.cur[idx]
 
 
 def orbit(m: MapSystem, x, n: int):
@@ -126,32 +142,40 @@ def orbit(m: MapSystem, x, n: int):
     """
     if n < 0:
         raise ValueError("orbit length must be >= 0")
-    x = m.domain.require(x)
-    x = np.asarray(x, dtype=float)
-    out = np.empty((n + 1,) + x.shape)
-    out[0] = x
-    cur = x
-    for j in range(n):
-        cur = m.step(cur)
-        out[j + 1] = cur
+    steps = walk(m, x, n)
+    out = np.empty((n + 1,) + steps.cur.shape)
+    for j, cur in steps:
+        out[j] = cur
     return out
 
 
-def birkhoff_sum(m: MapSystem, g, x, n: int):
-    """Sum of g over the first n orbit points of x.
+def birkhoff_sums(m: MapSystem, g, xs, n_grid):
+    """Yield ``(n, S_n g)`` at each n of the grid, adding g along one walk
+    into one running total: read it before the next value.  A non-finite g
+    keeps the total non-finite, so it is checked once, at the last n."""
+    if min(n_grid) < 1:
+        raise ValueError("Birkhoff sums need n >= 1")
+    last = max(n_grid)
+    steps = walk(m, xs, last - 1)
+    total = np.zeros(steps.cur.shape[:steps.cur.ndim + 1 - m.domain.ndim])
+    for j, cur in steps:
+        total += g(cur)  # never += into g's result: it may be the state
+        if j + 1 == last and not np.isfinite(total).all():
+            vals = np.asarray(g(orbit(m, xs, last - 1)), dtype=float)
+            bad = ~np.isfinite(vals).reshape(last, -1).all(axis=1)
+            if not bad.any():
+                raise RangeError(f"S_{last} g overflowed")
+            k = int(np.argmax(bad))
+            raise EvaluationError(f"observable non-finite at orbit index {k}",
+                                  index=k)
+        if j + 1 in n_grid:
+            yield j + 1, total
+    yield from ((n, total) for n in n_grid if n > j + 1)  # walk ended early
 
-    Raises ``EvaluationError`` carrying the orbit index if g produces a
-    non-finite value on an in-domain point.
-    """
-    if n < 1:
-        raise ValueError("birkhoff_sum needs n >= 1")
-    vals = np.asarray(g(orbit(m, x, n - 1)), dtype=float)
-    finite = np.isfinite(vals).reshape(n, -1).all(axis=1)
-    if not finite.all():
-        j = int(np.argmax(~finite))
-        raise EvaluationError(f"observable non-finite at orbit index {j}", index=j)
-    # add the rows in orbit order, as a running sum does (np.sum pairs them)
-    return np.add.accumulate(vals, axis=0)[-1]
+
+def birkhoff_sum(m: MapSystem, g, x, n: int):
+    """Sum of g over the first n orbit points of x (see ``birkhoff_sums``)."""
+    return next(birkhoff_sums(m, g, x, (n,)))[1]
 
 
 def jacobian_data(m: MapSystem, pts):

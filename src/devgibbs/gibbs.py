@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MapSystem, PotentialModel, birkhoff_sum, orbit
+from .dynamics import MapSystem, PotentialModel, birkhoff_sum, orbit, walk
 from .errors import ConfigError
 from .hyperbolic import HyperbolicParams, gap_horizon, straddling_times
 from .metric import BallSpec
@@ -49,16 +49,10 @@ def ball_measure(m: MapSystem, sampler, spec: BallSpec, samples: int,
     center_orbit = orbit(m, spec.center, spec.n)
 
     def job(idx, pts):
-        cur = np.asarray(m.domain.require(pts), dtype=float)
-        total = cur.shape[0]
-        for j in range(spec.n + 1):
-            ok = m.domain.distance(cur, center_orbit[j]) <= spec.eps
-            cur = cur[ok]
-            if cur.size == 0:
-                break
-            if j < spec.n:
-                cur = m.step(cur)
-        return cur.shape[0], total
+        steps = walk(m, pts, spec.n)
+        for j, cur in steps:
+            steps.keep(m.domain.distance(cur, center_orbit[j]) <= spec.eps)
+        return steps.cur.shape[0], len(pts)
 
     parts = parallel_chunk_map(job, sample_chunks(sampler, samples, seed, "ball"),
                                workers=workers)

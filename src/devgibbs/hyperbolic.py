@@ -14,20 +14,21 @@ time.  Boundary comparisons are inclusive up to a 1e-12 relative
 tolerance (product side) and a 1e-9 index tolerance (recurrence side),
 ties resolving in favour of acceptance.
 
-One generator, ``_scan``, holds the whole scan state.  It steps a batch
-of start points, yields at each n the points for which n is a hyperbolic
-time and, once n is past its ``settle`` time, retires them before the
-next step: they are no longer stepped or checked against the critical
-set.  Points retire by index, from one packed state array, and only at
-a step where some point retires; only the points nearer than delta to
-the critical set update their recurrence threshold (a farther point
-adds n - 1, which never blocks n); no step is taken past the horizon.
-Every time query reads it: ``hyperbolic_times`` (all times of one
-point up to the horizon) retires no point, ``first_times_batch`` retires
-each point at its first time, ``straddling_times`` (the times on either
-side of each n of a grid, which specification, the Delta_n set and
-distortion read) at its first time past the grid, and ``sample_anchors``
-scans each block of candidates only to the top of its depth window.
+One generator, ``_scan``, holds the whole scan state.  It reads a batch
+of start points off ``dynamics.walk``, the one stepping loop, yields at
+each n the points for which n is a hyperbolic time and, once n is past
+its ``settle`` time, retires them through the walk before the next step:
+they are no longer stepped or checked against the critical set.  Points
+retire by index, from one packed state array, and only at a step where
+some point retires; only the points nearer than delta to the critical
+set update their recurrence threshold (a farther point adds n - 1, which
+never blocks n); no step is taken past the horizon.  Every time query
+reads it: ``hyperbolic_times`` (all times of one point up to the
+horizon) retires no point, ``first_times_batch`` retires each point at
+its first time, ``straddling_times`` (the times on either side of each n
+of a grid, which specification, the Delta_n set and distortion read) at
+its first time past the grid, and ``sample_anchors`` scans each block of
+candidates only to the top of its depth window.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import MapSystem, jacobian_data, NEAR_CRITICAL_TOL
+from .dynamics import MapSystem, jacobian_data, NEAR_CRITICAL_TOL, walk
 from .errors import ConfigError, SingularityError
 from .sampling import parallel_chunk_map, sample_chunks
 from .stats import ols_fit, wilson_ci
@@ -105,24 +106,25 @@ def _scan(m: MapSystem, xs, params: HyperbolicParams, settle: int,
     A ``SingularityError`` names the start point whose orbit hit the
     critical set.
     """
-    cur = m.domain.require(np.asarray(xs, dtype=float))
-    live = np.arange(len(cur))  # the index in xs of each scanned point
+    steps = walk(m, xs, horizon - 1)  # the state at n - 1 decides n
+    live = np.arange(len(steps.cur))  # the index in xs of each scanned point
     # prefix sums, their running minimum, recurrence threshold - _INDEX_TOL
     state = np.repeat([[0.0], [0.0], [-np.inf]], live.size, axis=1)
     prefix, runmin, block = state
     log_sigma = np.log(params.sigma)
-    for n in range(1, horizon + 1):
+    for j, cur in steps:
+        n = j + 1
         dist = np.asarray(m.crit_dist(cur), dtype=float)
         low = dist.min(initial=np.inf)
         if low < NEAR_CRITICAL_TOL:
             point = int(live[dist < NEAR_CRITICAL_TOL][0])
             raise SingularityError(
                 f"orbit of start point {point} hit the critical set at "
-                f"index {n - 1}", index=n - 1)
+                f"index {j}", index=j)
         if low < params.delta:
             # truncated to 1 at dist >= delta, the threshold n - 1 blocks no n
             near = np.flatnonzero(dist < params.delta)
-            t = (n - 1) + (-np.log(dist[near])) / (params.b * log_sigma)
+            t = j + (-np.log(dist[near])) / (params.b * log_sigma)
             block[near] = np.maximum(block[near], t - _INDEX_TOL)
         inv = 1.0 / jacobian_data(m, cur)[0]
         prefix += log_sigma
@@ -137,11 +139,10 @@ def _scan(m: MapSystem, xs, params: HyperbolicParams, settle: int,
         yield n, live[hit]
         if n > settle and hit.size:
             keep = np.flatnonzero(np.logical_not(ok, out=ok))
-            cur, live, state = cur[keep], live[keep], state.take(keep, axis=1)
+            steps.keep(keep)
+            live, state = live[keep], state.take(keep, axis=1)
             prefix, runmin, block = state
-        if n == horizon or not live.size:
-            return
-        cur = m.step(cur)
+            del cur  # old states go after the copies, before the step: RSS
 
 
 def hyperbolic_times(m: MapSystem, x, params: HyperbolicParams) -> HyperbolicTimeRecord:
@@ -274,9 +275,8 @@ def tail_curve(m: MapSystem, sampler, params: HyperbolicParams,
     """Monte Carlo estimate of the first-time tail under the sampler."""
 
     def job(idx, pts):
-        first = first_times_batch(m, pts, params)
-        hist = np.bincount(first, minlength=params.n_max + 1)
-        return hist
+        return np.bincount(first_times_batch(m, pts, params),
+                           minlength=params.n_max + 1)
 
     hists = parallel_chunk_map(job, sample_chunks(sampler, samples, seed, "tail"),
                                workers=workers)
@@ -313,8 +313,10 @@ def classify_tail(curve: TailCurve, window: Optional[tuple] = None) -> TailFit:
     """Fit both decay models on the tail window and pick the better one."""
     lo, hi = window if window is not None else (max(8, curve.n[0]), curve.n[-1])
     mask = (curve.n >= lo) & (curve.n <= hi) & (curve.fraction > 0)
-    if int(mask.sum()) < 8:
-        raise ConfigError("tail classification needs >= 8 positive points in window")
+    if (found := int(mask.sum())) < 8:
+        raise ConfigError(
+            f"tail classification needs >= 8 positive points in the window "
+            f"[{lo}, {hi}], found {found}; set [tail] window or raise n_max")
     n = curve.n[mask].astype(float)
     y = np.log(curve.fraction[mask])
     semi = ols_fit(n, y)

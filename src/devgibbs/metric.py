@@ -388,8 +388,7 @@ def distortion_estimate(m: MapSystem, potential, x, n: int, pairs: int,
     pair orbits keep clear of the critical set.
     """
     ys, zs = sample_ball_pairs(m, x, n, delta1, pairs, seed, tag="distortion")
-    sy = birkhoff_sum(m, potential.phi, ys, n)
-    sz = birkhoff_sum(m, potential.phi, zs, n)
+    sy, sz = birkhoff_sum(m, potential.phi, np.stack([ys, zs]), n)
     r = np.exp(sz - sy)
     return float(np.max(np.maximum(r, 1.0 / r)))
 

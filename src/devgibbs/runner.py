@@ -8,9 +8,9 @@ read.  Adding a kind is one ``config`` schema section plus one stage.
 Data files (CSV/JSON) are byte-deterministic under a fixed config: floats
 are serialized with their shortest round-trip representation, JSON keys
 are sorted, and all Monte Carlo work is chunk-keyed so the worker count
-cannot change any number.  On failure, partial outputs, the manifest and
-the data files an earlier run's manifest names are removed, and the
-failing stage is reported.
+cannot change any number.  On failure, partial outputs, the manifest,
+the data files an earlier run's manifest names and a directory the run
+made and left empty are removed, and the failing stage is reported.
 """
 
 from __future__ import annotations
@@ -103,11 +103,11 @@ def run(cfg: ExperimentConfig, out_dir=None, workers=None) -> RunManifest:
     m = make_family(cfg.family, cfg.map_params)
     out = out_dir or cfg.out
     earlier = _manifest_files(out)
+    made = not os.path.isdir(out)
     t0 = time.time()
     files = {}
 
     def emit(name, text):
-        # a stage that refuses its settings before it emits leaves no directory
         os.makedirs(out, exist_ok=True)
         data = text.encode()
         files[name] = hashlib.sha256(data).hexdigest()
@@ -122,6 +122,8 @@ def run(cfg: ExperimentConfig, out_dir=None, workers=None) -> RunManifest:
                      + [os.path.join(out, "manifest.json")]):
             if os.path.isfile(path):
                 os.remove(path)
+        if made and os.path.isdir(out) and not os.listdir(out):
+            os.rmdir(out)  # a refused run leaves no directory that it made
         if isinstance(exc, ConfigError):
             raise  # a setting the stage refuses stays a config error
         raise DevgibbsError(f"stage {cfg.kind!r} failed: {exc}") from exc

@@ -74,8 +74,8 @@ def test_criterion_02_legendre_oracle(doubling_map):
     leg = dev.legendre_rate(ts, psi, 0.7)
     leg_mean = dev.legendre_rate(ts, psi, 0.5)
     spin = make_observable("spin_half", doubling_map)
-    psi_spin = dev.free_energy(doubling_map, samp, spin, 1.0, 10,
-                               1_000_000, seed=10)
+    psi_spin = dev.free_energy_table(doubling_map, samp, spin, [1.0], 10,
+                                     1_000_000, seed=10)[1][0]
     print(f"\n[criterion 2] I(0.7)={leg.value:.5f} (target {CRAMER_I:.5f}"
           f" +- 0.01), I(mean)={leg_mean.value:.6f} (0 +- 0.005), "
           f"psi_spin(1)={psi_spin:.5f} (target {math.log(math.cosh(1)):.5f}"

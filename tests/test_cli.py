@@ -450,6 +450,30 @@ def test_viana_tail_past_float_horizon(tmp_path):
     assert (out / "tail_fit.json").is_file()
 
 
+SHORT_TAIL = """\
+family = quadratic
+kind = tail
+seed = 1
+samples = 5000
+out = {out}
+
+[hyperbolic]
+n_max = 14
+"""
+
+
+def test_short_tail_names_its_window_and_leaves_no_directory(tmp_path):
+    # the default window [8, n_max] holds 7 points when n_max is 14
+    out = tmp_path / "out"
+    cfg = tmp_path / "tail.cfg"
+    cfg.write_text(SHORT_TAIL.format(out=out))
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 1
+    assert "in the window [8, 14], found 7" in res.output
+    assert "[tail] window" in res.output and "n_max" in res.output
+    assert not out.exists()
+
+
 HYPERBOLIC_RUN = """\
 family = doubling
 kind = {kind}

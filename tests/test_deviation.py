@@ -10,9 +10,10 @@ from scipy import stats as sps
 from devgibbs import deviation as dev
 from devgibbs import maps
 from devgibbs.dynamics import Observable
-from devgibbs.errors import ConfigError, RangeError
+from devgibbs.errors import ConfigError, EvaluationError, RangeError
 from devgibbs.observables import make_observable
-from devgibbs.sampling import UniformSampler, sample_chunks
+from devgibbs.sampling import (EmpiricalSampler, UniformSampler,
+                               sample_chunks)
 from helpers import combined_se
 
 
@@ -113,22 +114,22 @@ def test_rate_estimate_excludes_flagged():
 
 def test_free_energy_zero_t_exact(doubling):
     g = make_observable("indicator_half", doubling)
-    val = dev.free_energy(doubling, UniformSampler(doubling.domain), g,
-                          0.0, 10, 2000, seed=3)
+    val = dev.free_energy_table(doubling, UniformSampler(doubling.domain), g,
+                                [0.0], 10, 2000, seed=3)[1][0]
     assert val == 0.0
 
 
 def test_free_energy_constant_observable(doubling):
     g = Observable(fn=lambda x: np.full(np.shape(x), 0.4), label="c")
-    val = dev.free_energy(doubling, UniformSampler(doubling.domain), g,
-                          1.5, 8, 2000, seed=3)
+    val = dev.free_energy_table(doubling, UniformSampler(doubling.domain), g,
+                                [1.5], 8, 2000, seed=3)[1][0]
     assert val == pytest.approx(1.5 * 0.4, rel=1e-12)
 
 
 def test_free_energy_bernoulli_closed_form(doubling):
     g = make_observable("indicator_half", doubling)
-    val = dev.free_energy(doubling, UniformSampler(doubling.domain), g,
-                          1.0, 10, 400000, seed=4)
+    val = dev.free_energy_table(doubling, UniformSampler(doubling.domain), g,
+                                [1.0], 10, 400000, seed=4)[1][0]
     assert val == pytest.approx(math.log((1 + math.e) / 2), abs=0.005)
 
 
@@ -141,13 +142,30 @@ def test_free_energy_convexity(doubling):
     assert np.all(second >= -1e-6)
 
 
+def test_nonfinite_observable_is_an_evaluation_error():
+    # log|f'| is -inf at the critical point 0 of quadratic(2), where half
+    # the sampled orbits start: neither a miss nor an overflow
+    q = maps.make_quadratic(2.0)
+    g = make_observable("log_deriv", q)
+    samp = EmpiricalSampler(points=[0.0, 0.3])
+    exp = dev.DeviationExperiment(map=q, g=g, c=0.0, sampler=samp,
+                                  n_grid=(2, 4, 8), samples=2000, seed=1)
+    runs = (lambda: dev.rate_curve(exp),
+            lambda: dev.free_energy_table(q, samp, g, [0.5, 1.0], 8, 2000, 1))
+    for run in runs:
+        with pytest.raises(EvaluationError) as exc, \
+                np.errstate(divide="ignore", invalid="ignore"):
+            run()
+        assert exc.value.index == 0
+
+
 def test_free_energy_overflow_raises(doubling):
     # t * S_n g past the largest double is refused, not summed as inf
     g = make_observable("indicator_half", doubling)
     for t in (1e308, -1e308):
         with pytest.raises(RangeError), np.errstate(over="ignore"):
-            dev.free_energy(doubling, UniformSampler(doubling.domain), g,
-                            t, 4, 1000, seed=0)
+            dev.free_energy_table(doubling, UniformSampler(doubling.domain),
+                                  g, [t], 4, 1000, seed=0)
 
 
 def _assert_lse_matches_scipy(a):
@@ -281,8 +299,8 @@ def test_free_energy_matches_table_entry(doubling):
     ts, psi = dev.free_energy_table(doubling, samp, g, [-0.5, 0.25, 1.0], 9,
                                     70_000, seed=12)
     for t, val in zip(ts, psi):
-        assert dev.free_energy(doubling, samp, g, float(t), 9, 70_000,
-                               seed=12) == val
+        assert dev.free_energy_table(doubling, samp, g, [float(t)], 9,
+                                     70_000, seed=12)[1][0] == val
 
 
 def test_free_energy_table_exactly_convex(doubling, pe4):

@@ -11,10 +11,11 @@ from devgibbs import maps
 from devgibbs.domain import Circle, Cylinder, frac
 from devgibbs.dynamics import (Observable, PotentialModel, birkhoff_sum,
                                evaluate, expansion_cocycle, orbit,
-                               truncated_distance)
+                               truncated_distance, walk)
 from devgibbs.errors import (CapabilityError, DomainError, EvaluationError,
                              SingularityError)
 from devgibbs.observables import make_observable
+from helpers import count_steps
 
 
 def test_evaluate_doubling(doubling):
@@ -51,6 +52,58 @@ def test_orbit_determinism(doubling):
     a = orbit(doubling, 0.123456789, 200)
     b = orbit(doubling, 0.123456789, 200)
     assert np.array_equal(a, b)
+
+
+def test_walk_steps_n_times(quadratic):
+    m, sizes = count_steps(quadratic)
+    xs = np.array([0.1, 0.2, 0.3])
+    seen = [(j, cur.copy()) for j, cur in walk(m, xs, 5)]
+    assert [j for j, _ in seen] == list(range(6))
+    assert sizes == [3] * 5
+    assert np.array_equal([cur for _, cur in seen], orbit(quadratic, xs, 5))
+
+
+def test_walk_stops_once_no_point_is_live(quadratic):
+    m, sizes = count_steps(quadratic)
+    steps = walk(m, [0.1, 0.2], 5)
+    seen = []
+    for j, cur in steps:
+        seen.append(j)
+        steps.keep(np.zeros(len(cur), dtype=bool))
+    assert seen == [0] and sizes == []
+    # an empty batch yields once, and is never stepped
+    assert [j for j, _ in walk(m, np.empty(0), 5)] == [0]
+    assert sizes == []
+    g = make_observable("identity", m)
+    assert birkhoff_sum(m, g, np.empty(0), 3).shape == (0,)
+
+
+def test_walk_keeps_by_mask_or_index(quadratic):
+    m, sizes = count_steps(quadratic)
+    xs = np.array([0.1, 0.2, 0.3, 0.4])
+    ref = orbit(quadratic, xs, 3)
+    steps = walk(m, xs, 3)
+    seen = {}
+    for j, cur in steps:
+        seen[j] = cur.copy()
+        if j == 0:
+            steps.keep(np.array([True, False, True, True]))  # drops 0.2
+        elif j == 1:
+            steps.keep(np.array([0, 2]))  # of 0.1, 0.3, 0.4: drops 0.3
+    assert sizes == [3, 2, 2]
+    assert np.array_equal(seen[1], ref[1, [0, 2, 3]])
+    for j in (2, 3):
+        assert np.array_equal(seen[j], ref[j, [0, 3]])
+    with pytest.raises(DomainError):
+        walk(quadratic, [0.3, 1.1], 3)  # checked before any step
+
+
+def test_walk_scalar_start_point(mp):
+    m, sizes = count_steps(mp)
+    states = [float(cur) for _, cur in walk(m, 0.75, 2)]
+    assert states == list(orbit(mp, 0.75, 2))
+    assert sizes == [1, 1]
+    assert evaluate(mp, 0.75) == states[1]
 
 
 def test_birkhoff_constant(doubling):

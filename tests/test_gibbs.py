@@ -43,6 +43,17 @@ def test_ball_measure_starvation_flag(doubling):
     assert est.starved
 
 
+def test_ball_measure_is_worker_invariant(quadratic):
+    # three sample chunks (the last partial) through the pool: the hit
+    # count and the mass do not depend on the worker count
+    samp = UniformSampler(quadratic.domain)
+    spec = BallSpec(0.3, 4, 0.1)
+    one, two = (gibbs.ball_measure(quadratic, samp, spec, 150_000, seed=5,
+                                   workers=w) for w in (1, 2))
+    assert one.hits > 0 and one.samples == 150_000
+    assert one == two
+
+
 def test_gibbs_constant_doubling(doubling):
     pot = log2_potential()
     est = gibbs.ball_measure(doubling, UniformSampler(doubling.domain),
