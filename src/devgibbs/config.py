@@ -39,7 +39,7 @@ CHECKS = {
     "exactness_target": ("int", "exactness", "exactness", "=="),
 }
 
-# value kinds: int, float, str, bool, int_list, float_list, num_or_word
+# value kinds: int, float, str, bool, *_list, or (words) for number-or-word
 _SCHEMA = {
     "experiment": {
         "family": "str",
@@ -55,8 +55,8 @@ _SCHEMA = {
     "deviation": {
         "g": "str", "c": "float", "direction": "str", "n": "int_list",
         "window": "int_list", "t_grid": "float_list", "fe_n": "int",
-        "fe_samples": "int", "tail_rate": "num_or_word", "g_file": "str",
-        "sampler_file": "str",
+        "fe_samples": "int", "tail_rate": ("neg_inf", "none", "measure"),
+        "g_file": "str", "sampler_file": "str",
     },
     "tail": {"window": "int_list"},
     "entropy": {"n_grid": "int_list", "eps_grid": "float_list",
@@ -66,7 +66,7 @@ _SCHEMA = {
               "delta_samples": "int"},
     "spec": {"eps_grid": "float_list", "n_grid": "int_list",
              "base_points": "int", "probes": "int", "cap": "int"},
-    **{kind: {"instances": "int", "pairs": "int", "delta1": "num_or_word",
+    **{kind: {"instances": "int", "pairs": "int", "delta1": ("auto",),
               "depth_lo": "int", "depth_hi": "int"}
        for kind in ("contraction", "distortion")},
     "check": {**{key: kind for key, (kind, _, _, _) in CHECKS.items()},
@@ -78,6 +78,9 @@ _SCHEMA = {
 KINDS = tuple(name for name in _SCHEMA
               if name not in ("experiment", "map", "hyperbolic", "check"))
 _EXPERIMENT_KEYS = set(_SCHEMA["experiment"])
+# kinds that size their draws by keys of their own section, not samples
+_DRAW_KEYS = {"spec": "base_points", "contraction": "instances and pairs",
+              "distortion": "instances and pairs"}
 
 
 def _parse_scalar(raw: str, want: str, line: int):
@@ -96,18 +99,19 @@ def _parse_scalar(raw: str, want: str, line: int):
             if raw.lower() in ("false", "no", "0"):
                 return False
             raise ValueError
-        if want == "num_or_word":
-            if raw in ("auto", "neg_inf", "measure", "none"):
-                return raw
-            return float(raw)
+        if isinstance(want, tuple):
+            return raw if raw in want else float(raw)
         return raw
     except ValueError:
+        if isinstance(want, tuple):
+            raise ConfigError(f"cannot parse {raw!r}: use {', '.join(want)} "
+                              f"or a number", line=line)
         raise ConfigError(f"cannot parse {raw!r} as {want}", line=line)
 
 
 def _parse_value(raw: str, want: str, line: int):
     raw = raw.strip()
-    if want.endswith("_list"):
+    if isinstance(want, str) and want.endswith("_list"):
         inner = raw[1:-1] if raw.startswith("[") and raw.endswith("]") else raw
         parts = [p for p in (s.strip() for s in inner.split(",")) if p]
         if not parts:
@@ -201,10 +205,6 @@ def parse_config(text: str) -> ExperimentConfig:
         grid = dev["n"]
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("deviation n grid must be strictly increasing")
-        if dev.get("tail_rate") == "auto":
-            # the word parser is shared with delta1, where auto calibrates
-            raise ConfigError("tail_rate = auto has no meaning; use neg_inf, "
-                              "none, measure or a number")
     if kind in ("spec", "gibbs") and "n_max" in sections.get("hyperbolic", {}):
         raise ConfigError(
             f"[hyperbolic] n_max is not read by kind = {kind}: its scans "
@@ -219,6 +219,10 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"[hyperbolic] {next(iter(sections['hyperbolic']))} is not read "
             f"by kind = {kind}: {unread[kind]}; remove the key")
+    if samples is not None and kind in _DRAW_KEYS:
+        raise ConfigError(
+            f"samples is not read by kind = {kind}: it draws [{kind}] "
+            f"{_DRAW_KEYS[kind]}; remove the key")
     if samples is not None and samples < 1:
         raise ConfigError("samples must be positive")
 

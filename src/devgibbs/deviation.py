@@ -38,7 +38,7 @@ import numpy as np
 from .dynamics import (MapSystem, Observable, birkhoff_sums,
                        check_float_horizon)
 from .errors import ConfigError, RangeError
-from .sampling import parallel_chunk_map, sample_chunks
+from .sampling import chunk_map
 from .stats import OLSFit, ols_fit, wilson_ci
 
 MIN_SAMPLES = 1000
@@ -69,25 +69,6 @@ class DeviationExperiment:
         check_float_horizon(self.map, grid[-1], "n")
 
 
-def _hit_counts(exp: DeviationExperiment, n_grid, workers: int):
-    """Hits of S_n/n beyond c at each grid n, and the sample count.
-
-    Every n is counted on the same sampled points, stepped forward once.
-    """
-    n_grid = [int(n) for n in n_grid]
-
-    def job(idx, pts):
-        beyond = np.greater_equal if exp.direction == "ge" else np.greater
-        hits = [np.sum(beyond(s / n, exp.c))
-                for n, s in birkhoff_sums(exp.map, exp.g, pts, n_grid)]
-        return np.array(hits, dtype=np.int64), len(pts)
-
-    parts = parallel_chunk_map(job, sample_chunks(exp.sampler, exp.samples,
-                                                  exp.seed, "dev"),
-                               workers=workers)
-    return sum(h for h, _ in parts), sum(t for _, t in parts)
-
-
 @dataclass
 class RateCurve:
     n: np.ndarray
@@ -101,8 +82,18 @@ class RateCurve:
 
 
 def rate_curve(exp: DeviationExperiment, workers: int = 1) -> RateCurve:
-    n = np.array([int(v) for v in exp.n_grid])
-    hits, total = _hit_counts(exp, n, workers)
+    """Hits of S_n/n beyond c at each grid n, all on one sample set."""
+    grid = [int(v) for v in exp.n_grid]
+    beyond = np.greater_equal if exp.direction == "ge" else np.greater
+
+    def job(pts):
+        return np.array([np.sum(beyond(s / n, exp.c))
+                         for n, s in birkhoff_sums(exp.map, exp.g, pts, grid)],
+                        dtype=np.int64)
+
+    hits = sum(chunk_map(job, exp.sampler, exp.samples, exp.seed, "dev",
+                         workers))
+    n, total = np.array(grid), exp.samples
     p = hits / total
     ci_low, ci_high = wilson_ci(hits, total)
     with np.errstate(divide="ignore"):
@@ -152,7 +143,7 @@ def free_energy_table(m: MapSystem, sampler, g, t_grid, n: int, samples: int,
     check_float_horizon(m, n, "fe_n")
     ts = np.asarray(list(t_grid), dtype=float)
 
-    def job(idx, pts):
+    def job(pts):
         _, s = next(birkhoff_sums(m, g, pts, (n,)))
         out = np.empty(len(ts))
         for k, t in enumerate(ts):
@@ -160,14 +151,10 @@ def free_energy_table(m: MapSystem, sampler, g, t_grid, n: int, samples: int,
             if not np.all(np.isfinite(vals)):
                 raise RangeError("t * S_n g overflowed despite log-domain guard")
             out[k] = logsumexp(vals)
-        return out, len(s)
+        return out
 
-    parts = parallel_chunk_map(job, sample_chunks(sampler, samples, seed,
-                                                  f"fe:{n}"),
-                               workers=workers)
-    lse = np.array([p for p, _ in parts])
-    total = sum(c for _, c in parts)
-    psi = np.array([(logsumexp(lse[:, k]) - math.log(total)) / n
+    lse = np.array(chunk_map(job, sampler, samples, seed, f"fe:{n}", workers))
+    psi = np.array([(logsumexp(lse[:, k]) - math.log(samples)) / n
                     for k in range(len(ts))])
     return ts, psi
 

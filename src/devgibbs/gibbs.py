@@ -27,7 +27,7 @@ from .dynamics import MapSystem, PotentialModel, birkhoff_sum, orbit, walk
 from .errors import ConfigError
 from .hyperbolic import HyperbolicParams, gap_horizon, straddling_times
 from .metric import BallSpec
-from .sampling import parallel_chunk_map, sample_chunks, spawn_rng
+from .sampling import chunk_map, spawn_rng
 from .stats import ols_fit, wilson_ci
 
 STARVED_HITS = 10
@@ -48,19 +48,16 @@ def ball_measure(m: MapSystem, sampler, spec: BallSpec, samples: int,
     """Hit-count estimate of the sampler mass of a dynamical ball."""
     center_orbit = orbit(m, spec.center, spec.n)
 
-    def job(idx, pts):
+    def job(pts):
         steps = walk(m, pts, spec.n)
         for j, cur in steps:
             steps.keep(m.domain.distance(cur, center_orbit[j]) <= spec.eps)
-        return steps.cur.shape[0], len(pts)
+        return steps.cur.shape[0]
 
-    parts = parallel_chunk_map(job, sample_chunks(sampler, samples, seed, "ball"),
-                               workers=workers)
-    hits = sum(h for h, _ in parts)
-    total = sum(t for _, t in parts)
-    lo, hi = wilson_ci(hits, total)
-    return BallMass(mass=hits / total, ci_low=lo, ci_high=hi, hits=hits,
-                    samples=total, starved=hits < STARVED_HITS)
+    hits = sum(chunk_map(job, sampler, samples, seed, "ball", workers))
+    lo, hi = wilson_ci(hits, samples)
+    return BallMass(mass=hits / samples, ci_low=lo, ci_high=hi, hits=hits,
+                    samples=samples, starved=hits < STARVED_HITS)
 
 
 @dataclass
@@ -181,22 +178,19 @@ def delta_set_rate(m: MapSystem, params: HyperbolicParams, sampler,
     grid = np.asarray(n_grid, dtype=np.int64)[:, None]
     horizon = gap_horizon(n_grid[-1])
 
-    def job(idx, pts):
+    def job(pts):
         before, after = straddling_times(m, pts, params, n_grid)
         known, never = after > 0, before == 0
         gap = np.where(known, after - before, horizon)
         wide = gap > c_beta * grid
-        viol = np.sum(never | wide, axis=1)
-        return viol, len(pts), int(np.sum(~known & ~never & ~wide))
+        censored = int(np.sum(~known & ~never & ~wide))
+        return np.sum(never | wide, axis=1), censored
 
-    parts = parallel_chunk_map(job, sample_chunks(sampler, samples, seed,
-                                                  "delta"),
-                               workers=workers)
-    viol = np.sum([p[0] for p in parts], axis=0)
-    total = sum(p[1] for p in parts)
-    censored = sum(p[2] for p in parts)
-    frac = viol / total
-    rows = [(int(n), int(v), total, float(f))
+    parts = chunk_map(job, sampler, samples, seed, "delta", workers)
+    viol = np.sum([v for v, _ in parts], axis=0)
+    censored = sum(c for _, c in parts)
+    frac = viol / samples
+    rows = [(int(n), int(v), samples, float(f))
             for n, v, f in zip(n_grid, viol, frac)]
     pos = frac > 0
     if int(pos.sum()) < 2:

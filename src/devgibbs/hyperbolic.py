@@ -40,7 +40,7 @@ import numpy as np
 
 from .dynamics import MapSystem, jacobian_data, NEAR_CRITICAL_TOL, walk
 from .errors import ConfigError, SingularityError
-from .sampling import parallel_chunk_map, sample_chunks
+from .sampling import chunk_map
 from .stats import ols_fit, wilson_ci
 
 _INDEX_TOL = 1e-9
@@ -274,27 +274,25 @@ def tail_curve(m: MapSystem, sampler, params: HyperbolicParams,
                samples: int, seed: int, workers: int = 1) -> TailCurve:
     """Monte Carlo estimate of the first-time tail under the sampler."""
 
-    def job(idx, pts):
+    def job(pts):
         return np.bincount(first_times_batch(m, pts, params),
                            minlength=params.n_max + 1)
 
-    hists = parallel_chunk_map(job, sample_chunks(sampler, samples, seed, "tail"),
-                               workers=workers)
-    hist = np.sum(hists, axis=0)
-    total = int(hist.sum())
+    hist = np.sum(chunk_map(job, sampler, samples, seed, "tail", workers),
+                  axis=0)
     # survivors(n) = count of first time > n (the never-found bin counts too)
     found_by = np.cumsum(hist[1:])
     ns = np.arange(1, params.n_max + 1)
-    survivors = total - found_by
-    fraction = survivors / total
-    ci_low, ci_high = wilson_ci(survivors, total)
+    survivors = samples - found_by
+    fraction = survivors / samples
+    ci_low, ci_high = wilson_ci(survivors, samples)
     alive = survivors > 0
     last = int(np.max(np.nonzero(alive)[0])) + 1 if np.any(alive) else 0
-    truncated = last < params.n_max
     keep = slice(0, max(last, 1))
     return TailCurve(n=ns[keep], survivors=survivors[keep],
                      fraction=fraction[keep], ci_low=ci_low[keep],
-                     ci_high=ci_high[keep], samples=total, truncated=truncated)
+                     ci_high=ci_high[keep], samples=samples,
+                     truncated=last < params.n_max)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .domain import frac
 from .dynamics import MapSystem, birkhoff_sum, orbit
 from .errors import ConfigError, ImpossibleCoverError, SamplingError
 from .hyperbolic import HyperbolicParams, is_hyperbolic_time, sample_anchors
-from .sampling import sample_chunks, spawn_rng
+from .sampling import chunk_map, spawn_rng
 from .stats import ols_fit
 
 
@@ -175,15 +175,15 @@ def covering_number(m: MapSystem, points, n: int, eps: float, delta: float,
     once ``ceil((1 - delta) N)`` points are covered, the product taken
     less 1e-9 so that (1 - 0.7) * 10 = 3.0000000000000004 needs 3.  An
     upper estimate of the true minimum (greedy, and ball centers are
-    restricted to the sample points).
+    restricted to the sample points).  ``auto`` goes direct (an N x N
+    membership matrix) up to 1,500 points, by 1D ball intervals above.
     """
     pts = np.asarray(points, dtype=float)
     need = math.ceil((1.0 - delta) * pts.shape[0] - 1e-9)
     if need <= 0:
         return 0
     if method == "auto":
-        method = "direct" if (m.domain.ndim == 2 or pts.shape[0] <= 1500) \
-            else "arc"
+        method = "direct" if pts.shape[0] <= 1500 else "arc"
     if method == "direct":
         return _covering_direct(m, pts, n, eps, need)
     return _covering_arc(m, pts, n, eps, need)
@@ -292,8 +292,8 @@ def katok_entropy(m: MapSystem, sampler, n_grid, eps_grid, delta: float,
     eps_grid = sorted(float(v) for v in eps_grid)
     if len(n_grid) < 3 or len(eps_grid) < 3:
         raise ConfigError("entropy estimation needs >= 3 grid values each")
-    chunks = list(sample_chunks(sampler, samples, seed, "katok"))
-    pts = np.concatenate([c for _, c in chunks])
+    pts = np.concatenate(chunk_map(lambda chunk: chunk, sampler, samples,
+                                   seed, "katok"))
     table = []
     slopes = {}
     stderr = 0.0
@@ -314,7 +314,7 @@ def katok_entropy(m: MapSystem, sampler, n_grid, eps_grid, delta: float,
 
 def _cell_subset(m, pts, n, eps, delta, method):
     """Deterministic per-cell sample budget: ~40 points per expected ball."""
-    if method == "direct" or m.domain.ndim == 2 or len(pts) <= 4000:
+    if method == "direct" or len(pts) <= 4000:
         return pts
     pilot = pts[:2000]
     r_lo, r_hi = ball_intervals(m, pilot, n, eps)

@@ -115,6 +115,11 @@ def run(cfg: ExperimentConfig, out_dir=None, workers=None) -> RunManifest:
             fh.write(data)
 
     try:
+        if m.domain.ndim != 1 and cfg.kind in ("entropy", "contraction",
+                                               "distortion"):
+            raise ConfigError(
+                f"family = {cfg.family} is not one-dimensional; kind = "
+                f"{cfg.kind} needs an interval or circle map")
         results = STAGES[cfg.kind](cfg, m, UniformSampler(m.domain), workers,
                                    emit)
     except Exception as exc:
@@ -178,14 +183,18 @@ def _run_deviation(cfg, m, sampler, workers, emit):
 
     tail_spec = dev.get("tail_rate", "neg_inf")
     if tail_spec == "measure":
-        tc = tail_curve(m, sampler, _hyper_params(cfg, m),
-                        max(cfg.samples // 10, 1000), cfg.seed,
-                        workers=workers)
+        params = _hyper_params(cfg, m)
+        tc = tail_curve(m, sampler, params, max(cfg.samples // 10, 1000),
+                        cfg.seed, workers=workers)
         try:
             tf = classify_tail(tc)
             tail_rate = tf.rate if tf.kind == "exponential" else 0.0
-        except ConfigError:
-            tail_rate = float("-inf")  # tail died immediately: no mass
+        except ConfigError as exc:
+            if not tc.truncated:  # points survive to n_max: a short window
+                raise ConfigError(
+                    f"tail_rate = measure: {str(exc).partition(';')[0]}; "
+                    f"raise [hyperbolic] n_max (now {params.n_max})") from None
+            tail_rate = float("-inf")  # the tail dies out: too little mass
     elif tail_spec in ("neg_inf", "none"):
         tail_rate = float("-inf")
     else:
@@ -305,9 +314,6 @@ def _anchors(cfg, m, cap=None):
     A calibrated delta1 is held to at most ``cap * delta`` when a cap is
     given; each anchor has a hyperbolic time n in [depth_lo, depth_hi].
     """
-    if m.domain.ndim != 1:
-        raise ConfigError(f"family = {cfg.family} is not one-dimensional; "
-                          f"{cfg.kind} probes need an interval or circle map")
     sec = cfg.section(cfg.kind)
     params = _hyper_params(cfg, m, n_max_default=100)
     d1 = sec.get("delta1", "auto")

@@ -3,7 +3,8 @@
 Every random draw comes from a counter-based Philox generator keyed by
 (seed, tag, chunk index), so results are byte-identical however chunks
 are scheduled across workers.  Chunk size is a fixed constant; reductions
-always combine per-chunk results in chunk-index order.
+always combine per-chunk results in chunk-index order.  ``chunk_map``,
+the one driver of every chunked estimator, alone draws and pools chunks.
 """
 
 from __future__ import annotations
@@ -93,21 +94,28 @@ def sample_chunks(sampler, total: int, seed: int, tag: str):
 
 
 def parallel_chunk_map(fn: Callable, jobs: Iterable, workers: int = 1) -> list:
-    """Apply fn over (index, payload) jobs; results returned in index order.
+    """Apply fn over (index, payload) jobs; results returned in job order.
 
     The combination order never depends on worker scheduling, which is
     what makes the output byte-deterministic under any worker count.
     Jobs are drawn lazily, at most ``workers + 1`` ahead of their results.
     """
     if workers <= 1:
-        results = [(idx, fn(idx, payload)) for idx, payload in jobs]
-    else:
-        results, pending = [], deque()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for idx, payload in jobs:
-                pending.append((idx, pool.submit(fn, idx, payload)))
-                if len(pending) > workers:
-                    done, fut = pending.popleft()
-                    results.append((done, fut.result()))
-            results += [(idx, fut.result()) for idx, fut in pending]
-    return [r for _, r in sorted(results, key=lambda t: t[0])]
+        return [fn(idx, payload) for idx, payload in jobs]
+    results, pending = [], deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for idx, payload in jobs:
+            pending.append(pool.submit(fn, idx, payload))
+            if len(pending) > workers:
+                results.append(pending.popleft().result())
+        results += [fut.result() for fut in pending]
+    return results
+
+
+def chunk_map(job: Callable, sampler, samples: int, seed: int, tag: str,
+              workers: int = 1) -> list:
+    """``job(points)`` on each keyed chunk, results in chunk order.  The
+    pool is looked up when called, so a wrapped one sees every job."""
+    return parallel_chunk_map(lambda idx, pts: job(pts),
+                              sample_chunks(sampler, samples, seed, tag),
+                              workers=workers)

@@ -696,6 +696,8 @@ def test_deviation_tail_rate_measure(tmp_path):
         fit = hyperbolic.classify_tail(tc)
         want = fit.rate if fit.kind == "exponential" else 0.0
     except ConfigError:
+        if not tc.truncated:
+            raise  # points survive to n_max: the run refuses the window
         want = float("-inf")
     for workers in ("1", "2"):
         out = tmp_path / workers
@@ -705,3 +707,93 @@ def test_deviation_tail_rate_measure(tmp_path):
         assert res.exit_code == 0, res.output
         rep = json.loads((out / "bound_report.json").read_text())
         assert rep["tail_rate"] == want
+
+
+MEASURED_TAIL = """\
+family = {family}
+kind = deviation
+seed = 3
+samples = 20000
+out = {out}
+
+[deviation]
+g = cos2pi
+c = 0.3
+n = [4, 5, 6, 7, 8, 9, 10, 11, 12]
+fe_n = 10
+tail_rate = measure
+
+[hyperbolic]
+n_max = {n_max}
+"""
+
+
+def test_measured_tail_short_window_is_a_config_error(tmp_path):
+    # 22 of the 2,000 tail points survive to n = 14: the window is short,
+    # the tail is not empty
+    out = tmp_path / "out"
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(MEASURED_TAIL.format(family="quadratic", out=out,
+                                        n_max=14))
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 1, res.output
+    assert "tail_rate = measure" in res.output
+    assert "raise [hyperbolic] n_max (now 14)" in res.output
+    assert "[tail] window" not in res.output
+    assert not out.exists()
+
+
+def test_measured_tail_that_dies_out_reads_neg_inf(tmp_path):
+    # every doubling first time is 1: no point survives to n_max
+    out = tmp_path / "out"
+    cfg = tmp_path / "measure.cfg"
+    cfg.write_text(MEASURED_TAIL.format(family="doubling", out=out, n_max=40))
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 0, res.output
+    rep = json.loads((out / "bound_report.json").read_text())
+    assert rep["tail_rate"] == float("-inf")
+
+
+@pytest.mark.parametrize("word", ["measure", "neg_inf"])
+def test_delta1_words_of_tail_rate_are_a_config_error(tmp_path, word):
+    out = tmp_path / "out"
+    cfg = tmp_path / "delta1.cfg"
+    cfg.write_text(HYPERBOLIC_RUN.format(kind="contraction", n_max=100)
+                   .replace("seed = 4", f"seed = 4\nout = {out}")
+                   .replace("delta1 = 0.05", f"delta1 = {word}"))
+    for command in ("validate", "run"):
+        res = CliRunner().invoke(main, [command, str(cfg)])
+        assert res.exit_code == 1, res.output
+        assert f"cannot parse {word!r}: use auto or a number" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,reads", [
+    ("spec", "[spec] base_points"),
+    ("contraction", "[contraction] instances and pairs"),
+    ("distortion", "[distortion] instances and pairs"),
+])
+def test_samples_of_a_kind_that_draws_by_its_own_keys(tmp_path, kind, reads):
+    out = tmp_path / "out"
+    cfg = tmp_path / "samples.cfg"
+    cfg.write_text(f"family = doubling\nkind = {kind}\nseed = 3\n"
+                   f"samples = 1e6\nout = {out}\n")
+    for command in ("validate", "run"):
+        res = CliRunner().invoke(main, [command, str(cfg)])
+        assert res.exit_code == 1, res.output
+        assert (f"config error: samples is not read by kind = {kind}: it "
+                f"draws {reads}") in res.output
+    assert not out.exists()
+
+
+def test_viana_entropy_refused(tmp_path):
+    # a cylinder cover would need a 2,000 x 2,000 membership matrix per
+    # cell, and every count saturates at ceil(0.9 * 2,000)
+    out = tmp_path / "out"
+    cfg = tmp_path / "entropy.cfg"
+    cfg.write_text(f"family = viana\nkind = entropy\nseed = 5\n"
+                   f"samples = 2000\nout = {out}\n")
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 1, res.output
+    assert "config error: family = viana is not one-dimensional" in res.output
+    assert not out.exists()

@@ -158,6 +158,20 @@ def test_delta_set_rate_matches_full_scans(family, beta, n_grid):
     assert any(0 < r[1] < 3000 for r in rows)
 
 
+def test_delta_set_rate_is_worker_invariant(quadratic):
+    # three sample chunks (the last partial) through the pool
+    params = hyp.default_params(quadratic, n_max=100)
+    pot = PotentialModel(
+        phi=lambda x: -np.log(np.abs(quadratic.deriv(x))), pressure=0.0)
+    one, two = (gibbs.delta_set_rate(quadratic, params,
+                                     UniformSampler(quadratic.domain),
+                                     beta=0.5, n_grid=[10, 20, 30],
+                                     samples=140_000, seed=6, potential=pot,
+                                     workers=w) for w in (1, 2))
+    assert any(0 < r[1] < 140_000 for r in one.rows)
+    assert one == two
+
+
 def test_ball_mass_nondecreasing_in_eps(doubling):
     masses = []
     for eps in (0.02, 0.05, 0.1):

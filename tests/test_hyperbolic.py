@@ -116,6 +116,17 @@ def test_tail_curve_seed_agreement(mp):
         assert abs(a.fraction[i] - b.fraction[i]) <= 3 * se + 1e-12
 
 
+def test_tail_curve_is_worker_invariant(quadratic):
+    # three sample chunks (the last partial) through the pool
+    samp = UniformSampler(quadratic.domain)
+    one, two = (hyp.tail_curve(quadratic, samp, params(n_max=200), 140_000,
+                               seed=4, workers=w) for w in (1, 2))
+    assert one.samples == 140_000 and one.survivors[0] > 0
+    for field in ("n", "survivors", "fraction", "ci_low", "ci_high"):
+        assert np.array_equal(getattr(one, field), getattr(two, field))
+    assert one.truncated == two.truncated
+
+
 def test_classify_tail_exact_exponential():
     n = np.arange(1, 41)
     frac = 2.0 ** -n.astype(float)

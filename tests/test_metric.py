@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from devgibbs import hyperbolic as hyp
 from devgibbs import maps, metric
 from devgibbs.dynamics import PotentialModel, orbit
-from devgibbs.errors import ImpossibleCoverError
+from devgibbs.errors import ConfigError, ImpossibleCoverError
 from devgibbs.sampling import UniformSampler, spawn_rng
 
 
@@ -96,6 +96,15 @@ def test_covering_methods_agree(doubling):
                                     method="direct")
     arc = metric.covering_number(doubling, pts, 5, 0.1, 0.1, method="arc")
     assert abs(direct - arc) <= max(2, 0.02 * direct)
+
+
+def test_covering_cylinder_takes_no_arc_path(viana):
+    # above 1,500 points the cover reads 1D ball intervals; a cylinder
+    # family gets their typed refusal, not an N x N membership matrix
+    pts = viana.domain.sample(spawn_rng(1, "cyl"), 1501)
+    with pytest.raises(ConfigError, match="only applies to 1D maps"):
+        metric.covering_number(viana, pts, 2, 0.3, 0.1)
+    assert metric.covering_number(viana, pts[:40], 2, 0.3, 0.1) > 0
 
 
 def test_covering_scale_doubling(doubling):

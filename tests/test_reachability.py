@@ -101,17 +101,18 @@ def test_allowed_names_exist_and_are_unreached():
         name for name in unreached_names() if name in ALLOWED)
 
 
-def _step_sites(tree):
-    """Dotted name of the function or method around each ``.step(...)``
-    call."""
+def _call_sites(tree, name):
+    """Dotted name of the function or method around each call of ``name``,
+    as ``name(...)`` or ``obj.name(...)``."""
     out = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             func = f"{func}.{node.name}" if func else node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "step"):
+        if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "attr", None),
+                getattr(node.func, "id", None)):
             out.append(func)
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -120,9 +121,19 @@ def _step_sites(tree):
     return out
 
 
+def _sites(name):
+    return [(path.stem, func) for path in sorted(PACKAGE.glob("*.py"))
+            for func in _call_sites(ast.parse(path.read_text()), name)]
+
+
 def test_only_the_stepping_loops_call_step():
     # dynamics.walk is the one stepping loop: orbits, Birkhoff sums, ball
     # masses and the hyperbolic-time scan all read it
-    sites = [(path.stem, func) for path in sorted(PACKAGE.glob("*.py"))
-             for func in _step_sites(ast.parse(path.read_text()))]
-    assert sites == [("dynamics", "walk.__iter__")]
+    assert _sites("step") == [("dynamics", "walk.__iter__")]
+
+
+def test_only_chunk_map_draws_chunks_and_runs_the_pool():
+    # sampling.chunk_map is the one Monte Carlo driver: every chunked
+    # estimator hands it a job of the points alone
+    for name in ("sample_chunks", "parallel_chunk_map"):
+        assert _sites(name) == [("sampling", "chunk_map")], name
