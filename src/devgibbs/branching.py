@@ -11,10 +11,10 @@ at the breakpoints (so discontinuities like the gap at 1/2 in the
 intermittent family are represented exactly); degree-d circle maps carry
 a strictly increasing lift.  Each branch has one inverse, vectorized over
 values: a closed form, or ``newton_inverse`` where none exists.  Both
-flavours offer the same set operations: ``ball``, ``image``, ``preimage``
-and ``longest_component``.  Both also pull intervals back through the
-branch that contains a point, vectorized over points, which is what
-exact dynamical balls need.
+flavours offer the same set operations: ``ball``, ``image`` and
+``preimage``.  Both also pull intervals back through the branch that
+contains a point, vectorized over points, which is what exact dynamical
+balls need.
 """
 
 from __future__ import annotations
@@ -111,9 +111,6 @@ class IntervalUnion:
                 out.append((ss, ee))
         return IntervalUnion(out, self.lo, self.hi)
 
-    def largest_component(self) -> Tuple[float, float]:
-        return max(self.segments, key=lambda seg: seg[1] - seg[0])
-
 
 def _ends(u: IntervalUnion):
     """Left and right ends of the components of u, as arrays."""
@@ -196,9 +193,6 @@ class IntervalBranches:
             segs += zip(np.minimum(xa, xb).tolist(),
                         np.maximum(xa, xb).tolist())
         return IntervalUnion(segs, *self.chart)
-
-    def longest_component(self, u: IntervalUnion) -> float:
-        return max((b - a for a, b in u.segments), default=0.0)
 
     def pull_back(self, o, lo, hi):
         """Offsets (lo', hi') around each o of the component containing o
@@ -304,14 +298,6 @@ class CircleBranches:
         keep = (lo < hi) | ((lo == hi) & (ya == yb) & (hi < top))
         xa, xb = self.inv_lift_array(lo[keep]), self.inv_lift_array(hi[keep])
         return IntervalUnion(zip(xa.tolist(), xb.tolist()), 0.0, 1.0)
-
-    def longest_component(self, u: IntervalUnion) -> float:
-        """Length of the longest arc of u, the arc through the seam joined."""
-        lengths = [b - a for a, b in u.segments]
-        if (len(lengths) > 1 and u.segments[0][0] <= MERGE_TOL
-                and u.segments[-1][1] >= 1.0 - MERGE_TOL):
-            lengths.append(lengths[0] + lengths[-1])
-        return max(lengths, default=0.0)
 
     def pull_back(self, o, lo, hi):
         """Offsets (lo', hi') around each o of the component containing o

@@ -39,35 +39,36 @@ CHECKS = {
     "exactness_target": ("int", "exactness", "exactness", "=="),
 }
 
-# value kinds: int, float, str, bool, *_list, or (words) for number-or-word
+# value kinds: int, count (an int >= 1), float, str, bool, *_list, window
+# (two increasing ints), or (words) for number-or-word
 _SCHEMA = {
     "experiment": {
         "family": "str",
         "kind": "str",
         "seed": "int",
-        "samples": "int",
-        "workers": "int",
+        "samples": "count",
+        "workers": "count",
         "out": "str",
     },
     "map": {"a": "float", "alpha": "float", "d": "int"},
     "hyperbolic": {"sigma": "float", "delta": "float", "b": "float",
-                   "n_max": "int"},
+                   "n_max": "count"},
     "deviation": {
         "g": "str", "c": "float", "direction": "str", "n": "int_list",
-        "window": "int_list", "t_grid": "float_list", "fe_n": "int",
-        "fe_samples": "int", "tail_rate": ("neg_inf", "none", "measure"),
+        "window": "window", "t_grid": "float_list", "fe_n": "count",
+        "fe_samples": "count", "tail_rate": ("neg_inf", "none", "measure"),
         "g_file": "str", "sampler_file": "str",
     },
-    "tail": {"window": "int_list"},
+    "tail": {"window": "window"},
     "entropy": {"n_grid": "int_list", "eps_grid": "float_list",
                 "mass_deficit": "float"},
-    "gibbs": {"eps": "float", "n_grid": "int_list", "points": "int",
+    "gibbs": {"eps": "float", "n_grid": "int_list", "points": "count",
               "beta": "float", "delta_n_grid": "int_list",
-              "delta_samples": "int"},
+              "delta_samples": "count"},
     "spec": {"eps_grid": "float_list", "n_grid": "int_list",
-             "base_points": "int", "probes": "int", "cap": "int"},
-    **{kind: {"instances": "int", "pairs": "int", "delta1": ("auto",),
-              "depth_lo": "int", "depth_hi": "int"}
+             "base_points": "count", "probes": "count", "cap": "count"},
+    **{kind: {"instances": "count", "pairs": "count", "delta1": ("auto",),
+              "depth_lo": "count", "depth_hi": "count"}
        for kind in ("contraction", "distortion")},
     "check": {**{key: kind for key, (kind, _, _, _) in CHECKS.items()},
               **{how[1]: "float" for _, _, _, how in CHECKS.values()
@@ -111,6 +112,18 @@ def _parse_scalar(raw: str, want: str, line: int):
 
 def _parse_value(raw: str, want: str, line: int):
     raw = raw.strip()
+    if want == "count":
+        v = _parse_scalar(raw, "int", line)
+        if v < 1:
+            raise ConfigError(f"{raw} is not a count: use an integer >= 1",
+                              line=line)
+        return v
+    if want == "window":
+        v = _parse_value(raw, "int_list", line)
+        if len(v) != 2 or v[0] >= v[1]:
+            raise ConfigError(f"window {raw} is not two increasing "
+                              f"integers [lo, hi]", line=line)
+        return v
     if isinstance(want, str) and want.endswith("_list"):
         inner = raw[1:-1] if raw.startswith("[") and raw.endswith("]") else raw
         parts = [p for p in (s.strip() for s in inner.split(",")) if p]
@@ -223,19 +236,12 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"samples is not read by kind = {kind}: it draws [{kind}] "
             f"{_DRAW_KEYS[kind]}; remove the key")
-    if samples is not None and samples < 1:
-        raise ConfigError("samples must be positive")
-
-    workers = exp.get("workers", 1)
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-
     return ExperimentConfig(
         family=exp["family"],
         kind=kind,
         seed=exp["seed"],
         samples=samples,
-        workers=workers,
+        workers=exp.get("workers", 1),
         out=exp.get("out", "out"),
         map_params=sections.get("map", {}),
         sections=sections,

@@ -1,4 +1,4 @@
-"""Map-evaluation kernel: orbits, Birkhoff sums, derivative cocycles.
+"""Map-evaluation kernel: orbits, Birkhoff sums, Jacobian data.
 
 All operations are pure functions of immutable inputs, so map systems can
 be shared freely across worker threads.  Evaluation is vectorized: a
@@ -6,9 +6,10 @@ be shared freely across worker threads.  Evaluation is vectorized: a
 which case every operation broadcasts elementwise.  Cylinder points put
 their coordinates on the last axis.
 
-Orbits that come within ``NEAR_CRITICAL_TOL`` of the critical set raise
-``SingularityError`` instead of propagating non-finite derivative data;
-exact critical hits are floating-point artifacts of measure zero.
+The hyperbolic-time scan raises ``SingularityError`` for orbits that
+come within ``NEAR_CRITICAL_TOL`` of the critical set instead of
+propagating non-finite derivative data; exact critical hits are
+floating-point artifacts of measure zero.
 
 ``walk`` is the one stepping loop.  It checks the points it is handed
 with ``domain.require``, since ``step`` keeps the domain only from inside
@@ -26,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, EvaluationError, RangeError, SingularityError
+from .errors import ConfigError, EvaluationError, RangeError
 
 NEAR_CRITICAL_TOL = 1e-14
 
@@ -196,27 +197,3 @@ def jacobian_data(m: MapSystem, pts):
     smax = np.sqrt((sq + disc) / 2.0)
     return smin, smax, det
 
-
-def expansion_cocycle(m: MapSystem, x, n: int):
-    """The n values ||Df(f^j(x))^{-1}|| for j = 0..n-1.
-
-    Raises ``SingularityError`` (with the offending index) if the orbit
-    passes within ``NEAR_CRITICAL_TOL`` of the critical set.
-    """
-    if n < 1:
-        raise ValueError("expansion_cocycle needs n >= 1")
-    orb = orbit(m, x, n - 1)
-    dist = np.asarray(m.crit_dist(orb), dtype=float)
-    near = (dist < NEAR_CRITICAL_TOL).reshape(n, -1).any(axis=1)
-    if near.any():
-        j = int(np.argmax(near))
-        raise SingularityError(f"orbit hit the critical set at index {j}", index=j)
-    return 1.0 / jacobian_data(m, orb)[0]
-
-
-def truncated_distance(m: MapSystem, x, delta: float):
-    """Distance to the critical set below ``delta``, and 1 otherwise."""
-    if delta <= 0:
-        raise ValueError("truncation radius must be positive")
-    dist = np.asarray(m.crit_dist(np.asarray(x, dtype=float)), dtype=float)
-    return np.where(dist < delta, dist, 1.0)

@@ -28,7 +28,9 @@ horizon) retires no point, ``first_times_batch`` retires each point at
 its first time, ``straddling_times`` (the times on either side of each n
 of a grid, which specification, the Delta_n set and distortion read) at
 its first time past the grid, and ``sample_anchors`` scans each block of
-candidates only to the top of its depth window.
+candidates only to the top of its depth window.  The double-loop
+reference checker and the lag statistics of a time record, which only
+the tests run, are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -159,28 +161,6 @@ def is_hyperbolic_time(m: MapSystem, x, n: int, params: HyperbolicParams) -> boo
         raise ValueError("hyperbolic times start at n = 1")
     times = hyperbolic_times(m, x, replace(params, n_max=n)).times
     return bool(len(times)) and int(times[-1]) == n
-
-
-def naive_is_hyperbolic_time(m: MapSystem, x, n: int,
-                             params: HyperbolicParams) -> bool:
-    """Reference double-loop checker, one fresh suffix sum per k."""
-    from .dynamics import expansion_cocycle, orbit, truncated_distance
-
-    inv = expansion_cocycle(m, x, n)
-    pts = orbit(m, x, n - 1)
-    log_sigma = np.log(params.sigma)
-    logs = np.log(inv)
-    scale = max(1.0, float(np.max(np.abs(np.cumsum(logs + log_sigma)))))
-    for k in range(1, n + 1):
-        s = 0.0
-        for j in range(n - k, n):
-            s += log_sigma + logs[j]
-        if s > 1e-12 * scale:
-            return False
-        d = float(truncated_distance(m, pts[n - k], params.delta))
-        if not (n > (n - k) + (-np.log(d)) / (params.b * log_sigma) - _INDEX_TOL):
-            return False
-    return True
 
 
 def sample_anchors(m: MapSystem, draw, params: HyperbolicParams, lo: int,
@@ -325,61 +305,3 @@ def classify_tail(curve: TailCurve, window: Optional[tuple] = None) -> TailFit:
                    rate_stderr=semi.stderr, exponent_stderr=logg.stderr,
                    window=(int(lo), int(hi)))
 
-
-@dataclass(frozen=True)
-class LagStats:
-    """Lag statistics of a detected-time record on the window [lo, N].
-
-    ``lo = max(window_min, N // 10)`` scales with N, so that growing N
-    moves the window out and the statistics estimate limsups rather than
-    running maxima over all times.
-    """
-
-    #: max (n_{i+1} - n_i) / n_i over gaps with lo <= n_i and n_{i+1} <= N,
-    #: an estimate of limsup (n_{i+1} - n_i) / n_i; NaN when insufficient
-    max_gap_ratio: float
-    #: max (n - n_i(x)) / n over lo <= n <= N, with n_i(x) the last
-    #: detected time <= n; NaN when insufficient
-    max_wait_ratio: float
-    #: the window (lo, N) actually used
-    window: tuple
-    #: True when no gap starts in the window
-    insufficient: bool = False
-
-
-def lag_statistic_from_times(times: np.ndarray, N: int,
-                             window_min: int = 10) -> LagStats:
-    """Lag statistics of a sorted array of detected times up to N.
-
-    The statistics are taken on the window [max(window_min, N // 10), N]:
-    ``max_gap_ratio`` estimates the limsup of (n_{i+1} - n_i)/n_i, which
-    non-uniform specification needs to fall to 0 as N grows.  Times
-    beyond N are dropped.  When no gap starts in the window, the result
-    is ``insufficient`` with NaN statistics.
-    """
-    times = np.asarray(times, dtype=np.int64)
-    times = times[times <= N]
-    lo = max(window_min, N // 10)
-    prev, nxt = times[:-1], times[1:]
-    in_win = prev >= lo
-    if not np.any(in_win):
-        return LagStats(np.nan, np.nan, (lo, N), insufficient=True)
-    gap_ratio = float(np.max((nxt - prev)[in_win] / prev[in_win]))
-    # (n - n_i)/n peaks just before the next detected time, and after the
-    # last detected time it keeps growing until the horizon
-    waits = [0.0]
-    for a, b in zip(prev, nxt):
-        n_peak = int(b) - 1
-        if n_peak >= max(int(a), lo):
-            waits.append((n_peak - int(a)) / n_peak)
-    if times[-1] < N:
-        waits.append((N - int(times[-1])) / N)
-    wait_ratio = float(max(waits))
-    return LagStats(max_gap_ratio=gap_ratio, max_wait_ratio=wait_ratio,
-                    window=(lo, N))
-
-
-def lag_statistic(m: MapSystem, x, N: int, params: HyperbolicParams,
-                  window_min: int = 10) -> LagStats:
-    rec = hyperbolic_times(m, x, replace(params, n_max=N))
-    return lag_statistic_from_times(rec.times, N, window_min=window_min)

@@ -1,4 +1,4 @@
-"""Constructors and condition checkers for the benchmark map families.
+"""Constructors of the benchmark map families.
 
 Five families are shipped:
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,10 +35,8 @@ import numpy as np
 from .branching import (CircleBranches, IntervalBranches, MonotonePiece,
                         newton_inverse)
 from .domain import Circle, Cylinder, Interval, frac
-from .dynamics import MapSystem, jacobian_data
-from .errors import CapabilityError, ConfigError, ParameterError
-from .sampling import spawn_rng
-from .stats import ols_fit
+from .dynamics import MapSystem
+from .errors import ConfigError, ParameterError
 
 TWO_PI = 2.0 * math.pi
 
@@ -290,136 +287,3 @@ def make_family(name: str, params: Optional[dict] = None) -> MapSystem:
                 + (", ".join(takes) if takes else "none"))
     return FAMILIES[name][0](**params)
 
-
-# --- condition checkers -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PowerLawFit:
-    """Result of fitting distance-power bounds near the critical set."""
-
-    ok: bool
-    B: float
-    beta: float
-    worst_ratio: float
-    vacuous: bool = False
-    witness: Optional[tuple] = None
-    table: tuple = ()
-
-
-def _nearby_pairs(m, xs, rng):
-    """Partners y with d(x, y) < dist(x, C)/2, staying in the domain."""
-    r = np.asarray(m.crit_dist(xs), dtype=float) * 0.5 * 0.999
-    u = (2.0 * rng.random(len(xs)) - 1.0)
-    if m.domain.ndim == 1:
-        ys = m.domain.clamp(xs + u * r)
-    else:
-        ys = xs.copy()
-        v = (2.0 * rng.random(len(xs)) - 1.0)
-        ys[:, 0] = frac(ys[:, 0] + u * np.minimum(r, 0.49))
-        ys[:, 1] = ys[:, 1] + v * r
-        ys = m.domain.clamp(ys)
-    keep = (m.domain.distance(xs, ys) < np.asarray(m.crit_dist(xs)) * 0.5) \
-        & (m.domain.distance(xs, ys) > 0)
-    return ys, keep
-
-
-def verify_H(m: MapSystem, samples: int = 4000, seed: int = 0,
-             beta_grid=None) -> PowerLawFit:
-    """Fit the smallest (B, beta) making the distance-power bounds hold.
-
-    Checks, on sampled pairs with d(x, y) < dist(x, C)/2:
-    (a) B^-1 dist^beta <= sigma_min(Df) and sigma_max(Df) <= B dist^-beta,
-    (b) the log of ||Df^-1|| is B dist^-beta Lipschitz,
-    (c) likewise for log |det Df|.
-    Maps with empty critical set pass vacuously with B = 1.
-    """
-    probe = np.asarray(m.crit_dist(m.domain.sample(spawn_rng(seed, "verify_h"), 64)))
-    if not np.any(np.isfinite(probe)):
-        return PowerLawFit(ok=True, B=1.0, beta=1.0, worst_ratio=0.0, vacuous=True)
-
-    rng = spawn_rng(seed, "verify_h")
-    xs = m.domain.sample(rng, samples)
-    dist = np.asarray(m.crit_dist(xs), dtype=float)
-    keep = dist > 1e-9
-    xs, dist = xs[keep], dist[keep]
-    ys, ok_pair = _nearby_pairs(m, xs, rng)
-    xs_p, ys_p, dist_p = xs[ok_pair], ys[ok_pair], dist[ok_pair]
-
-    smin, smax, det = jacobian_data(m, xs)
-    smin_y, _, det_y = jacobian_data(m, ys_p)
-    smin_x = smin[ok_pair]
-    det_x = np.abs(det[ok_pair])
-    det_y = np.abs(det_y)
-    gap = np.asarray(m.domain.distance(xs_p, ys_p), dtype=float)
-    dlog_inv = np.abs(np.log(smin_x) - np.log(smin_y))
-    dlog_det = np.abs(np.log(det_x) - np.log(det_y))
-
-    if beta_grid is None:
-        beta_grid = np.linspace(0.05, 1.0, 20)
-    table = []
-    for beta in beta_grid:
-        db = dist ** beta
-        b_a = max(np.max(db / smin), np.max(smax * db))
-        dbp = dist_p ** beta
-        b_b = np.max(dlog_inv * dbp / gap) if len(gap) else 1.0
-        b_c = np.max(dlog_det * dbp / gap) if len(gap) else 1.0
-        B = max(1.0, b_a, b_b, b_c)
-        table.append((float(beta), float(B)))
-    finite = [(beta, B) for beta, B in table if np.isfinite(B)]
-    if not finite:
-        worst = int(np.argmax(dlog_inv * dist_p / gap))
-        return PowerLawFit(ok=False, B=math.inf, beta=1.0, worst_ratio=math.inf,
-                           witness=(float(xs_p[worst]), float(ys_p[worst])),
-                           table=tuple(table))
-    beta, B = min(finite, key=lambda t: t[1])
-    return PowerLawFit(ok=True, B=B, beta=beta, worst_ratio=1.0, table=tuple(table))
-
-
-@dataclass(frozen=True)
-class PreimageContraction:
-    """Log-log fit of preimage-component diameters against set diameter."""
-
-    L: float
-    gamma: float
-    residual: float
-    table: tuple
-
-
-def verify_C(m: MapSystem, eps_grid, samples: int = 32, seed: int = 0,
-             anchors=None) -> PreimageContraction:
-    """Measure preimage-component diameters and fit diam <= L eps^gamma.
-
-    Targets of diameter eps are centred at points drawn at random once
-    (or at the given anchors) and shifted to lie inside an interval
-    domain, so each centre's targets are nested in eps.  The longest
-    component of their preimage is recorded (on the circle the arc
-    through the seam counts as one); a log-log regression over the eps
-    grid gives (L, gamma).
-    """
-    eps_grid = list(eps_grid)
-    if len(eps_grid) < 3:
-        raise ConfigError("preimage-contraction fit needs >= 3 grid points")
-    if m.branches is None:
-        raise CapabilityError(f"{m.label}: no branch structure for preimage sets")
-    if anchors is None:
-        centers = m.domain.sample(spawn_rng(seed, "verify_c"), samples)
-    else:
-        centers = np.asarray(anchors, dtype=float)
-    rows = []
-    for eps in eps_grid:
-        worst = 0.0
-        for c in np.atleast_1d(centers):
-            c = float(c)
-            if hasattr(m.domain, "lo"):
-                c = min(max(c, m.domain.lo + eps / 2.0), m.domain.hi - eps / 2.0)
-            pre = m.branches.preimage(m.branches.ball(c, eps / 2.0))
-            worst = max(worst, m.branches.longest_component(pre))
-        rows.append((eps, worst))
-    x = np.log([r[0] for r in rows])
-    y = np.log([max(r[1], 1e-300) for r in rows])
-    fit = ols_fit(x, y)
-    return PreimageContraction(L=float(math.exp(fit.intercept)),
-                               gamma=float(fit.slope),
-                               residual=float(fit.residual),
-                               table=tuple(rows))

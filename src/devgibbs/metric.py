@@ -1,9 +1,8 @@
-"""Dynamical metric structures: balls, separated sets, covers, entropy.
+"""Dynamical metric structures: balls, covers, entropy, pair probes.
 
-Two index conventions coexist on purpose: the orbit metric d_n maximizes
-step distances over j = 0..n-1 (separated sets, Katok counting), while
-dynamical-ball membership quantifies over j = 0..n inclusive (n+1
-comparisons).  Each is used where the corresponding statement uses it.
+Dynamical-ball membership quantifies over j = 0..n inclusive (n+1
+comparisons), as the ball statements do; the orbit metric d_n of the
+separated-set reference in the tests maximizes over j = 0..n-1.
 
 Covering numbers are greedy upper estimates: repeatedly center a ball at
 the sample point whose ball holds the most uncovered sample points,
@@ -14,14 +13,13 @@ is polynomial (a dynamic program over right endpoints).  Greedy is kept
 because each pick is cheap and its bias has a fixed direction (never
 below the minimum over sample-point centers), which is all the entropy
 regression needs.  For 1D maps each ball is taken as the interval that
-is its connected component through the center.  Maps with a branch
-structure get that interval exactly, vectorized over centers, by pulling
-B(f^n x, eps) back through the branch that contains each f^j x and
-intersecting with B(f^j x, eps) at every step.  Other 1D maps fall back
-to bisection on the membership predicate, which is right only where the
-ball is a single interval.  A direct orbit-matrix path, which uses whole
-balls rather than components, is kept for cross-checks on small
-instances.
+is its connected component through the center.  Every 1D family has a
+branch structure, which gives that interval exactly, vectorized over
+centers, by pulling B(f^n x, eps) back through the branch that contains
+each f^j x and intersecting with B(f^j x, eps) at every step; a 1D map
+without one raises ``CapabilityError``.  A direct orbit-matrix path,
+which uses whole balls rather than components, is kept for small sets
+and for cross-checks.
 """
 
 from __future__ import annotations
@@ -33,7 +31,8 @@ import numpy as np
 
 from .domain import frac
 from .dynamics import MapSystem, birkhoff_sum, orbit
-from .errors import ConfigError, ImpossibleCoverError, SamplingError
+from .errors import (CapabilityError, ConfigError, ImpossibleCoverError,
+                     SamplingError)
 from .hyperbolic import HyperbolicParams, is_hyperbolic_time, sample_anchors
 from .sampling import chunk_map, spawn_rng
 from .stats import ols_fit
@@ -52,76 +51,23 @@ class BallSpec:
             raise ValueError("ball radius must be positive")
 
 
-def dn_distance(m: MapSystem, x, y, n: int) -> float:
-    """max_{0<=j<=n-1} d(f^j x, f^j y)."""
-    if n < 1:
-        raise ValueError("d_n needs n >= 1")
-    ox = orbit(m, x, n - 1)
-    oy = orbit(m, y, n - 1)
-    return float(np.max(m.domain.distance(ox, oy)))
-
-
-def in_dynamical_ball(m: MapSystem, y, spec: BallSpec) -> bool:
-    """Membership with the inclusive convention j = 0..n."""
-    return dn_distance(m, spec.center, y, spec.n + 1) <= spec.eps
-
-
-@dataclass
-class SeparatedSet:
-    n: int
-    eps: float
-    members: np.ndarray
-    indices: np.ndarray
-    maximal: bool
-
-
-def maximal_separated_subset(m: MapSystem, candidates, n: int,
-                             eps: float) -> SeparatedSet:
-    """Greedy pass in candidate order; admits iff d_n > eps to all admitted.
-
-    The result is maximal within the candidate list: no remaining candidate
-    could still be added.
-    """
-    pts = np.asarray(candidates, dtype=float)
-    if pts.size == 0:
-        raise ValueError("need at least one candidate")
-    orb = orbit(m, pts, n - 1)  # (n, N) or (n, N, 2)
-    admitted = []
-    for i in range(pts.shape[0]):
-        ok = True
-        for j in admitted:
-            dij = float(np.max(m.domain.distance(orb[:, i], orb[:, j])))
-            if dij <= eps:
-                ok = False
-                break
-        if ok:
-            admitted.append(i)
-    idx = np.asarray(admitted, dtype=int)
-    return SeparatedSet(n=n, eps=eps, members=pts[idx], indices=idx,
-                        maximal=True)
-
-
-_BISECTION_ITERS = 48
-
-
 def ball_intervals(m: MapSystem, centers, n: int, eps: float):
     """Per-center one-sided radii (r_minus, r_plus) of B(x, n, eps).
 
     [x - r_minus, x + r_plus] is the connected component through x of the
     inclusive ball {y : d(f^j x, f^j y) <= eps for j = 0..n}; on the
-    circle each radius is also capped at 1/2.  With a branch structure
-    the component is exact up to rounding: the target B(f^n x, eps) is
-    pulled back one step at a time through the branch that contains f^j x
-    and intersected with B(f^j x, eps).  Without one, the radii come from
-    bisection on the membership predicate, which finds the component only
-    where the ball is a single interval.
+    circle each radius is also capped at 1/2.  The component is exact up
+    to rounding: the target B(f^n x, eps) is pulled back one step at a
+    time through the branch that contains f^j x and intersected with
+    B(f^j x, eps).  A 1D map without a branch structure raises
+    ``CapabilityError``.
     """
     if m.domain.ndim != 1:
         raise ConfigError("interval extraction only applies to 1D maps")
+    if m.branches is None:
+        raise CapabilityError(f"{m.label}: no branch structure")
     centers = np.asarray(centers, dtype=float)
     orb = orbit(m, centers, n)
-    if m.branches is None:
-        return _bisection_radii(m, orb, eps)
     if hasattr(m.domain, "lo"):
         cap = eps
         r_lo = np.minimum(eps, orb[n] - m.domain.lo)
@@ -134,35 +80,6 @@ def ball_intervals(m: MapSystem, centers, n: int, eps: float):
         r_lo = np.clip(r_lo, 0.0, cap)
         r_hi = np.clip(r_hi, 0.0, cap)
     return r_lo, r_hi
-
-
-def _bisection_radii(m, orb_c, eps):
-    """Radii by bisection on membership along [x, x +- min(eps, room)]."""
-    centers, n = orb_c[0], orb_c.shape[0] - 1
-
-    def max_dev(pts):
-        o = orbit(m, pts, n)
-        return np.max(m.domain.distance(o, orb_c), axis=0)
-
-    out = []
-    for sign in (-1.0, 1.0):
-        lo = np.zeros_like(centers)
-        if hasattr(m.domain, "lo"):
-            room = (centers - m.domain.lo) if sign < 0 \
-                else (m.domain.hi - centers)
-            hi = np.minimum(eps, room)
-        else:
-            hi = np.full_like(centers, min(eps, 0.5))
-        inside = max_dev(m.domain.clamp(centers + sign * hi)) <= eps
-        for _ in range(_BISECTION_ITERS):
-            mid = 0.5 * (lo + hi)
-            ok = max_dev(m.domain.clamp(centers + sign * mid)) <= eps
-            lo = np.where(ok, mid, lo)
-            hi = np.where(ok, hi, mid)
-        # if even the full radius stays inside, keep it
-        r = np.where(inside, np.maximum(lo, hi), lo)
-        out.append(r)
-    return out[0], out[1]
 
 
 def covering_number(m: MapSystem, points, n: int, eps: float, delta: float,
@@ -290,8 +207,12 @@ def katok_entropy(m: MapSystem, sampler, n_grid, eps_grid, delta: float,
     """
     n_grid = sorted(int(v) for v in n_grid)
     eps_grid = sorted(float(v) for v in eps_grid)
-    if len(n_grid) < 3 or len(eps_grid) < 3:
-        raise ConfigError("entropy estimation needs >= 3 grid values each")
+    if len(set(n_grid)) < 3 or n_grid[0] < 0:
+        raise ConfigError(f"[entropy] n_grid = {n_grid} needs >= 3 distinct "
+                          f"values, each >= 0")
+    if len(set(eps_grid)) < 3 or eps_grid[0] <= 0:
+        raise ConfigError(f"[entropy] eps_grid = {eps_grid} needs >= 3 "
+                          f"distinct values, each > 0")
     pts = np.concatenate(chunk_map(lambda chunk: chunk, sampler, samples,
                                    seed, "katok"))
     table = []
@@ -398,8 +319,10 @@ def calibrate_delta1(m: MapSystem, params: HyperbolicParams, seed: int,
                      threshold: float = 0.99) -> float:
     """Largest radius in {2^-3 .. 2^-10} passing a pilot contraction check.
 
-    The backward-contraction statement guarantees such a radius exists but
-    not its value; this pins one per family and reports it.
+    A radius passes when every anchor's pass fraction reaches
+    ``threshold``.  The backward-contraction statement guarantees such a
+    radius exists but not its value; this pins one per family and reports
+    it, and raises ``SamplingError`` when none of the eight passes.
     """
     rng = spawn_rng(seed, "delta1")
     # modest depths: the ball width shrinks like e^(-lambda n) and falls
@@ -409,19 +332,19 @@ def calibrate_delta1(m: MapSystem, params: HyperbolicParams, seed: int,
     anchors = [(float(x), n) for x, n in anchors]
     if not anchors:
         raise SamplingError("no hyperbolic times found for calibration")
+    best = 0.0  # the largest, over radii, of the smallest anchor pass
     for k in range(3, 11):
         delta1 = 2.0 ** -k
-        ok = True
-        for x, n in anchors:
-            try:
-                rep = backward_contraction_check(m, x, n, params, pairs,
-                                                 delta1, seed)
-            except SamplingError:
-                ok = False
-                break
-            if rep.pass_fraction < threshold:
-                ok = False
-                break
-        if ok:
+        try:
+            worst = min(backward_contraction_check(
+                m, x, n, params, pairs, delta1, seed).pass_fraction
+                for x, n in anchors)
+        except SamplingError:
+            continue
+        if worst >= threshold:
             return delta1
-    return 2.0 ** -10
+        best = max(best, worst)
+    raise SamplingError(
+        f"no radius in 2^-3 .. 2^-10 passes the pilot contraction check at "
+        f"threshold {threshold}: the best pass fraction is {best}; set "
+        f"delta1 by hand")

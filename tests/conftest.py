@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from devgibbs import maps
+from devgibbs.branching import IntervalBranches, MonotonePiece
 from devgibbs.domain import Interval
 from devgibbs.dynamics import MapSystem
 
@@ -39,11 +40,14 @@ def viana():
 @pytest.fixture(scope="session")
 def identity_map():
     """Trivial stub: no orbit separation, entropy zero."""
+    ident = lambda x: np.asarray(x, dtype=float)
     return MapSystem(
         label="identity",
         domain=Interval(0.0, 1.0),
         params={},
-        step=lambda x: np.asarray(x, dtype=float),
+        step=ident,
         deriv=lambda x: np.ones(np.shape(x)),
         crit_dist=lambda x: np.full(np.shape(x), np.inf),
+        branches=IntervalBranches(
+            (MonotonePiece(0.0, 1.0, 0.0, 1.0, fwd=ident, inv_array=ident),)),
     )

@@ -24,6 +24,8 @@ from devgibbs.metric import BallSpec
 from devgibbs.observables import make_observable
 from devgibbs.runner import run as run_experiment
 from devgibbs.sampling import UniformSampler, spawn_rng
+from oracles import (OrbitPiece, dn_distance, maximal_separated_subset,
+                     naive_is_hyperbolic_time, shadow_search)
 
 CRAMER_I = math.log(2) - (-(0.7 * math.log(0.7) + 0.3 * math.log(0.3)))
 
@@ -249,9 +251,9 @@ def test_criterion_08_contraction_distortion(quadratic_map):
 def test_criterion_09_specification_probes(doubling_map):
     probes = np.linspace(0.03, 0.97, 11)
     res = sp.exactness_time(doubling_map, 1 / 64, probes)
-    sr = sp.shadow_search(doubling_map,
-                          [sp.OrbitPiece(0.123, 5), sp.OrbitPiece(0.777, 5)],
-                          1 / 64, [6])
+    sr = shadow_search(doubling_map,
+                       [OrbitPiece(0.123, 5), OrbitPiece(0.777, 5)],
+                       1 / 64, [6])
     pdbl = hyp.default_params(doubling_map, n_max=1600)
     rep_dbl = sp.nonuniform_spec_statistic(
         doubling_map, UniformSampler(doubling_map.domain), [1 / 64],
@@ -327,7 +329,7 @@ def test_criterion_12_oracle_equivalence(doubling_map, quadratic_map):
         n = int(rng.integers(1, 201))
         try:
             a = hyp.is_hyperbolic_time(m, x, n, p)
-            b = hyp.naive_is_hyperbolic_time(m, x, n, p)
+            b = naive_is_hyperbolic_time(m, x, n, p)
         except Exception:
             continue
         if a != b:
@@ -338,11 +340,11 @@ def test_criterion_12_oracle_equivalence(doubling_map, quadratic_map):
     for _ in range(10):
         cands = rng2.random(120)
         n, eps = int(rng2.integers(2, 6)), float(2.0 ** -rng2.integers(2, 6))
-        ss = metric.maximal_separated_subset(doubling_map, cands, n, eps)
+        ss = maximal_separated_subset(doubling_map, cands, n, eps)
         for i in range(len(ss.members)):
             for j in range(i + 1, len(ss.members)):
-                if metric.dn_distance(doubling_map, ss.members[i],
-                                      ss.members[j], n) <= eps:
+                if dn_distance(doubling_map, ss.members[i],
+                               ss.members[j], n) <= eps:
                     sep_ok = False
 
     v = maps.make_viana(16, 2.0, 0.0)

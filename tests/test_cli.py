@@ -572,11 +572,11 @@ def test_preimage_paths_leave_scipy_optimize_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys\n"
-        "from devgibbs import maps, specprobe as sp\n"
+        "from devgibbs import maps, metric, specprobe as sp\n"
         "for m in (maps.make_mp(0.5), maps.make_perturbed_expanding(4, 0.55)):\n"
-        "    sp.shadow_search(m, [sp.OrbitPiece(0.3, 3), sp.OrbitPiece(0.7, 3)],"
-        " 0.05, [6])\n"
-        "    maps.verify_C(m, [0.1, 0.05, 0.025], samples=4, seed=0)\n"
+        "    m.branches.preimage(m.branches.ball(0.3, 0.05))\n"
+        "    metric.ball_intervals(m, [0.3, 0.7], 6, 0.05)\n"
+        "    sp.exactness_time(m, 0.05, [0.3, 0.7])\n"
         "print('scipy.optimize' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
@@ -796,4 +796,59 @@ def test_viana_entropy_refused(tmp_path):
     res = CliRunner().invoke(main, ["run", str(cfg)])
     assert res.exit_code == 1, res.output
     assert "config error: family = viana is not one-dimensional" in res.output
+    assert not out.exists()
+
+
+def test_spec_cell_with_every_point_censored_reads_inf(tmp_path):
+    # at sigma = 3.9 no sampled point has a hyperbolic time past n = 50
+    # within the horizon; a p_hat below the exactness time 8 cannot be true
+    out = tmp_path / "out"
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(f"family = perturbed_expanding\nkind = spec\nseed = 5\n"
+                   f"out = {out}\n\n[map]\nd = 4\na = 0.55\n\n[hyperbolic]\n"
+                   f"sigma = 3.9\n\n[spec]\neps_grid = [0.015625]\n"
+                   f"n_grid = [50, 100]\nbase_points = 12\n\n[check]\n"
+                   f"headline_max = 0.05\n")
+    res = CliRunner().invoke(main, ["run", str(cfg), "--check"])
+    assert res.exit_code == 3, res.output
+    assert "check headline: FAIL (headline=inf <= 0.05)" in res.output
+    gap = json.loads((out / "gap_report.json").read_text())
+    assert gap["censored_fraction"] == 1.0
+    assert [row["p_hat"] for row in gap["rows"]] == [float("inf")] * 2
+
+
+@pytest.mark.parametrize("kind,body,line,named", [
+    ("spec", "probes = 0", 6, "0 is not a count"),
+    ("spec", "base_points = 0", 6, "0 is not a count"),
+    ("contraction", "instances = 0", 6, "0 is not a count"),
+    ("deviation", "window = [4, 6, 8]", 6, "window [4, 6, 8] is not two"),
+    ("tail", "window = [20]", 6, "window [20] is not two"),
+    ("tail", "window = [20, 20]", 6, "window [20, 20] is not two"),
+])
+def test_count_and_window_keys_are_checked_on_parse(tmp_path, kind, body,
+                                                    line, named):
+    out = tmp_path / "out"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"family = doubling\nkind = {kind}\nseed = 3\n"
+                   f"out = {out}\n[{kind}]\n{body}\n")
+    for command in ("validate", "run"):
+        res = CliRunner().invoke(main, [command, str(cfg)])
+        assert res.exit_code == 1, res.output
+        assert f"config error: line {line}: {named}" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_grid", "[3, 3, 3]"),
+    ("eps_grid", "[0.2, 0.1, -0.05]"),
+])
+def test_entropy_grid_is_checked(tmp_path, key, value):
+    out = tmp_path / "out"
+    cfg = tmp_path / "entropy.cfg"
+    cfg.write_text(f"family = doubling\nkind = entropy\nseed = 7\n"
+                   f"samples = 5000\nout = {out}\n\n[entropy]\n"
+                   f"{key} = {value}\n")
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 1, res.output
+    assert f"config error: [entropy] {key} = " in res.output
     assert not out.exists()

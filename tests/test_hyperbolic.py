@@ -13,6 +13,7 @@ from devgibbs.dynamics import MapSystem
 from devgibbs.errors import ConfigError, SingularityError
 from devgibbs.sampling import UniformSampler
 from helpers import all_times, combined_se, count_steps
+import oracles
 
 
 def params(sigma=1.4, delta=0.1, b=0.25, n_max=100):
@@ -78,12 +79,12 @@ def test_detector_matches_naive_small(doubling, quadratic, mp):
                 x = float(rng.random())
             n = int(rng.integers(1, 40))
             assert hyp.is_hyperbolic_time(m, x, n, p) == \
-                hyp.naive_is_hyperbolic_time(m, x, n, p)
+                oracles.naive_is_hyperbolic_time(m, x, n, p)
 
 
 def test_backward_monotonicity_of_prefix(quadratic):
     """At a detected time the accumulated log-product is a running min."""
-    from devgibbs.dynamics import expansion_cocycle
+    from oracles import expansion_cocycle
 
     p = hyp.default_params(quadratic, n_max=60)
     rec = hyp.hyperbolic_times(quadratic, 0.3, p)
@@ -164,43 +165,43 @@ def test_pliss_density_doubling(doubling):
 
 
 def test_lag_statistic_doubling(doubling):
-    stats = hyp.lag_statistic(doubling, 0.3, 100, params(n_max=100),
-                              window_min=10)
+    stats = oracles.lag_statistic(doubling, 0.3, 100, params(n_max=100),
+                                  window_min=10)
     assert stats.max_gap_ratio == pytest.approx(0.1)
     assert stats.max_wait_ratio == 0.0
 
 
 def test_lag_statistic_lacunar_stub():
-    stats = hyp.lag_statistic_from_times(np.array([2, 4, 8, 16, 32, 64]),
-                                         100, window_min=1)
+    stats = oracles.lag_statistic_from_times(np.array([2, 4, 8, 16, 32, 64]),
+                                             100, window_min=1)
     assert stats.max_gap_ratio == pytest.approx(1.0)
 
 
 def test_lag_statistic_insufficient():
-    stats = hyp.lag_statistic_from_times(np.array([3]), 50)
+    stats = oracles.lag_statistic_from_times(np.array([3]), 50)
     assert stats.insufficient
 
 
 def test_lag_statistic_scaled_window():
     # one gap 19 -> 30; the window [max(10, N // 10), N] leaves it behind
     times = np.r_[1:20, 30:1001]
-    early = hyp.lag_statistic_from_times(times, 100)
+    early = oracles.lag_statistic_from_times(times, 100)
     assert early.window == (10, 100)
     assert early.max_gap_ratio == pytest.approx(11 / 19)
     assert early.max_wait_ratio == pytest.approx(10 / 29)
-    late = hyp.lag_statistic_from_times(times, 1000)
+    late = oracles.lag_statistic_from_times(times, 1000)
     assert late.window == (100, 1000)
     assert late.max_gap_ratio == pytest.approx(0.01)
     assert late.max_wait_ratio == 0.0
     assert not late.insufficient
-    none = hyp.lag_statistic_from_times(np.array([1, 2, 3]), 100)
+    none = oracles.lag_statistic_from_times(np.array([1, 2, 3]), 100)
     assert none.insufficient
     assert np.isnan(none.max_gap_ratio) and np.isnan(none.max_wait_ratio)
 
 
 def test_mp_lag_statistic_decreasing(mp):
     p = params(sigma=1.2, n_max=10000)
-    vals = [hyp.lag_statistic(mp, 0.662, N, p).max_gap_ratio
+    vals = [oracles.lag_statistic(mp, 0.662, N, p).max_gap_ratio
             for N in (100, 1000, 10000)]
     assert vals[2] <= vals[0]
 
@@ -210,7 +211,7 @@ def test_mp_lag_statistic_decreasing_ensemble(mp):
     # which does not rest on the last bits of one chaotic orbit
     p = params(sigma=1.2, n_max=1000)
     starts = np.random.default_rng(0).random(60)
-    med = [np.median([hyp.lag_statistic(mp, x, N, p).max_gap_ratio
+    med = [np.median([oracles.lag_statistic(mp, x, N, p).max_gap_ratio
                       for x in starts]) for N in (100, 1000)]
     assert med[1] < med[0]
 
@@ -261,7 +262,7 @@ def test_batch_scan_matches_single_scans(name, us, n_max, n):
         assert np.array_equal(times, single)
         assert np.all(np.diff(times) > 0)
         if n <= n_max:
-            assert (n in times) == hyp.naive_is_hyperbolic_time(m, x, n, p)
+            assert (n in times) == oracles.naive_is_hyperbolic_time(m, x, n, p)
 
 
 def test_batch_scan_names_singular_start_point(quadratic):
@@ -291,11 +292,11 @@ def test_scan_matches_naive_checker_at_every_n(name, us, n_max, delta):
         # some orbit reaches the critical set before index n_max
         with pytest.raises(SingularityError):
             for x in xs:
-                hyp.naive_is_hyperbolic_time(m, x, n_max, p)
+                oracles.naive_is_hyperbolic_time(m, x, n_max, p)
         return
     for x, times in zip(xs, batch):
         for n in range(1, n_max + 1):
-            assert (n in times) == hyp.naive_is_hyperbolic_time(m, x, n, p)
+            assert (n in times) == oracles.naive_is_hyperbolic_time(m, x, n, p)
 
 
 def test_empty_batch(quadratic):

@@ -6,6 +6,7 @@ import pytest
 from devgibbs import maps
 from devgibbs.dynamics import evaluate, orbit
 from devgibbs.errors import CapabilityError, ConfigError, ParameterError
+import oracles
 
 
 def test_family_defaults_are_constructor_keywords():
@@ -133,7 +134,7 @@ def test_family_registry_dispatch():
 
 
 def test_verify_h_quadratic():
-    fit = maps.verify_H(maps.make_quadratic(2.0), samples=3000, seed=1)
+    fit = oracles.verify_H(maps.make_quadratic(2.0), samples=3000, seed=1)
     assert fit.ok and not fit.vacuous
     assert fit.beta == pytest.approx(1.0)
     # |f'(x)| = 4 dist(x, C), so the admissible constant sits at ~4
@@ -141,19 +142,19 @@ def test_verify_h_quadratic():
 
 
 def test_verify_h_doubling_vacuous(doubling):
-    fit = maps.verify_H(doubling, samples=100, seed=1)
+    fit = oracles.verify_H(doubling, samples=100, seed=1)
     assert fit.vacuous and fit.ok and fit.B == 1.0
 
 
 def test_verify_h_viana_sampled():
-    fit = maps.verify_H(maps.make_viana(16, 2.0, 0.01), samples=3000, seed=2)
+    fit = oracles.verify_H(maps.make_viana(16, 2.0, 0.01), samples=3000, seed=2)
     assert fit.ok
     assert np.isfinite(fit.B)
 
 
 def test_verify_c_doubling_exact(doubling):
-    fit = maps.verify_C(doubling, [2 ** -k for k in range(4, 8)],
-                        samples=8, seed=2)
+    fit = oracles.verify_C(doubling, [2 ** -k for k in range(4, 8)],
+                           samples=8, seed=2)
     assert fit.gamma == pytest.approx(1.0, abs=1e-9)
     assert fit.L == pytest.approx(0.5, rel=1e-9)
 
@@ -168,8 +169,8 @@ def test_verify_c_across_the_seam(make, L, tol):
     # targets about f(0) = omega: for omega = 0 the target wraps the seam;
     # for a = 0.55, f'(0) < 1 makes the preimage arc through 0 the longest
     m = make()
-    fit = maps.verify_C(m, [2 ** -k for k in range(10, 14)],
-                        anchors=[m.params["omega"]])
+    fit = oracles.verify_C(m, [2 ** -k for k in range(10, 14)],
+                           anchors=[m.params["omega"]])
     assert fit.gamma == pytest.approx(1.0, abs=tol)
     assert fit.L == pytest.approx(L, rel=tol)
 
@@ -178,27 +179,27 @@ def test_verify_c_quadratic_near_one():
     # targets [1 - eps, 1] pull back to |x| <= sqrt(eps/2): exponent 1/2
     q = maps.make_quadratic(2.0)
     eps_grid = [2 ** -k for k in range(5, 10)]
-    fit = maps.verify_C(q, eps_grid, seed=3, anchors=[1.0])
+    fit = oracles.verify_C(q, eps_grid, seed=3, anchors=[1.0])
     assert fit.gamma == pytest.approx(0.5, abs=0.02)
     assert fit.L == pytest.approx(math.sqrt(2.0), rel=0.05)
 
 
 def test_verify_c_perturbed_near_affine():
     pe = maps.make_perturbed_expanding(4, 0.55)
-    fit = maps.verify_C(pe, [2 ** -k for k in range(3, 8)],
-                        samples=16, seed=2)
+    fit = oracles.verify_C(pe, [2 ** -k for k in range(3, 8)],
+                           samples=16, seed=2)
     assert fit.gamma >= 0.9
 
 
 def test_verify_c_rows_grow_with_eps():
     # the same centres at every eps give nested targets and preimages
     pe = maps.make_perturbed_expanding(4, 0.55)
-    fit = maps.verify_C(pe, [2 ** -k for k in range(3, 8)],
-                        samples=16, seed=2)
+    fit = oracles.verify_C(pe, [2 ** -k for k in range(3, 8)],
+                           samples=16, seed=2)
     arcs = [arc for _, arc in sorted(fit.table)]
     assert arcs == sorted(arcs)
 
 
 def test_verify_c_needs_three_gridpoints(doubling):
     with pytest.raises(ConfigError):
-        maps.verify_C(doubling, [0.1, 0.05], samples=4, seed=0)
+        oracles.verify_C(doubling, [0.1, 0.05], samples=4, seed=0)

@@ -9,76 +9,78 @@ from hypothesis import strategies as st
 from devgibbs import hyperbolic as hyp
 from devgibbs import maps, metric
 from devgibbs.dynamics import PotentialModel, orbit
-from devgibbs.errors import ConfigError, ImpossibleCoverError
+from devgibbs.errors import (CapabilityError, ConfigError,
+                             ImpossibleCoverError, SamplingError)
 from devgibbs.sampling import UniformSampler, spawn_rng
+import oracles
 
 
 def test_dn_distance_doubling(doubling):
-    assert metric.dn_distance(doubling, 0.0, 0.01, 3) == pytest.approx(0.04)
+    assert oracles.dn_distance(doubling, 0.0, 0.01, 3) == pytest.approx(0.04)
 
 
 def test_dn_distance_degenerate(doubling):
-    assert metric.dn_distance(doubling, 0.42, 0.42, 5) == 0.0
+    assert oracles.dn_distance(doubling, 0.42, 0.42, 5) == 0.0
 
 
 def test_dn_distance_is_ambient_at_one(doubling):
-    assert metric.dn_distance(doubling, 0.1, 0.2, 1) == pytest.approx(0.1)
+    assert oracles.dn_distance(doubling, 0.1, 0.2, 1) == pytest.approx(0.1)
 
 
 def test_dn_metric_properties(doubling):
     rng = np.random.default_rng(0)
     for _ in range(30):
         x, y, z = rng.random(3)
-        dxy = metric.dn_distance(doubling, x, y, 4)
-        dyx = metric.dn_distance(doubling, y, x, 4)
-        dxz = metric.dn_distance(doubling, x, z, 4)
-        dzy = metric.dn_distance(doubling, z, y, 4)
+        dxy = oracles.dn_distance(doubling, x, y, 4)
+        dyx = oracles.dn_distance(doubling, y, x, 4)
+        dxz = oracles.dn_distance(doubling, x, z, 4)
+        dzy = oracles.dn_distance(doubling, z, y, 4)
         assert dxy == dyx
         assert dxy <= dxz + dzy + 1e-12
 
 
 def test_ball_membership(doubling):
-    assert metric.in_dynamical_ball(doubling, 0.0,
-                                    metric.BallSpec(0.0, 3, 0.05))
+    assert oracles.in_dynamical_ball(doubling, 0.0,
+                                     metric.BallSpec(0.0, 3, 0.05))
     # at j=3 the points sit 0.08 apart: outside
-    assert not metric.in_dynamical_ball(doubling, 0.01,
-                                        metric.BallSpec(0.0, 3, 0.05))
-    assert metric.in_dynamical_ball(doubling, 0.01,
-                                    metric.BallSpec(0.0, 2, 0.05))
+    assert not oracles.in_dynamical_ball(doubling, 0.01,
+                                         metric.BallSpec(0.0, 3, 0.05))
+    assert oracles.in_dynamical_ball(doubling, 0.01,
+                                     metric.BallSpec(0.0, 2, 0.05))
 
 
 def test_ball_nesting_in_depth(doubling):
     rng = np.random.default_rng(5)
     for _ in range(50):
         c, y = rng.random(2)
-        if metric.in_dynamical_ball(doubling, y, metric.BallSpec(c, 6, 0.1)):
-            assert metric.in_dynamical_ball(doubling, y,
-                                            metric.BallSpec(c, 5, 0.1))
+        if oracles.in_dynamical_ball(doubling, y, metric.BallSpec(c, 6, 0.1)):
+            assert oracles.in_dynamical_ball(doubling, y,
+                                             metric.BallSpec(c, 5, 0.1))
 
 
 def test_separated_hand_case(doubling):
-    ss = metric.maximal_separated_subset(doubling, [0.0, 0.25, 0.5], 1, 0.3)
+    ss = oracles.maximal_separated_subset(doubling, [0.0, 0.25, 0.5], 1, 0.3)
     assert list(ss.members) == [0.0, 0.5]
 
 
 def test_separated_all_equal(doubling):
-    ss = metric.maximal_separated_subset(doubling, [0.3] * 5, 2, 0.1)
+    ss = oracles.maximal_separated_subset(doubling, [0.3] * 5, 2, 0.1)
     assert len(ss.members) == 1
 
 
 def test_separated_grid_brute_force(doubling):
     grid = np.arange(256) / 256
-    ss = metric.maximal_separated_subset(doubling, grid, 3, 2 ** -4)
+    ss = oracles.maximal_separated_subset(doubling, grid, 3, 2 ** -4)
     # pairwise verification by brute force
     for i in range(len(ss.members)):
         for j in range(i + 1, len(ss.members)):
-            assert metric.dn_distance(doubling, ss.members[i],
-                                      ss.members[j], 3) > 2 ** -4
+            assert oracles.dn_distance(doubling, ss.members[i],
+                                       ss.members[j], 3) > 2 ** -4
     # maximality within candidates: nothing else is addable
     for cand in grid:
         if cand in ss.members:
             continue
-        dmin = min(metric.dn_distance(doubling, cand, m, 3)
+        dmin = min(oracles.dn_distance(doubling, cand, m, 3)
                    for m in ss.members)
         assert dmin <= 2 ** -4
     assert len(ss.members) == 51  # frozen from the brute-force oracle
@@ -282,6 +284,15 @@ def test_contraction_doubling_exact(doubling):
     assert rep.worst_ratio <= 1.0 + 1e-9
 
 
+def test_calibrate_delta1_refuses_when_no_radius_passes(quadratic):
+    # a pass fraction cannot reach 1.01, so no radius may be handed out,
+    # not even one that every pilot pair passes
+    p = hyp.default_params(quadratic, n_max=100)
+    with pytest.raises(SamplingError, match=r"best pass fraction is 1\.0; "
+                                            r"set delta1 by hand"):
+        metric.calibrate_delta1(quadratic, p, 21, threshold=1.01)
+
+
 def test_contraction_requires_hyperbolic_time(quadratic):
     p = hyp.default_params(quadratic, n_max=50)
     rng = spawn_rng(1, "findnonhyp")
@@ -322,10 +333,10 @@ def test_ball_intervals_match_membership(doubling):
     r_lo, r_hi = metric.ball_intervals(doubling, centers, 6, 0.05)
     for c, rl, rh in zip(centers, r_lo, r_hi):
         spec = metric.BallSpec(float(c), 6, 0.05)
-        assert metric.in_dynamical_ball(doubling, float(c + rh * 0.999), spec)
-        assert not metric.in_dynamical_ball(doubling,
-                                            float((c + rh * 1.5) % 1.0), spec)
-        assert metric.in_dynamical_ball(doubling, float(c - rl * 0.999), spec)
+        assert oracles.in_dynamical_ball(doubling, float(c + rh * 0.999), spec)
+        assert not oracles.in_dynamical_ball(doubling,
+                                             float((c + rh * 1.5) % 1.0), spec)
+        assert oracles.in_dynamical_ball(doubling, float(c - rl * 0.999), spec)
     # the exact radius for the doubling map is eps * 2^-n
     assert np.allclose(r_lo + r_hi, 2 * 0.05 * 2.0 ** -6, rtol=1e-6)
 
@@ -373,7 +384,7 @@ def test_ball_intervals_exact_component(name, u, n, eps):
             edge %= 1.0
         elif not m.domain.lo <= edge <= m.domain.hi:
             continue  # the component ends at the domain edge
-        assert r == eps or not metric.in_dynamical_ball(
+        assert r == eps or not oracles.in_dynamical_ball(
             m, edge, metric.BallSpec(x, n, eps))
 
 
@@ -389,16 +400,7 @@ def test_ball_intervals_linear_closed_form(d):
                 assert np.max(np.abs(r - eps * float(d) ** -n)) <= 1e-15
 
 
-@given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
-                max_size=64),
-       st.integers(0, 16), st.floats(1e-3, 0.2))
-@settings(max_examples=30, deadline=None)
-def test_ball_intervals_match_bisection_where_connected(xs, n, eps):
-    m = BRANCH_FAMILIES["doubling"]
-    xs = np.asarray(xs)
-    exact = metric.ball_intervals(m, xs, n, eps)
-    # without a branch structure the radii come from bisection
-    bisected = metric.ball_intervals(dataclasses.replace(m, branches=None),
-                                     xs, n, eps)
-    for a, b in zip(exact, bisected):
-        assert np.max(np.abs(a - b)) <= 1e-12
+def test_ball_intervals_need_a_branch_structure(doubling):
+    bare = dataclasses.replace(doubling, branches=None)
+    with pytest.raises(CapabilityError, match="doubling: no branch structure"):
+        metric.ball_intervals(bare, np.array([0.3]), 4, 0.05)

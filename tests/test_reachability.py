@@ -1,10 +1,14 @@
-"""Every top-level def or class in the package is reached by the package.
+"""Every top-level def or class in the package is reached from the
+program's roots.
 
-A name counts as reached when a module other than its own loads it (an
-import of it from its module, or an attribute of that name), when its own
-module loads it outside its own definition, or when it is a click
-command.  Code that only tests call is a second path that the program
-never runs; the few names kept on purpose are listed with their reason.
+The roots are the statements each module runs on import outside its defs
+and classes (``runner.STAGES``, ``maps.FAMILIES``, the ``__init__``
+exports, ...) and the click commands.  From there the walk follows every
+name loaded inside a reached definition: a bare name to its definition in
+its own module or in the module it is imported from, and an attribute
+``obj.name`` to every top-level definition called ``name``.  Code that
+only tests call is a second path that the program never runs; such
+references live in ``tests/oracles.py``.
 """
 
 import ast
@@ -13,24 +17,7 @@ from pathlib import Path
 import devgibbs
 
 PACKAGE = Path(devgibbs.__file__).parent
-
-ALLOWED = {
-    "hyperbolic.naive_is_hyperbolic_time":
-        "double-loop reference the incremental scan is tested against",
-    "metric.in_dynamical_ball":
-        "pointwise ball membership the exact ball intervals are tested "
-        "against",
-    "metric.maximal_separated_subset":
-        "greedy separated set the covering numbers are tested against",
-    "maps.verify_H":
-        "only implementation of the paper's (H) distance-power check",
-    "maps.verify_C":
-        "only implementation of the paper's (C) preimage-contraction check",
-    "hyperbolic.lag_statistic":
-        "only implementation of the paper's hyperbolic-time lag limsup",
-    "specprobe.gap_estimate":
-        "only implementation of the pointwise gap p-hat(x, n, eps)",
-}
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _is_click_command(node):
@@ -42,63 +29,66 @@ def _is_click_command(node):
     return False
 
 
-def _loads(tree, skip=None):
-    """Names loaded in ``tree``, outside the subtree ``skip``."""
-    out = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
-        stack.extend(ast.iter_child_nodes(node))
-    return out
-
-
 def unreached_names():
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
-    imported = set()  # (module, name) loaded by another module
-    attrs = {}  # module -> attribute names it loads
+    defs = {}  # (module, name) -> def or class node
+    imported = {}  # (module, local name) -> (source module, name)
+    named = {}  # name -> the (module, name) keys of that name
     for mod, tree in trees.items():
-        attrs[mod] = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
-                    imported.add((node.module, alias.name))
-            elif isinstance(node, ast.Attribute):
-                attrs[mod].add(node.attr)
-    missing = []
+                    imported[mod, alias.asname or alias.name] = (
+                        node.module or "__init__", alias.name)
+        for node in tree.body:
+            if isinstance(node, DEFS):
+                defs[mod, node.name] = node
+                named.setdefault(node.name, []).append((mod, node.name))
+
+    def resolve(mod, name):
+        seen = set()
+        while (mod, name) in imported and (mod, name) not in seen:
+            seen.add((mod, name))
+            mod, name = imported[mod, name]
+        return [(mod, name)] if (mod, name) in defs else []
+
+    reached, todo = set(), []
+
+    def reach(keys):
+        for key in keys:
+            if key not in reached:
+                reached.add(key)
+                todo.append((key[0], defs[key]))
+
     for mod, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                continue
-            name = node.name
-            reached = (
-                (mod, name) in imported
-                or any(name in a for other, a in attrs.items()
-                       if other != mod)
-                or name in _loads(tree, skip=node)
-                or _is_click_command(node))
-            if not reached:
-                missing.append(f"{mod}.{name}")
-    return missing
+            if isinstance(node, DEFS):
+                if _is_click_command(node):
+                    reach([(mod, node.name)])
+            elif isinstance(node, ast.ImportFrom):
+                if mod == "__init__":  # the exports
+                    for alias in node.names:
+                        reach(resolve(mod, alias.asname or alias.name))
+            elif not isinstance(node, ast.Import):
+                todo.append((mod, node))
+    while todo:
+        mod, tree = todo.pop()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reach(resolve(mod, node.id))
+            elif isinstance(node, ast.Attribute):
+                reach(named.get(node.attr, []))
+    return sorted(f"{mod}.{name}" for mod, name in defs
+                  if (mod, name) not in reached)
 
 
 def test_every_definition_is_reached():
-    missing = [name for name in unreached_names() if name not in ALLOWED]
+    missing = unreached_names()
     assert not missing, (
-        f"defined in src/devgibbs but reached by nothing there: {missing}; "
-        f"use or delete them, or list them in ALLOWED with a reason")
-
-
-def test_allowed_names_exist_and_are_unreached():
-    # an entry that the package reaches after all, or that no longer
-    # exists, is a stale exemption
-    assert sorted(ALLOWED) == sorted(
-        name for name in unreached_names() if name in ALLOWED)
+        f"defined in src/devgibbs but never reached from the program's "
+        f"roots: {missing}; use them, delete them, or move them to "
+        f"tests/oracles.py")
 
 
 def _call_sites(tree, name):

@@ -6,6 +6,7 @@ from devgibbs import maps, specprobe as sp
 from devgibbs.branching import IntervalUnion
 from devgibbs.errors import CapabilityError, ConfigError, HorizonError
 from devgibbs.sampling import UniformSampler, spawn_rng
+from oracles import OrbitPiece, gap_estimate, shadow_search
 
 
 PROBES = np.linspace(0.03, 0.97, 11)
@@ -55,57 +56,57 @@ def test_exactness_cap(doubling):
 
 
 def test_shadow_single_piece(doubling):
-    res = sp.shadow_search(doubling, [sp.OrbitPiece(0.3, 4)], 1 / 64, [])
+    res = shadow_search(doubling, [OrbitPiece(0.3, 4)], 1 / 64, [])
     assert res.found and res.verified
     assert abs(res.z - 0.3) <= 1 / 64
 
 
 def test_shadow_two_pieces_doubling(doubling):
-    res = sp.shadow_search(doubling,
-                           [sp.OrbitPiece(0.123, 5), sp.OrbitPiece(0.777, 5)],
-                           1 / 64, [6])
+    res = shadow_search(doubling,
+                        [OrbitPiece(0.123, 5), OrbitPiece(0.777, 5)],
+                        1 / 64, [6])
     assert res.found and res.verified
 
 
 def test_shadow_incompatible_cylinders(doubling):
-    res = sp.shadow_search(doubling,
-                           [sp.OrbitPiece(0.1, 5), sp.OrbitPiece(0.9, 5)],
-                           1 / 64, [0])
+    res = shadow_search(doubling,
+                        [OrbitPiece(0.1, 5), OrbitPiece(0.9, 5)],
+                        1 / 64, [0])
     assert not res.found
     assert res.failed_stage == 0
 
 
 def test_shadow_needs_branches(viana):
     with pytest.raises(CapabilityError):
-        sp.shadow_search(viana, [sp.OrbitPiece(np.array([0.1, 0.2]), 3)],
-                         0.05, [])
+        shadow_search(viana, [OrbitPiece(np.array([0.1, 0.2]), 3)],
+                      0.05, [])
 
 
 def test_shadow_budget_limits(doubling):
     with pytest.raises(ConfigError):
-        sp.shadow_search(doubling, [sp.OrbitPiece(0.1, 600),
-                                    sp.OrbitPiece(0.2, 600)], 0.05, [5])
+        shadow_search(doubling, [OrbitPiece(0.1, 600),
+                                 OrbitPiece(0.2, 600)], 0.05, [5])
 
 
 def test_shadow_component_cap_names_eps_and_gap(doubling):
     # 2^14 preimage arcs of the second piece's set exceed the cap
     with pytest.raises(ConfigError, match=r"eps=0\.015625.*step 14 of the "
                                           r"gap of 14.*lower that gap"):
-        sp.shadow_search(doubling,
-                         [sp.OrbitPiece(0.1, 3), sp.OrbitPiece(0.2, 3)],
-                         1 / 64, [14])
+        shadow_search(doubling,
+                      [OrbitPiece(0.1, 3), OrbitPiece(0.2, 3)],
+                      1 / 64, [14])
 
 
 def test_shadow_quadratic_pieces():
     q = maps.make_quadratic(2.0)
-    res = sp.shadow_search(q, [sp.OrbitPiece(0.3, 3), sp.OrbitPiece(-0.4, 3)],
-                           0.05, [8])
+    res = shadow_search(q, [OrbitPiece(0.3, 3), OrbitPiece(-0.4, 3)],
+                        0.05, [8])
     assert res.found and res.verified
 
 
 def test_gap_estimate_doubling(doubling):
     params = hyp.default_params(doubling, n_max=1100)
-    ge = sp.gap_estimate(doubling, 0.37, 1000, 1 / 64, params, exactness=5)
+    ge = gap_estimate(doubling, 0.37, 1000, 1 / 64, params, exactness=5)
     assert ge.p_hat == 6
     assert ge.lag == 1  # next-strict convention
     # composition identity: p_hat - exactness equals the measured lag
@@ -115,17 +116,17 @@ def test_gap_estimate_doubling(doubling):
 def test_gap_estimate_horizon_error(mp):
     params = hyp.HyperbolicParams(1.2, 0.1, 0.25, 40)
     with pytest.raises(HorizonError):
-        sp.gap_estimate(mp, 1e-8, 30, 0.05, params, exactness=3)
+        gap_estimate(mp, 1e-8, 30, 0.05, params, exactness=3)
 
 
 def test_gap_estimate_searches_to_gap_horizon(doubling, mp):
     # the horizon is gap_horizon(n), whatever n_max the parameters carry
     with pytest.raises(HorizonError, match=r"gap_horizon\(30\) = 95"):
-        sp.gap_estimate(mp, 1e-8, 30, 0.05,
-                        hyp.HyperbolicParams(1.2, 0.1, 0.25, 1000),
-                        exactness=3)
-    ge = sp.gap_estimate(doubling, 0.37, 300, 1 / 64,
-                         hyp.default_params(doubling, n_max=5), exactness=5)
+        gap_estimate(mp, 1e-8, 30, 0.05,
+                     hyp.HyperbolicParams(1.2, 0.1, 0.25, 1000),
+                     exactness=3)
+    ge = gap_estimate(doubling, 0.37, 300, 1 / 64,
+                      hyp.default_params(doubling, n_max=5), exactness=5)
     assert (ge.next_time, ge.p_hat) == (301, 6)
 
 
@@ -141,8 +142,8 @@ def test_nonuniform_statistic_doubling(doubling):
 
 def test_gap_estimate_shadow_verified(doubling):
     params = hyp.default_params(doubling, n_max=1100)
-    ge = sp.gap_estimate(doubling, 0.37, 40, 1 / 64, params, exactness=5,
-                         verify=5, seed=2)
+    ge = gap_estimate(doubling, 0.37, 40, 1 / 64, params, exactness=5,
+                      verify=5, seed=2)
     assert ge.verified_fraction == 1.0
 
 
