@@ -11,15 +11,15 @@ at the breakpoints (so discontinuities like the gap at 1/2 in the
 intermittent family are represented exactly); degree-d circle maps carry
 a strictly increasing lift.  Each branch has one inverse, vectorized over
 values: a closed form, or ``newton_inverse`` where none exists.  Both
-flavours offer the same set operations: ``ball``, ``image`` and
-``preimage``.  Both also pull intervals back through the branch that
-contains a point, vectorized over points, which is what exact dynamical
-balls need.
+flavours offer the same set operations, ``ball`` and ``image``, and
+both pull intervals back through the branch that contains a point,
+vectorized over points, which is what exact dynamical balls need.  Whole
+preimage sets and intersections, which only the tests take, are in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
@@ -96,26 +96,8 @@ class IntervalUnion:
     def total_length(self) -> float:
         return sum(b - a for a, b in self.segments)
 
-    @property
-    def empty(self) -> bool:
-        return not self.segments
-
     def covers_chart(self, tol: float = COVER_TOL) -> bool:
         return self.total_length >= (self.hi - self.lo) - tol
-
-    def intersect(self, a: float, b: float) -> "IntervalUnion":
-        out = []
-        for s, e in self.segments:
-            ss, ee = max(s, a), min(e, b)
-            if ee >= ss:
-                out.append((ss, ee))
-        return IntervalUnion(out, self.lo, self.hi)
-
-
-def _ends(u: IntervalUnion):
-    """Left and right ends of the components of u, as arrays."""
-    ends = np.array(u.segments, dtype=float).reshape(-1, 2)
-    return ends[:, 0], ends[:, 1]
 
 
 def _split(a, ln):
@@ -178,20 +160,6 @@ class IntervalBranches:
                 if lo <= hi:
                     fa, fb = p.value_at(lo), p.value_at(hi)
                     segs.append((min(fa, fb), max(fa, fb)))
-        return IntervalUnion(segs, *self.chart)
-
-    def preimage(self, u: IntervalUnion) -> IntervalUnion:
-        """f^{-1}(u): the part of each component inside a piece's value
-        range, inverted on that piece."""
-        ya, yb = _ends(u)
-        segs = []
-        for p in self.pieces:
-            vlo, vhi = p.value_range()
-            lo, hi = np.maximum(ya, vlo), np.minimum(yb, vhi)
-            keep = lo <= hi
-            xa, xb = p.inv_array(lo[keep]), p.inv_array(hi[keep])
-            segs += zip(np.minimum(xa, xb).tolist(),
-                        np.maximum(xa, xb).tolist())
         return IntervalUnion(segs, *self.chart)
 
     def pull_back(self, o, lo, hi):
@@ -281,23 +249,6 @@ class CircleBranches:
                 return IntervalUnion([(0.0, 1.0)], 0.0, 1.0)
             segs += _split(g0 % 1.0, g1 - g0)
         return IntervalUnion(segs, 0.0, 1.0)
-
-    def preimage(self, u: IntervalUnion) -> IntervalUnion:
-        """f^{-1}(u): each component shifted by an integer k, cut to the
-        lift's range [base, base + d] and inverted.
-
-        Preimages that straddle the seam come back as two segments.  The
-        top end base + d of the range is the image of x = 1 = 0, which the
-        bottom end already yields, so a one-point set is not counted there.
-        """
-        ya, yb = _ends(u)
-        top = self.base + self.degree
-        k = np.arange(math.floor(self.base) - 1,
-                      math.floor(self.base) + self.degree + 1)[:, None]
-        lo, hi = np.maximum(ya + k, self.base), np.minimum(yb + k, top)
-        keep = (lo < hi) | ((lo == hi) & (ya == yb) & (hi < top))
-        xa, xb = self.inv_lift_array(lo[keep]), self.inv_lift_array(hi[keep])
-        return IntervalUnion(zip(xa.tolist(), xb.tolist()), 0.0, 1.0)
 
     def pull_back(self, o, lo, hi):
         """Offsets (lo', hi') around each o of the component containing o

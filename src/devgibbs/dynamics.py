@@ -15,7 +15,10 @@ floating-point artifacts of measure zero.
 with ``domain.require``, since ``step`` keeps the domain only from inside
 it, and steps only the points its reader keeps: ``orbit`` records them,
 ``birkhoff_sums`` adds g along them, and the ``gibbs.ball_measure`` job
-and ``hyperbolic._scan`` retire points as they go.  No caller clamps a
+and ``hyperbolic._scan_blocks`` retire points as they go.  The scan reads
+the walk's states in blocks of rows and evaluates the map's derivative
+and critical distance once per block, but it still takes every step
+through the walk, one call of ``step`` per row.  No caller clamps a
 ``step`` result.
 """
 

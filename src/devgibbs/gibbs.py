@@ -108,8 +108,9 @@ def subexp_check(m: MapSystem, potential: PotentialModel, sampler, n_grid,
     the full per-(x, n) table is reported alongside.
     """
     n_grid = sorted(int(v) for v in n_grid)
-    if len(n_grid) < 2:
-        raise ConfigError("subexponential check needs >= 2 depths")
+    if len(set(n_grid)) < 2 or n_grid[0] < 1:
+        raise ConfigError(f"[gibbs] n_grid = {n_grid} needs >= 2 distinct "
+                          f"values, each >= 1")
     pts = sampler.sample(spawn_rng(seed, "subexp-centers"), n_points)
     rows = []
     per_point = []
@@ -173,6 +174,9 @@ def delta_set_rate(m: MapSystem, params: HyperbolicParams, sampler,
     is the reported rate, with a -inf sentinel when violations vanish.
     """
     n_grid = sorted(int(v) for v in n_grid)
+    if not n_grid or n_grid[0] < 1:
+        raise ConfigError(f"[gibbs] delta_n_grid = {n_grid} needs >= 1 "
+                          f"value, each >= 1")
     sup_phi, clipped = _estimate_sup_phi(potential, sampler, seed)
     c_beta = beta / (abs(potential.pressure) + sup_phi)
     grid = np.asarray(n_grid, dtype=np.int64)[:, None]

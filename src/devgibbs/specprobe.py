@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import MapSystem
-from .errors import CapabilityError, HorizonError
+from .errors import CapabilityError, ConfigError, HorizonError
 from .hyperbolic import HyperbolicParams, straddling_times
 from .sampling import spawn_rng
 
@@ -88,6 +88,12 @@ def nonuniform_spec_statistic(m: MapSystem, sampler, eps_grid, n_grid,
     """
     eps_grid = sorted(float(e) for e in eps_grid)
     n_grid = sorted(int(n) for n in n_grid)
+    if not eps_grid or eps_grid[0] <= 0:
+        raise ConfigError(f"[spec] eps_grid = {eps_grid} needs >= 1 value, "
+                          f"each > 0")
+    if not n_grid or n_grid[0] < 1:
+        raise ConfigError(f"[spec] n_grid = {n_grid} needs >= 1 value, "
+                          f"each >= 1")
     rng = spawn_rng(seed, "gapstat")
     probes = m.domain.sample(rng, probe_count)
     exact = {}

@@ -13,6 +13,8 @@ the paper's objects that no kind emits yet:
 * ``verify_H`` and ``verify_C`` check the paper's non-degeneracy
   condition (H) and its backward preimage contraction (C);
 * ``lag_statistic`` is the lag of non-uniform specification;
+* ``preimage`` and ``intersect`` are whole interval-set preimages and
+  cuts, which the program replaces by ``pull_back`` around known points;
 * ``shadow_search`` finds a point shadowing a chain of orbit pieces by
   backward cylinder refinement: realize the last piece's constraint set
   as an interval union, pull it back through the gap iterates along every
@@ -41,6 +43,45 @@ from devgibbs.hyperbolic import (HyperbolicParams, _INDEX_TOL, gap_horizon,
 from devgibbs.metric import BallSpec
 from devgibbs.sampling import spawn_rng
 from devgibbs.stats import ols_fit
+
+
+# --- interval sets -----------------------------------------------------------
+
+
+def preimage(br, u: IntervalUnion) -> IntervalUnion:
+    """f^{-1}(u) through the branch structure ``br``.
+
+    On an interval map: the part of each component inside a piece's value
+    range, inverted on that piece.  On a circle map: each component
+    shifted by an integer k, cut to the lift's range [base, base + d] and
+    inverted; preimages that straddle the seam come back as two segments.
+    The top end base + d of the range is the image of x = 1 = 0, which the
+    bottom end already yields, so a one-point set is not counted there.
+    """
+    ends = np.array(u.segments, dtype=float).reshape(-1, 2)
+    ya, yb = ends[:, 0], ends[:, 1]
+    if isinstance(br, CircleBranches):
+        top = br.base + br.degree
+        k = np.arange(math.floor(br.base) - 1,
+                      math.floor(br.base) + br.degree + 1)[:, None]
+        lo, hi = np.maximum(ya + k, br.base), np.minimum(yb + k, top)
+        keep = (lo < hi) | ((lo == hi) & (ya == yb) & (hi < top))
+        xa, xb = br.inv_lift_array(lo[keep]), br.inv_lift_array(hi[keep])
+        return IntervalUnion(zip(xa.tolist(), xb.tolist()), 0.0, 1.0)
+    segs = []
+    for p in br.pieces:
+        vlo, vhi = p.value_range()
+        lo, hi = np.maximum(ya, vlo), np.minimum(yb, vhi)
+        keep = lo <= hi
+        xa, xb = p.inv_array(lo[keep]), p.inv_array(hi[keep])
+        segs += zip(np.minimum(xa, xb).tolist(), np.maximum(xa, xb).tolist())
+    return IntervalUnion(segs, *br.chart)
+
+
+def intersect(u: IntervalUnion, a: float, b: float) -> IntervalUnion:
+    """The part of u inside [a, b]."""
+    return IntervalUnion([(max(s, a), min(e, b)) for s, e in u.segments
+                          if min(e, b) >= max(s, a)], u.lo, u.hi)
 
 
 # --- hyperbolic times ---------------------------------------------------------
@@ -335,7 +376,7 @@ def verify_C(m: MapSystem, eps_grid, samples: int = 32, seed: int = 0,
             c = float(c)
             if hasattr(m.domain, "lo"):
                 c = min(max(c, m.domain.lo + eps / 2.0), m.domain.hi - eps / 2.0)
-            pre = m.branches.preimage(m.branches.ball(c, eps / 2.0))
+            pre = preimage(m.branches, m.branches.ball(c, eps / 2.0))
             worst = max(worst, longest_component(m, pre))
         rows.append((eps, worst))
     x = np.log([r[0] for r in rows])
@@ -399,7 +440,7 @@ def shadow_search(m: MapSystem, pieces: Sequence[OrbitPiece], eps: float,
             pulled = future
             for k in range(gaps[i]):
                 try:
-                    pulled = br.preimage(pulled)
+                    pulled = preimage(br, pulled)
                 except ConfigError as exc:
                     raise ConfigError(
                         f"shadowing at eps={eps}: {exc} at step {k + 1} of "
@@ -407,16 +448,16 @@ def shadow_search(m: MapSystem, pieces: Sequence[OrbitPiece], eps: float,
                         f"{i + 1}; lower that gap or raise eps") from exc
             cur = IntervalUnion(
                 [seg for a, b in cur.segments
-                 for seg in pulled.intersect(a, b).segments],
+                 for seg in intersect(pulled, a, b).segments],
                 cur.lo, cur.hi)
         for j in range(piece.n - 1, -1, -1):
-            cur = br.preimage(cur)
+            cur = preimage(br, cur)
             ball = br.ball(float(pts[j]), eps)
             cur = IntervalUnion(
                 [seg for a, b in ball.segments
-                 for seg in cur.intersect(a, b).segments],
+                 for seg in intersect(cur, a, b).segments],
                 cur.lo, cur.hi)
-        if cur.empty:
+        if not cur.segments:
             return ShadowResult(found=False, z=None, verified=False,
                                 failed_stage=i)
         future = cur

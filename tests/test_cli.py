@@ -569,12 +569,14 @@ def test_deviation_run_leaves_scipy_unloaded(tmp_path):
 def test_preimage_paths_leave_scipy_optimize_unloaded():
     # every branch inverse is the vectorized Newton solve, not a root finder
     src = os.path.dirname(os.path.dirname(run_mod.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
     code = (
         "import sys\n"
+        "import oracles\n"
         "from devgibbs import maps, metric, specprobe as sp\n"
         "for m in (maps.make_mp(0.5), maps.make_perturbed_expanding(4, 0.55)):\n"
-        "    m.branches.preimage(m.branches.ball(0.3, 0.05))\n"
+        "    oracles.preimage(m.branches, m.branches.ball(0.3, 0.05))\n"
         "    metric.ball_intervals(m, [0.3, 0.7], 6, 0.05)\n"
         "    sp.exactness_time(m, 0.05, [0.3, 0.7])\n"
         "print('scipy.optimize' in sys.modules)\n")
@@ -851,4 +853,26 @@ def test_entropy_grid_is_checked(tmp_path, key, value):
     res = CliRunner().invoke(main, ["run", str(cfg)])
     assert res.exit_code == 1, res.output
     assert f"config error: [entropy] {key} = " in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("spec", "n_grid", "[0, 100]"),  # p / n at n = 0
+    ("spec", "eps_grid", "[0.015625, -0.1]"),
+    ("gibbs", "n_grid", "[-1, 4]"),
+    ("gibbs", "n_grid", "[4, 4]"),  # one depth: a growth of 0
+    ("gibbs", "delta_n_grid", "[0, 100]"),
+])
+def test_spec_and_gibbs_grids_are_checked(tmp_path, kind, key, value):
+    out = tmp_path / "out"
+    cfg = tmp_path / f"{kind}.cfg"
+    body = {"n_grid": "[1, 2]", "eps": "0.2", "beta": "0.3", "points": "2"}
+    body = ({"base_points": "10"} if kind == "spec" else body) | {key: value}
+    cfg.write_text(f"family = doubling\nkind = {kind}\nseed = 3\n"
+                   + ("samples = 2000\n" if kind == "gibbs" else "")
+                   + f"out = {out}\n[{kind}]\n"
+                   + "".join(f"{k} = {v}\n" for k, v in body.items()))
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 1, res.output
+    assert f"config error: [{kind}] {key} = " in res.output
     assert not out.exists()

@@ -199,7 +199,7 @@ def test_truncated_distance_empty_critical_set(mp):
 
 def point_preimages(m, y):
     """The solutions of f(x) = y: the preimage of the one-point set {y}."""
-    pre = m.branches.preimage(m.branches.ball(y, 0.0))
+    pre = oracles.preimage(m.branches, m.branches.ball(y, 0.0))
     assert all(a == b for a, b in pre.segments)
     return [a for a, _ in pre.segments]
 

@@ -433,6 +433,137 @@ def test_straddling_times_match_single_scans(name, us, grid):
             assert after[k, i] == (hi[0] if len(hi) else 0)
 
 
+def _oracle_times(m, x, p, horizon):
+    """The naive checker's hyperbolic times of x up to the horizon, and the
+    orbit index at which x reaches the critical set (None if it does not
+    before the horizon); the times stop there."""
+    times = []
+    for n in range(1, horizon + 1):
+        try:
+            if oracles.naive_is_hyperbolic_time(m, x, n, p):
+                times.append(n)
+        except SingularityError as err:
+            return times, err.index
+    return times, None
+
+
+def _answer_or_failure(oracle, checked, run):
+    """run(), or the SingularityError of the earliest critical hit among
+    the orbit indices each point is checked at (0..checked[i]), which
+    names the lowest such point."""
+    hits = [(hit, i) for i, ((_, hit), last) in enumerate(zip(oracle, checked))
+            if hit is not None and hit <= last]
+    if not hits:
+        return run()
+    index, point = min(hits)
+    with pytest.raises(SingularityError, match=(
+            rf"start point {point} hit the critical set at index {index}$")):
+        run()
+    return None
+
+
+unit = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@given(st.sampled_from(sorted(FAMILIES)),
+       st.lists(st.tuples(unit, unit), min_size=1, max_size=4),
+       st.integers(2, 40), st.lists(st.integers(1, 4), min_size=1,
+                                    max_size=3))
+# 2^-1/2 has its first time at n = 1 and steps onto the critical point 0
+@example("quadratic", [(0.3, 0.0), ((1 + 2 ** -0.5) / 2, 0.0)], 20, [1, 3])
+@settings(max_examples=30, deadline=None)
+def test_block_scans_match_naive_checker(name, us, n_max, grid):
+    # a batch this small doubles its block length from 1 row up to the
+    # horizon, so every row past n = 1 is read from a block of several
+    m = FAMILIES[name]
+    p = hyp.default_params(m, n_max=n_max)
+    xs = _start_points(m, us)
+    assert 4 * len(xs) <= hyp.BLOCK_POINT_STEPS
+    top = max(grid)
+    horizon = hyp.gap_horizon(top)
+    oracle = [_oracle_times(m, x, p, max(n_max, horizon)) for x in xs]
+    # all times to n_max, every point checked to index n_max - 1
+    got = _answer_or_failure(oracle, [n_max - 1] * len(xs),
+                             lambda: all_times(m, xs, p))
+    if got is not None:
+        for times, (want, _) in zip(got, oracle):
+            assert times.tolist() == [t for t in want if t <= n_max]
+    # first times: a point is checked up to the index before its first time
+    first = [next((t for t in times if t <= n_max), 0) for times, _ in oracle]
+    got = _answer_or_failure(oracle, [(f or n_max) - 1 for f in first],
+                             lambda: hyp.first_times_batch(m, xs, p))
+    if got is not None:
+        assert got.tolist() == first
+    # straddling times: checked up to the first time past the grid
+    past = [next((t for t in times if top < t <= horizon), 0)
+            for times, _ in oracle]
+    got = _answer_or_failure(oracle, [(f or horizon) - 1 for f in past],
+                             lambda: hyp.straddling_times(m, xs, p, grid))
+    if got is not None:
+        for k, n in enumerate(grid):
+            for i, (times, _) in enumerate(oracle):
+                assert got[0][k, i] == max((t for t in times if t <= n),
+                                           default=0)
+                assert got[1][k, i] == min(
+                    (t for t in times if n < t <= horizon), default=0)
+
+
+def _drop():
+    """0.95 -> 0.85 -> 0 -> 0 and 0.5 -> 0.5 on [0, 1], critical at 0.
+
+    |f'| is 4 at 0.85, min(1, 10 x) elsewhere: 0.95 has its first
+    hyperbolic time at n = 2 and reaches 0, where f' = 0, at orbit index
+    2; 0.5 has no hyperbolic time."""
+    def step(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 0.9, x - 0.1, np.where(x > 0.8, 0.0, x))
+
+    def deriv(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x > 0.8) & (x < 0.9), 4.0, np.minimum(1.0, 10 * x))
+
+    return MapSystem(label="drop", domain=Interval(0.0, 1.0), params={},
+                     step=step, deriv=deriv,
+                     crit_dist=lambda x: np.abs(np.asarray(x, dtype=float)))
+
+
+def test_point_retired_inside_a_block_is_not_checked_for_singularity():
+    # the second block holds the rows n = 2, 3: 0.95 retires at n = 2 and
+    # its state at n = 3 is the critical point, which the block masks
+    m, p, xs = _drop(), params(n_max=10), [0.95, 0.5]
+    blocks = [(n0, ok.tolist(), live.tolist())
+              for n0, ok, live in hyp._scan_blocks(m, xs, p, 0, 10)]
+    assert blocks[:2] == [(1, [[False, False]], [0, 1]),
+                          (2, [[True, False], [False, False]], [0, 1])]
+    assert hyp.first_times_batch(m, xs, p).tolist() == [2, 0]
+    with pytest.raises(SingularityError, match="start point 0 .* index 2$"):
+        all_times(m, xs, p)
+
+
+def test_singular_point_is_named_inside_a_block():
+    # 0.9 and 0.8 retire at n = 1; the second block holds the rows n = 2, 3
+    # of 0.3 and 3e-14, which halves below the tolerance at orbit index 2:
+    # the row n = 2 comes out before the error
+    m, xs = _halving(), [0.9, 0.8, 0.3, 3e-14]
+    seen = []
+    with pytest.raises(SingularityError, match="start point 3 .* index 2$"):
+        for n0, ok, live in hyp._scan_blocks(m, xs, params(n_max=10), 0, 10):
+            seen.append((n0, len(ok), live.tolist()))
+    assert seen == [(1, 1, [0, 1, 2, 3]), (2, 1, [2, 3])]
+
+
+def test_small_batch_scan_evaluates_once_per_block(pe4):
+    # 25 points take their rows from the walk one step at a time, but the
+    # derivative is evaluated once per block of up to 4096 / 25 rows
+    calls = []
+    m, sizes = count_steps(replace(
+        pe4, deriv=lambda x: calls.append(1) or pe4.deriv(x)))
+    xs = np.random.default_rng(3).random(25)
+    hyp.straddling_times(m, xs, hyp.default_params(pe4), [100, 1000])
+    rows = len(sizes) + 1
+    assert rows > 1000 and 8 * len(calls) < rows
+
+
 def test_sample_anchors_match_one_candidate_at_a_time(quadratic):
     p = hyp.default_params(quadratic, n_max=60)
     for lo, hi, want, limit in ((8, 16, 40, 4000), (50, 52, 30, 45)):

@@ -6,7 +6,7 @@ from devgibbs import maps, specprobe as sp
 from devgibbs.branching import IntervalUnion
 from devgibbs.errors import CapabilityError, ConfigError, HorizonError
 from devgibbs.sampling import UniformSampler, spawn_rng
-from oracles import OrbitPiece, gap_estimate, shadow_search
+from oracles import OrbitPiece, gap_estimate, intersect, shadow_search
 
 
 PROBES = np.linspace(0.03, 0.97, 11)
@@ -21,7 +21,7 @@ def test_interval_union_merge():
 def test_interval_union_intersect_and_cover():
     u = IntervalUnion([(0.0, 1.0)], 0.0, 1.0)
     assert u.covers_chart()
-    v = u.intersect(0.2, 0.4)
+    v = intersect(u, 0.2, 0.4)
     assert v.segments == [(0.2, 0.4)]
     assert not v.covers_chart()
 
