@@ -26,6 +26,12 @@ window.  Indicator observables are admitted (the exact binomial oracles
 need them) even though the bound statements concern continuous ones; the
 report notes discontinuous observables.  A g that is non-finite along an
 orbit fails the experiment with an ``EvaluationError``; it is not a miss.
+
+Each t of the free-energy table costs one chunk-wide multiply into one
+scratch array per chunk and one in-place ``logsumexp``, the one copy of
+scipy's steps, which the combine across chunks shares.  It zeroes the k
+top terms exp(0) = 1 where scipy subtracts its mask of them; as 1 - 1 is
++0 and x - 0 is x, psi-hat keeps scipy's bits.
 """
 
 from __future__ import annotations
@@ -87,7 +93,7 @@ def rate_curve(exp: DeviationExperiment, workers: int = 1) -> RateCurve:
     beyond = np.greater_equal if exp.direction == "ge" else np.greater
 
     def job(pts):
-        return np.array([np.sum(beyond(s / n, exp.c))
+        return np.array([np.count_nonzero(beyond(s / n, exp.c))
                          for n, s in birkhoff_sums(exp.map, exp.g, pts, grid)],
                         dtype=np.int64)
 
@@ -113,31 +119,27 @@ def rate_estimate(curve: RateCurve, window: tuple) -> OLSFit:
                    np.log(curve.p_hat[mask]))
 
 
-def logsumexp(a) -> float:
+def logsumexp(a, out=None) -> float:
     """log(sum(exp(a))) over a float array, bit for bit as scipy's.
 
     The steps of scipy 1.17 (Blanchard, Higham & Higham 2021): shift by
     top = max(a), take the k terms equal to top out of the sum, and return
-    log1p(sum(exp(a - top)) / k) + log(k) + top.
+    log1p(sum(exp(a - top)) / k) + log(k) + top.  The terms go to ``out``
+    (which may be ``a`` itself) or to a fresh array.
     """
     a = np.asarray(a, dtype=float)
     top = a.max()
     at_top = a == top
     k = np.float64(np.count_nonzero(at_top))
-    terms = a - top
+    terms = np.subtract(a, top, out=out)
     np.exp(terms, out=terms)
-    # the k terms at the top are exp(0) = 1; subtracting the mask zeroes them
-    np.subtract(terms, at_top, out=terms)
+    terms[at_top] = 0.0  # the k top terms, each exp(0) = 1
     return float(np.log1p(terms.sum() / k) + np.log(k) + top)
 
 
 def free_energy_table(m: MapSystem, sampler, g, t_grid, n: int, samples: int,
                       seed: int, workers: int = 1):
-    """psi-hat(t) for every t of the grid, all on one sample set.
-
-    S_n g is computed once per chunk and every t is evaluated on it, so
-    psi-hat is exactly convex in t up to rounding.
-    """
+    """psi-hat(t) for every t of the grid, all on one sample set."""
     if n < 1:
         raise ConfigError(f"free-energy depth n={n} must be >= 1")
     check_float_horizon(m, n, "fe_n")
@@ -145,12 +147,15 @@ def free_energy_table(m: MapSystem, sampler, g, t_grid, n: int, samples: int,
 
     def job(pts):
         _, s = next(birkhoff_sums(m, g, pts, (n,)))
+        lo, hi = float(s.min()), float(s.max())
+        buf = np.empty(len(s))  # t * S_n g, then its terms, for every t
         out = np.empty(len(ts))
-        for k, t in enumerate(ts):
-            vals = t * s
-            if not np.all(np.isfinite(vals)):
-                raise RangeError("t * S_n g overflowed despite log-domain guard")
-            out[k] = logsumexp(vals)
+        for k, t in enumerate(ts.tolist()):
+            # rounding is monotone: t lo and t hi are the extremes of t s
+            if not (math.isfinite(t * lo) and math.isfinite(t * hi)):
+                raise RangeError(f"[deviation] t_grid: t = {t!r} overflows "
+                                 f"t * S_n g for S_n g in [{lo!r}, {hi!r}]")
+            out[k] = logsumexp(np.multiply(t, s, out=buf), out=buf)
         return out
 
     lse = np.array(chunk_map(job, sampler, samples, seed, f"fe:{n}", workers))

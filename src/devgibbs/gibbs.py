@@ -163,6 +163,15 @@ def _estimate_sup_phi(potential: PotentialModel, sampler, seed: int,
     return (p999 if clipped else raw_max), clipped
 
 
+def delta_grid(n_grid) -> list:
+    """The sorted ``[gibbs] delta_n_grid``, refused unless each n >= 1."""
+    n_grid = sorted(int(v) for v in n_grid)
+    if not n_grid or n_grid[0] < 1:
+        raise ConfigError(f"[gibbs] delta_n_grid = {n_grid} needs >= 1 "
+                          f"value, each >= 1")
+    return n_grid
+
+
 def delta_set_rate(m: MapSystem, params: HyperbolicParams, sampler,
                    beta: float, n_grid, samples: int, seed: int,
                    potential: PotentialModel, workers: int = 1) -> DeltaSetRate:
@@ -173,10 +182,7 @@ def delta_set_rate(m: MapSystem, params: HyperbolicParams, sampler,
     violation); the semilog slope of the violation fraction over the grid
     is the reported rate, with a -inf sentinel when violations vanish.
     """
-    n_grid = sorted(int(v) for v in n_grid)
-    if not n_grid or n_grid[0] < 1:
-        raise ConfigError(f"[gibbs] delta_n_grid = {n_grid} needs >= 1 "
-                          f"value, each >= 1")
+    n_grid = delta_grid(n_grid)
     sup_phi, clipped = _estimate_sup_phi(potential, sampler, seed)
     c_beta = beta / (abs(potential.pressure) + sup_phi)
     grid = np.asarray(n_grid, dtype=np.int64)[:, None]

@@ -31,7 +31,7 @@ from .deviation import (DeviationExperiment, bound_report, free_energy_table,
                         legendre_rate, rate_curve, rate_estimate)
 from .dynamics import PotentialModel, check_float_horizon
 from .errors import ConfigError, DevgibbsError, SamplingError
-from .gibbs import delta_set_rate, subexp_check
+from .gibbs import delta_grid, delta_set_rate, subexp_check
 from .hyperbolic import (classify_tail, default_params, sample_anchors,
                          straddling_times, tail_curve)
 from .maps import make_family
@@ -262,6 +262,9 @@ def _run_entropy(cfg, m, sampler, workers, emit):
 
 def _run_gibbs(cfg, m, sampler, workers, emit):
     sec = cfg.section("gibbs")
+    beta = sec.get("beta")
+    if beta is not None:  # refuse a bad grid before any ball mass is measured
+        grid = delta_grid(sec.get("delta_n_grid", [200, 350, 500, 650]))
     pot = _log_deriv_potential(m)
     rep = subexp_check(m, pot, sampler, sec.get("n_grid", [4, 10]),
                        sec.get("eps", 2.0 ** -6), cfg.samples or 100000,
@@ -274,9 +277,8 @@ def _run_gibbs(cfg, m, sampler, workers, emit):
           float(snphi), float(k), float(lkn))
          for pid, n, mass, lo, hi, snphi, k, lkn in rep.rows]))
     out = {"subexp_statistic": rep.statistic, "flagged": rep.flagged}
-    if "beta" in sec:
-        dr = delta_set_rate(m, _hyper_params(cfg, m), sampler, sec["beta"],
-                            sec.get("delta_n_grid", [200, 350, 500, 650]),
+    if beta is not None:
+        dr = delta_set_rate(m, _hyper_params(cfg, m), sampler, beta, grid,
                             sec.get("delta_samples", 50000), cfg.seed, pot,
                             workers=workers)
         out.update(delta_hat=dr.delta_hat,

@@ -876,3 +876,43 @@ def test_spec_and_gibbs_grids_are_checked(tmp_path, kind, key, value):
     assert res.exit_code == 1, res.output
     assert f"config error: [{kind}] {key} = " in res.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", [
+    "[1.0, 0.5, 2.0]",  # the Legendre edge flag reads the grid by position
+    "[0.5, 0.5, 1.0]",
+    "[nan, 1.0, 2.0]",
+    "[-1.0, inf]",
+])
+def test_deviation_t_grid_is_checked(tmp_path, grid):
+    out = tmp_path / "out"
+    cfg = tmp_path / "dev.cfg"
+    cfg.write_text(TINY_RUN.format(out=out).replace(
+        "t_grid = [-0.5, 0.0, 0.5, 1.0, 1.5]", f"t_grid = {grid}"))
+    for command in ("validate", "run"):
+        res = CliRunner().invoke(main, [command, str(cfg)])
+        assert res.exit_code == 1, res.output
+        assert "config error: [deviation] t_grid = " in res.output
+    assert not out.exists()
+
+
+def test_deviation_single_t_validates(tmp_path):
+    cfg = tmp_path / "dev.cfg"
+    cfg.write_text(TINY_RUN.format(out=tmp_path / "out").replace(
+        "t_grid = [-0.5, 0.0, 0.5, 1.0, 1.5]", "t_grid = [0.5]"))
+    res = CliRunner().invoke(main, ["validate", str(cfg)])
+    assert res.exit_code == 0, res.output
+
+
+def test_gibbs_delta_grid_is_checked_before_the_ball_masses(tmp_path):
+    # with the default eps the two centres' ball masses starve, so a grid
+    # checked only after them is reported as starvation, not as the grid
+    out = tmp_path / "out"
+    cfg = tmp_path / "gibbs.cfg"
+    cfg.write_text(f"family = doubling\nkind = gibbs\nseed = 3\n"
+                   f"samples = 2000\nout = {out}\n[gibbs]\npoints = 2\n"
+                   f"beta = 0.3\ndelta_n_grid = [0, 100]\n")
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 1, res.output
+    assert "config error: [gibbs] delta_n_grid = " in res.output
+    assert not out.exists()

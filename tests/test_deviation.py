@@ -12,7 +12,7 @@ from devgibbs import maps
 from devgibbs.dynamics import Observable
 from devgibbs.errors import ConfigError, EvaluationError, RangeError
 from devgibbs.observables import make_observable
-from devgibbs.sampling import (EmpiricalSampler, UniformSampler,
+from devgibbs.sampling import (CHUNK, EmpiricalSampler, UniformSampler,
                                sample_chunks)
 from helpers import combined_se
 
@@ -352,3 +352,74 @@ def test_wilson_ci_over_arrays_matches_each_row(pairs):
         [_wilson_row(h, t) for h, t in pairs]
     h, t = pairs[0]
     assert tuple(map(float, wilson_ci(h, t))) == _wilson_row(h, t)
+
+
+def _reference_psi(m, g, ts, n, samples, seed):
+    """psi-hat from scipy's logsumexp of t S_n g on each keyed chunk, the
+    chunk values combined in chunk order, with S_n g summed one orbit at
+    a time."""
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    lse = []
+    for _, pts in sample_chunks(UniformSampler(m.domain), samples, seed,
+                                f"fe:{n}"):
+        cur, s = pts, np.zeros(len(pts))
+        for j in range(n):
+            s += g(cur)
+            if j + 1 < n:
+                cur = m.domain.clamp(m.step(cur))
+        lse.append([scipy_logsumexp(t * s) for t in ts])
+    lse = np.array(lse)
+    return np.array([(scipy_logsumexp(lse[:, k]) - math.log(samples)) / n
+                     for k in range(len(ts))])
+
+
+_FE_MAPS = {"doubling": maps.make_doubling(),
+            "pe4": maps.make_perturbed_expanding(4, 0.55)}
+
+
+@given(st.sampled_from(sorted(_FE_MAPS)),
+       st.sampled_from(["indicator_half", "spin_half", "cos2pi"]),
+       st.lists(st.one_of(st.floats(-8.0, 8.0),
+                          st.sampled_from([-3.0, -1.0, 0.0, 0.5, 7.5])),
+                min_size=1, max_size=6, unique=True),
+       st.integers(1, 3), st.integers(1000, CHUNK),
+       st.integers(1, 10), st.sampled_from([1, 2]), st.integers(0, 1000))
+@settings(max_examples=20, deadline=None)
+def test_free_energy_table_matches_scipy_per_chunk(family, obs, ts, chunks,
+                                                   last, n, workers, seed):
+    m = _FE_MAPS[family]
+    g = make_observable(obs, m)
+    ts = sorted(ts)
+    samples = (chunks - 1) * CHUNK + last
+    got_ts, psi = dev.free_energy_table(m, UniformSampler(m.domain), g, ts, n,
+                                        samples, seed, workers=workers)
+    assert list(got_ts) == ts
+    assert psi.tobytes() == _reference_psi(m, g, ts, n, samples,
+                                           seed).tobytes()
+
+
+def test_logsumexp_in_place_matches_scipy_bitwise():
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    rng = np.random.default_rng(11)
+    cases = [[3.5], [-700.0], [0.0] * 5, [2.25] * 7, [1.0, 1.0, 0.5],
+             [-700.0, 700.0, 700.0, 0.0], rng.uniform(-700, 700, 1000),
+             rng.normal(size=65536), rng.uniform(-1e-3, 1e-3, 257)]
+    lattice = rng.binomial(12, 0.5, 65536).astype(float)
+    cases += [t * lattice for t in np.arange(-1.0, 2.0001, 0.05)]
+    for case in cases:
+        a = np.array(case, dtype=float)
+        want = np.float64(scipy_logsumexp(a)).tobytes()
+        assert np.float64(dev.logsumexp(a, out=a)).tobytes() == want
+
+
+def test_free_energy_overflow_at_the_low_end_names_the_t(doubling):
+    # S_4 g lies in about [-4.5, -0.5]: t = -1e308 overflows only on the
+    # lowest sums, where t S_n g is largest
+    g = Observable(fn=lambda x: -0.125 - x, label="negative")
+    with pytest.raises(RangeError) as exc:
+        dev.free_energy_table(doubling, UniformSampler(doubling.domain), g,
+                              [-1e308], 4, 1000, seed=0)
+    assert "t = -1e+308" in str(exc.value)
+    assert "[deviation] t_grid" in str(exc.value)
