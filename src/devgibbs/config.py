@@ -9,10 +9,10 @@ default to wall-clock entropy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .deviation import check_t_grid
 from .errors import ConfigError
 
 # [check] target key -> (value kind, check name, result field, comparison).
@@ -219,10 +219,7 @@ def parse_config(text: str) -> ExperimentConfig:
         grid = dev["n"]
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("deviation n grid must be strictly increasing")
-        ts = dev.get("t_grid", [])  # legendre_rate reads edges by position
-        if not all(map(math.isfinite, ts)) or ts != sorted(set(ts)):
-            raise ConfigError(f"[deviation] t_grid = {ts} must be finite "
-                              f"and strictly increasing")
+        check_t_grid(dev.get("t_grid", []))
     if kind in ("spec", "gibbs") and "n_max" in sections.get("hyperbolic", {}):
         raise ConfigError(
             f"[hyperbolic] n_max is not read by kind = {kind}: its scans "

@@ -137,11 +137,21 @@ def logsumexp(a, out=None) -> float:
     return float(np.log1p(terms.sum() / k) + np.log(k) + top)
 
 
+def check_t_grid(t_grid) -> None:
+    """Refuse a t grid that is not finite and strictly increasing:
+    ``legendre_rate`` reads the grid's edges by position."""
+    ts = [float(t) for t in t_grid]
+    if not all(map(math.isfinite, ts)) or ts != sorted(set(ts)):
+        raise ConfigError(f"[deviation] t_grid = {ts} must be finite and "
+                          f"strictly increasing")
+
+
 def free_energy_table(m: MapSystem, sampler, g, t_grid, n: int, samples: int,
                       seed: int, workers: int = 1):
     """psi-hat(t) for every t of the grid, all on one sample set."""
     if n < 1:
         raise ConfigError(f"free-energy depth n={n} must be >= 1")
+    check_t_grid(t_grid)
     check_float_horizon(m, n, "fe_n")
     ts = np.asarray(list(t_grid), dtype=float)
 

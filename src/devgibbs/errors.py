@@ -16,12 +16,14 @@ class ParameterError(DevgibbsError):
 class SingularityError(DevgibbsError):
     """An orbit came within machine tolerance of the critical set.
 
-    Carries the orbit index at which the hit occurred.
+    Carries the orbit index at which the hit occurred and the number of
+    the start point whose orbit it was.
     """
 
-    def __init__(self, message, index=None):
+    def __init__(self, message, index=None, point=None):
         super().__init__(message)
         self.index = index
+        self.point = point
 
 
 class EvaluationError(DevgibbsError):

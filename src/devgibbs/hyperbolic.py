@@ -42,21 +42,36 @@ retires each point at its first time, ``straddling_times`` (the times on
 either side of each n of a grid, which specification, the Delta_n set
 and distortion read) at its first time past the grid, and
 ``sample_anchors`` scans each batch of candidates only to the top of its
-depth window.  The double-loop reference checker and the lag statistics
-of a time record, which only the tests run, are in ``tests/oracles.py``.
+depth window.
+
+Only ``tail_curve`` pauses a scan.  Its chunk jobs stop once at most
+``BLOCK_POINT_STEPS`` points are left (about 3,000 of a quadratic
+chunk, after its first 3 rows) and hand back a ``PausedScan``: the next
+time n0, the states at n0 - 1, and the packed prefix/minimum/threshold
+columns.  The scans that paused at the same n0 are joined into packs of
+up to ``CHUNK`` points, and each pack resumes as one batch.  A tail
+therefore pays the narrow rows, many small blocks on few points, once
+per pack, not once per chunk.  A verdict depends on its point alone,
+not on which points share a block, so the first times are those of
+whole-chunk scans.  A critical-set hit names the sample by its number
+in the whole draw.
+
+The double-loop reference checker and the lag statistics of a time
+record, which only the tests run, are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import groupby, islice
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
 from .dynamics import MapSystem, jacobian_data, NEAR_CRITICAL_TOL, walk
 from .errors import ConfigError, SingularityError
-from .sampling import chunk_map
+from .sampling import CHUNK, chunk_map
 from .stats import ols_fit, wilson_ci
 
 _INDEX_TOL = 1e-9
@@ -139,26 +154,62 @@ def _hits(mask):
     return np.divmod(flat, cols)
 
 
+@dataclass
+class PausedScan:
+    """A scan stopped before the time ``n0``.
+
+    ``cur`` holds the states at n0 - 1 of the points still scanned,
+    ``state`` their packed (3, points) prefix sums, running minima and
+    recurrence thresholds, and ``names`` the number by which a critical
+    hit names each point.
+    """
+
+    n0: int
+    cur: np.ndarray
+    state: np.ndarray
+    names: np.ndarray
+
+    def __len__(self):
+        return len(self.names)
+
+
+def _critical_hit(point, index):
+    return SingularityError(f"orbit of start point {point} hit the critical "
+                            f"set at index {index}", index=index, point=point)
+
+
 def _scan_blocks(m: MapSystem, xs, params: HyperbolicParams, settle: int,
-                 horizon: int):
+                 horizon: int, pause: bool = False):
     """Yield ``(n0, ok, live)`` for the times n = n0 .. n0 + len(ok) - 1,
     up to ``horizon``: ``ok[r, i]`` says n0 + r is a hyperbolic time of
-    the start point ``xs[live[i]]``.
+    the start point ``xs[live[i]]``.  ``xs`` is a batch of start points,
+    or a ``PausedScan``, which resumes at its n0.
 
     Once n > ``settle`` a point leaves the scan at its first time: its
     later rows read False and later blocks do not hold it.  The scan ends
     when no point is left or, without a further step, at ``horizon``.  A
     ``SingularityError`` names the start point whose orbit hit the
-    critical set, after the rows before that hit are yielded.
+    critical set, after the rows before that hit are yielded.  With
+    ``pause`` the scan also ends, before its next block, once at most
+    ``BLOCK_POINT_STEPS`` points are left, and returns a ``PausedScan``
+    of them.  A resumed scan advances its ``state`` in place.
     """
-    steps = walk(m, xs, horizon - 1)  # the state at n - 1 decides n
+    resumed = isinstance(xs, PausedScan)
+    n0 = xs.n0 if resumed else 1
+    # the state at n - 1 decides n
+    steps = walk(m, xs.cur if resumed else xs, horizon - n0)
     states = iter(steps)
     live = np.arange(len(steps.cur))  # the index in xs of each scanned point
+    names = xs.names if resumed else live  # what a critical hit names
     # prefix sums, their running minimum, recurrence threshold - _INDEX_TOL
-    state = np.repeat([[0.0], [0.0], [-np.inf]], live.size, axis=1)
+    state = xs.state if resumed else np.repeat(
+        [[0.0], [0.0], [-np.inf]], live.size, axis=1)
     log_sigma = np.log(params.sigma)
-    n0, k = 1, 1
+    k = 1
     while live.size and n0 <= horizon:
+        if pause and live.size <= BLOCK_POINT_STEPS:
+            next(states)  # the states at n0 - 1
+            return PausedScan(n0, steps.cur, state, names[live])
         k = min(k, horizon + 1 - n0)
         rows = [cur for _, cur in islice(states, k)]
         cur = rows[0] if k == 1 else np.concatenate(rows)
@@ -224,9 +275,7 @@ def _scan_blocks(m: MapSystem, xs, params: HyperbolicParams, settle: int,
             r, i = divmod(int(np.argmax(bad)), live.size)
             if r:
                 yield n0, ok[:r], live
-            raise SingularityError(
-                f"orbit of start point {int(live[i])} hit the critical set "
-                f"at index {n0 - 1 + r}", index=n0 - 1 + r)
+            raise _critical_hit(int(names[live[i]]), n0 - 1 + r)
         yield n0, ok, live
         n0 += k
         if len(gone) and gone[-1].any():
@@ -295,14 +344,26 @@ def sample_anchors(m: MapSystem, draw, params: HyperbolicParams, lo: int,
 def first_times_batch(m: MapSystem, xs, params: HyperbolicParams) -> np.ndarray:
     """First hyperbolic time per start point; 0 when none within horizon.
 
-    Each point leaves the scan at its first time: it is no longer stepped
-    or checked against the critical set.
+    ``xs`` may be a ``PausedScan``, whose points resume at its n0.  Each
+    point leaves the scan at its first time: it is no longer stepped or
+    checked against the critical set.
     """
+    return _first_times(m, xs, params)[0]
+
+
+def _first_times(m: MapSystem, xs, params: HyperbolicParams, pause=False):
+    """``(first, rest)``: ``first_times_batch`` and, with ``pause``, the
+    ``PausedScan`` of the points whose first time it left to find (they
+    read 0), or None."""
     first = np.zeros(len(xs), dtype=np.int64)
-    for n0, ok, live in _scan_blocks(m, xs, params, 0, params.n_max):
+    blocks = _scan_blocks(m, xs, params, 0, params.n_max, pause)
+    while True:
+        try:
+            n0, ok, live = next(blocks)
+        except StopIteration as stop:
+            return first, stop.value
         rows, cols = _hits(ok)  # one time per column: its first
         first[live[cols]] = n0 + rows
-    return first
 
 
 def gap_horizon(n: int) -> int:
@@ -350,6 +411,28 @@ def straddling_times(m: MapSystem, xs, params: HyperbolicParams, n_grid):
     return np.where(grid[:, None] >= last, last, before), after
 
 
+def _packs(parts):
+    """The paused scans, joined into packs of at most ``CHUNK`` points
+    that paused at the same n0, in order of n0 and then of the list (a
+    paused scan holds at most ``BLOCK_POINT_STEPS`` points)."""
+    for n0, group in groupby(sorted(parts, key=attrgetter("n0")),
+                             attrgetter("n0")):
+        pack, size = [], 0
+        for part in group:
+            if size + len(part) > CHUNK:
+                yield _pack(n0, pack)
+                pack, size = [], 0
+            pack.append(part)
+            size += len(part)
+        yield _pack(n0, pack)
+
+
+def _pack(n0, parts):
+    return PausedScan(n0, np.concatenate([p.cur for p in parts]),
+                      np.concatenate([p.state for p in parts], axis=1),
+                      np.concatenate([p.names for p in parts]))
+
+
 @dataclass
 class TailCurve:
     """Monotone curve n -> fraction of samples with first time beyond n."""
@@ -365,15 +448,37 @@ class TailCurve:
 
 def tail_curve(m: MapSystem, sampler, params: HyperbolicParams,
                samples: int, seed: int, workers: int = 1) -> TailCurve:
-    """Monte Carlo estimate of the first-time tail under the sampler."""
+    """Monte Carlo estimate of the first-time tail under the sampler.
+
+    Each chunk is scanned until at most ``BLOCK_POINT_STEPS`` of its points
+    are left.  The points left by chunks that paused at the same time are
+    packed, up to ``CHUNK`` a pack, and each pack is scanned to the end in
+    one batch.  A first time depends on its point alone, so the histogram
+    is that of whole-chunk scans.
+    """
+    bins = params.n_max + 1
 
     def job(pts):
-        return np.bincount(first_times_batch(m, pts, params),
-                           minlength=params.n_max + 1)
+        try:
+            first, rest = _first_times(m, pts, params, pause=True)
+        except SingularityError as exc:
+            return exc  # raised below, naming the sample, not its place
+        return np.bincount(first, minlength=bins), rest
 
-    hist = np.sum(chunk_map(job, sampler, samples, seed, "tail", workers),
-                  axis=0)
-    # survivors(n) = count of first time > n (the never-found bin counts too)
+    hist = np.zeros(bins, dtype=np.int64)
+    rests = []
+    for c, part in enumerate(chunk_map(job, sampler, samples, seed, "tail",
+                                       workers)):
+        if isinstance(part, SingularityError):
+            raise _critical_hit(c * CHUNK + part.point, part.index)
+        hist += part[0]
+        if part[1] is not None:
+            rests.append(replace(part[1], names=part[1].names + c * CHUNK))
+    for pack in _packs(rests):
+        hist += np.bincount(first_times_batch(m, pack, params),
+                            minlength=bins)
+    # survivors(n) = samples - count of first time <= n: bin 0 (none found,
+    # or a paused point's first time not yet found) is not read
     found_by = np.cumsum(hist[1:])
     ns = np.arange(1, params.n_max + 1)
     survivors = samples - found_by

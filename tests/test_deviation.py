@@ -423,3 +423,18 @@ def test_free_energy_overflow_at_the_low_end_names_the_t(doubling):
                               [-1e308], 4, 1000, seed=0)
     assert "t = -1e+308" in str(exc.value)
     assert "[deviation] t_grid" in str(exc.value)
+
+
+def test_free_energy_table_refuses_an_unsorted_t_grid(doubling):
+    # legendre_rate reads the grid's edges by position: unsorted, the edge
+    # t = 2.0 sits inside and the maximizer at 0.5 read as interior
+    g = make_observable("spin_half", doubling)
+    sampler = UniformSampler(doubling.domain)
+    with pytest.raises(ConfigError, match=r"\[deviation\] t_grid = "
+                                          r"\[1\.0, 0\.5, 2\.0\] must be"):
+        dev.free_energy_table(doubling, sampler, g, [1.0, 0.5, 2.0], 10,
+                              20_000, 9)
+    ts, psi = dev.free_energy_table(doubling, sampler, g, [0.5, 1.0, 2.0],
+                                    10, 20_000, 9)
+    leg = dev.legendre_rate(ts, psi, 0.4)
+    assert leg.t_star == 0.5 and leg.boundary

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from devgibbs import maps
 from devgibbs.domain import Interval
 from devgibbs.dynamics import MapSystem
 from devgibbs.errors import ConfigError, SingularityError
-from devgibbs.sampling import UniformSampler
+from devgibbs.sampling import CHUNK, UniformSampler, sample_chunks
 from helpers import all_times, combined_se, count_steps
 import oracles
 
@@ -590,3 +591,134 @@ def test_sample_anchors_scan_only_their_depth_window():
                              hyp.HyperbolicParams(1.4, 0.1, 0.25, 10),
                              1, 2, 2, 2)
     assert got == ([(0.9, 1)], 2)
+
+
+@given(st.sampled_from(sorted(FAMILIES)),
+       st.lists(st.tuples(unit, unit), min_size=1, max_size=4),
+       st.lists(st.tuples(unit, unit), max_size=4),
+       st.integers(2, 40), st.integers(0, 5))
+# 2^-1/2 has its first time at n = 1 and steps onto the critical point 0
+@example("quadratic", [(0.3, 0.0), ((1 + 2 ** -0.5) / 2, 0.0)], [(0.7, 0.0)],
+         20, 2)
+# x = 0.70534 maps to 0.0050, inside the default delta 0.01 of quadratic
+@example("quadratic", [((1 + 0.70534) / 2, 0.0), (0.3, 0.0)], [(0.6, 0.0)],
+         12, 4)
+# the second batch starts on the critical point: it is named point 1
+@example("quadratic", [(0.0, 0.0)], [(0.5, 0.0)], 2, 0)
+@settings(max_examples=60, deadline=None)
+def test_paused_scans_resume_to_the_naive_first_times(name, us, vs, n_max,
+                                                      threshold):
+    # each batch pauses once at most ``threshold`` of its points are left,
+    # and the second batch's points are named after the first's; scans
+    # that paused at the same n resume packed, as tail_curve packs chunks
+    m = FAMILIES[name]
+    p = hyp.default_params(m, n_max=n_max)
+    batches = [_start_points(m, us)] + ([_start_points(m, vs)] if vs else [])
+    xs = np.concatenate(batches)
+    oracle = [_oracle_times(m, x, p, n_max) for x in xs]
+    want = [next(iter(times), 0) for times, _ in oracle]
+
+    def run():
+        first, rests, offset = np.zeros(len(xs), dtype=np.int64), [], 0
+        with mock.patch.object(hyp, "BLOCK_POINT_STEPS", threshold):
+            for batch in batches:
+                try:
+                    got, rest = hyp._first_times(m, batch, p, pause=True)
+                except SingularityError as err:  # named as tail_curve does
+                    raise hyp._critical_hit(offset + err.point,
+                                            err.index) from None
+                first[offset:offset + len(batch)] = got
+                if rest is not None:
+                    rests.append(replace(rest, names=rest.names + offset))
+                offset += len(batch)
+        for pack in hyp._packs(rests):
+            assert all(rest.n0 == pack.n0 for rest in rests
+                       if np.isin(rest.names, pack.names).any())
+            first[pack.names] = hyp.first_times_batch(m, pack, p)
+        return first
+
+    # a point is checked up to the index before its first time
+    checked = [(f or n_max) - 1 for f in want]
+    if len(batches) == 1:
+        got = _answer_or_failure(oracle, checked, run)
+        assert got is None or got.tolist() == want
+        return
+    hits = {(hit, i) for i, ((_, hit), last) in enumerate(zip(oracle, checked))
+            if hit is not None and hit <= last}
+    try:
+        got = run()
+    except SingularityError as err:
+        # the batch scanned first fails first: some checked hit, named
+        assert (err.index, err.point) in hits
+        assert str(err).endswith(f"start point {err.point} hit the critical "
+                                 f"set at index {err.index}")
+        return
+    assert not hits and got.tolist() == want
+
+
+def _chunk_tail(m, sampler, p, samples, seed):
+    """Survivor counts from one whole scan per sample chunk of the tail."""
+    hist = sum(np.bincount(hyp.first_times_batch(m, pts, p),
+                           minlength=p.n_max + 1)
+               for _, pts in sample_chunks(sampler, samples, seed, "tail"))
+    return samples - np.cumsum(hist[1:])
+
+
+@pytest.mark.parametrize("name, n_max", [
+    ("quadratic", 300), ("manneville_pomeau", 300),
+    ("perturbed_expanding", 60), ("doubling", 20)])
+def test_tail_curve_matches_whole_chunk_scans(name, n_max):
+    # three full chunks pause once a few thousand points are left; the
+    # partial last one holds fewer and pauses before its first block
+    m = FAMILIES[name]
+    p = hyp.default_params(m, n_max=n_max)
+    sampler, samples = UniformSampler(m.domain), 3 * CHUNK + 1000
+    want = _chunk_tail(m, sampler, p, samples, 3)
+    for workers in (1, 2):
+        tc = hyp.tail_curve(m, sampler, p, samples, 3, workers=workers)
+        assert np.array_equal(tc.survivors, want[:len(tc.n)])
+        alive = np.flatnonzero(want)
+        assert len(tc.n) == max(alive[-1] + 1 if alive.size else 0, 1)
+
+
+def test_tail_curve_packs_the_chunks_left_over(quadratic):
+    # once paused, the three chunks' last points share one scan: fewer
+    # derivative evaluations than three whole-chunk scans make
+    calls = []
+    m = replace(quadratic,
+                deriv=lambda x: calls.append(1) or quadratic.deriv(x))
+    p = hyp.default_params(quadratic, n_max=300)
+    sampler = UniformSampler(quadratic.domain)
+    _chunk_tail(m, sampler, p, 3 * CHUNK, 5)
+    separate = len(calls)
+    calls.clear()
+    hyp.tail_curve(m, sampler, p, 3 * CHUNK, 5)
+    assert 0 < len(calls) < separate
+
+
+class _ZeroAt:
+    """Uniform draws with the critical point 0.0 in place of the sixth
+    draw of one chunk, counted in the order the chunks are drawn."""
+
+    def __init__(self, domain, chunk):
+        self.base, self.left = UniformSampler(domain), chunk
+
+    def sample(self, rng, n):
+        pts = self.base.sample(rng, n)
+        if self.left == 0:
+            pts[5] = 0.0
+        self.left -= 1
+        return pts
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_tail_critical_hit_names_the_sample(quadratic, chunk):
+    # a hit in a full chunk comes from its own scan, one in the partial last
+    # chunk from the scan of its pack; both name the sample, not its place
+    p = hyp.default_params(quadratic, n_max=50)
+    for workers in (1, 2):
+        with pytest.raises(SingularityError, match=(
+                rf"start point {chunk * CHUNK + 5} hit the critical set at "
+                rf"index 0$")):
+            hyp.tail_curve(quadratic, _ZeroAt(quadratic.domain, chunk), p,
+                           2 * CHUNK + 100, 1, workers=workers)
