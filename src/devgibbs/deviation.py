@@ -27,6 +27,12 @@ need them) even though the bound statements concern continuous ones; the
 report notes discontinuous observables.  A g that is non-finite along an
 orbit fails the experiment with an ``EvaluationError``; it is not a miss.
 
+The two estimators draw from differently tagged streams, so they can run
+at once: at workers w >= 2, ``runner`` runs ``rate_curve`` on the calling
+thread with w - floor(w/2) workers and ``free_energy_table`` beside it
+with floor(w/2).  Each combines its chunks in chunk order, so both
+outputs equal those at workers 1.
+
 Each t of the free-energy table costs one chunk-wide multiply into one
 scratch array per chunk and one in-place ``logsumexp``, the one copy of
 scipy's steps, which the combine across chunks shares.  It zeroes the k

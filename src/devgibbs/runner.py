@@ -21,6 +21,7 @@ import math
 import operator
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -166,19 +167,30 @@ def _run_deviation(cfg, m, sampler, workers, emit):
         map=m, g=g, c=dev["c"], sampler=sampler,
         n_grid=tuple(dev["n"]), samples=cfg.samples, seed=cfg.seed,
         direction=dev.get("direction", "ge"))
-    curve = rate_curve(exp, workers=workers)
-    emit("rate_curve.csv", csv_text(
-        ["n", "hits", "samples", "p_hat", "ci_low", "ci_high", "log_rate"],
-        zip(curve.n, curve.hits, curve.samples, curve.p_hat, curve.ci_low,
-            curve.ci_high, curve.log_rate)))
-    window = tuple(dev.get("window", (int(curve.n[0]), int(curve.n[-1]))))
-    fit = rate_estimate(curve, window)
-
     t_grid = dev.get("t_grid", [round(-1.0 + 0.05 * k, 2) for k in range(61)])
     fe_n = dev.get("fe_n", 12)
     fe_samples = dev.get("fe_samples", max(cfg.samples // 2, 1000))
-    ts, psi = free_energy_table(m, sampler, g, t_grid, fe_n, fe_samples,
-                                cfg.seed, workers=workers)
+    check_float_horizon(m, fe_n, "fe_n")  # before the rate curve steps a point
+
+    def free_energy(w):
+        return free_energy_table(m, sampler, g, t_grid, fe_n, fe_samples,
+                                 cfg.seed, workers=w)
+
+    # at workers >= 2 the free energy runs beside the rate curve on
+    # workers // 2 of them; errors keep the one-thread order, and leaving
+    # the block joins the helper on every path
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        side = helper.submit(free_energy, workers // 2) if workers > 1 else None
+        curve = rate_curve(exp, workers=workers - workers // 2)
+        emit("rate_curve.csv", csv_text(
+            ["n", "hits", "samples", "p_hat", "ci_low", "ci_high",
+             "log_rate"],
+            zip(curve.n, curve.hits, curve.samples, curve.p_hat,
+                curve.ci_low, curve.ci_high, curve.log_rate)))
+        window = tuple(dev.get("window", (int(curve.n[0]),
+                                          int(curve.n[-1]))))
+        fit = rate_estimate(curve, window)
+        ts, psi = side.result() if side else free_energy(1)
     leg = legendre_rate(ts, psi, dev["c"])
 
     tail_spec = dev.get("tail_rate", "neg_inf")
@@ -262,11 +274,14 @@ def _run_entropy(cfg, m, sampler, workers, emit):
 
 def _run_gibbs(cfg, m, sampler, workers, emit):
     sec = cfg.section("gibbs")
+    n_grid = sec.get("n_grid", [4, 10])
+    # ball masses and S_n phi read the orbit on every map
+    check_float_horizon(m, max(n_grid), "[gibbs] n_grid")
     beta = sec.get("beta")
     if beta is not None:  # refuse a bad grid before any ball mass is measured
         grid = delta_grid(sec.get("delta_n_grid", [200, 350, 500, 650]))
     pot = _log_deriv_potential(m)
-    rep = subexp_check(m, pot, sampler, sec.get("n_grid", [4, 10]),
+    rep = subexp_check(m, pot, sampler, n_grid,
                        sec.get("eps", 2.0 ** -6), cfg.samples or 100000,
                        cfg.seed, n_points=sec.get("points", 12),
                        workers=workers)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 from click.testing import CliRunner
@@ -915,4 +916,145 @@ def test_gibbs_delta_grid_is_checked_before_the_ball_masses(tmp_path):
     res = CliRunner().invoke(main, ["run", str(cfg)])
     assert res.exit_code == 1, res.output
     assert "config error: [gibbs] delta_n_grid = " in res.output
+    assert not out.exists()
+
+
+MEASURED_PE3 = """\
+family = perturbed_expanding
+kind = deviation
+seed = 3
+samples = 20000
+out = {out}
+
+[map]
+d = 3
+a = 0.1
+
+[deviation]
+g = cos2pi
+c = 0.3
+n = [4, 5, 6, 7, 8, 9, 10, 11, 12]
+fe_n = 10
+tail_rate = measure
+
+[hyperbolic]
+n_max = 200
+"""
+
+
+def _bundled(name):
+    from importlib import resources
+    return (resources.files("devgibbs") / "configs" / name).read_text()
+
+
+@pytest.mark.parametrize("text", [_bundled("deviation_doubling.cfg"),
+                                  MEASURED_PE3.format(out="out")],
+                         ids=["deviation_doubling", "measured_tail"])
+def test_deviation_files_equal_across_worker_splits(tmp_path, text):
+    # at workers >= 2 the free energy runs beside the rate curve on a
+    # share of the workers; no byte of either output may move
+    cfg = parse_config(text)
+    got = []
+    for w in (1, 2, 3):
+        out = tmp_path / f"w{w}"
+        run_mod.run(cfg, out_dir=str(out), workers=w)
+        got.append([(out / name).read_bytes()
+                    for name in ("rate_curve.csv", "bound_report.json")])
+    assert got[0] == got[1] == got[2]
+
+
+def test_free_energy_runs_beside_the_rate_curve(tmp_path, monkeypatch):
+    # every chunk job records its start and end; the rate curve's first
+    # job waits (at most 5 s) for a free-energy job to start, so thread
+    # timing alone cannot decide the order
+    from devgibbs import deviation, sampling
+    events = []
+    fe_started = threading.Event()
+
+    def chunk_map(job, sampler, samples, seed, tag, workers=1):
+        fe = tag.startswith("fe:")
+
+        def wrapped(pts):
+            events.append((tag, "start", threading.get_ident()))
+            if fe:
+                fe_started.set()
+            out = job(pts)
+            if not fe and not any(e[:2] == (tag, "end") for e in events):
+                fe_started.wait(timeout=5)
+            events.append((tag, "end", threading.get_ident()))
+            return out
+        return sampling.chunk_map(wrapped, sampler, samples, seed, tag,
+                                  workers)
+
+    monkeypatch.setattr(deviation, "chunk_map", chunk_map)
+    run_mod.run(parse_config(_bundled("deviation_doubling.cfg")),
+                out_dir=str(tmp_path / "out"), workers=2)
+    steps = [e[:2] for e in events]
+    assert steps.count(("dev", "end")) == 4  # 200,000 samples
+    assert steps.count(("fe:12", "end")) == 2  # 100,000 samples
+    first_fe = steps.index(("fe:12", "start"))
+    last_dev = len(steps) - 1 - steps[::-1].index(("dev", "end"))
+    assert first_fe < last_dev
+    # workers 2: the rate curve on the calling thread, the free energy on
+    # one helper thread
+    threads = {tag: {e[2] for e in events if e[0] == tag}
+               for tag in ("dev", "fe:12")}
+    assert threads["dev"] == {threading.get_ident()}
+    assert len(threads["fe:12"]) == 1
+    assert threads["fe:12"] != threads["dev"]
+
+
+def test_rate_window_error_comes_before_a_free_energy_overflow(tmp_path):
+    # t = 1e308 overflows t * S_6 g; a window of two rows is refused too.
+    # Either thread layout reports the rate window, as at workers 1, and
+    # leaves no helper thread running
+    overflow = TINY_RUN.replace("t_grid = [-0.5, 0.0, 0.5, 1.0, 1.5]",
+                                "t_grid = [-0.5, 1e308]")
+    for workers in (1, 2):
+        before = threading.active_count()
+        out = tmp_path / f"w{workers}"
+        cfg = parse_config(overflow.format(out=out).replace(
+            "window = [8, 16]", "window = [8, 12]"))
+        with pytest.raises(ConfigError, match="rate estimation needs >= 3"):
+            run_mod.run(cfg, workers=workers)
+        assert threading.active_count() == before
+        assert not out.exists()
+        # with the window allowed, the overflow is what the run reports
+        with pytest.raises(DevgibbsError, match=r"t_grid: t = 1e\+308"):
+            run_mod.run(parse_config(overflow.format(out=out)),
+                        workers=workers)
+        assert threading.active_count() == before
+
+
+def test_fe_n_past_horizon_refused_before_the_rate_curve(tmp_path,
+                                                         monkeypatch):
+    calls, real = [], run_mod.rate_curve
+
+    def rate_curve(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(run_mod, "rate_curve", rate_curve)
+    out = tmp_path / "out"
+    cfg = tmp_path / "dev.cfg"
+    cfg.write_text(TINY_RUN.format(out=out).replace("fe_n = 6", "fe_n = 60"))
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 1, res.output
+    assert "fe_n=60 exceeds the floating-point horizon 52" in res.output
+    assert calls == []
+    assert not out.exists()
+
+
+def test_gibbs_n_grid_past_float_horizon(tmp_path):
+    # the viana base angle is exactly 0 from step 14 on: ball masses and
+    # S_n phi at n = 16 would read collapsed orbits
+    out = tmp_path / "out"
+    cfg = tmp_path / "gibbs.cfg"
+    cfg.write_text(f"family = viana\nkind = gibbs\nseed = 3\n"
+                   f"samples = 200000\nout = {out}\n[gibbs]\n"
+                   f"n_grid = [2, 16]\neps = 0.4\n")
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 1, res.output
+    assert "[gibbs] n_grid=16 exceeds the floating-point horizon 13" \
+        in res.output
     assert not out.exists()
