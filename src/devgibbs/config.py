@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .deviation import check_t_grid
+from .deviation import check_level, check_t_grid
 from .errors import ConfigError
 
 # [check] target key -> (value kind, check name, result field, comparison).
@@ -219,6 +219,7 @@ def parse_config(text: str) -> ExperimentConfig:
         grid = dev["n"]
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("deviation n grid must be strictly increasing")
+        check_level(dev["c"])
         check_t_grid(dev.get("t_grid", []))
     if kind in ("spec", "gibbs") and "n_max" in sections.get("hyperbolic", {}):
         raise ConfigError(

@@ -33,11 +33,17 @@ thread with w - floor(w/2) workers and ``free_energy_table`` beside it
 with floor(w/2).  Each combines its chunks in chunk order, so both
 outputs equal those at workers 1.
 
+A row of the rate curve counts S_n g >= tau_n, the smallest double whose
+rounded quotient by n passes the test against a finite c: division by
+n > 0 is monotone, so no S_n g / n array is made.
+
 Each t of the free-energy table costs one chunk-wide multiply into one
 scratch array per chunk and one in-place ``logsumexp``, the one copy of
-scipy's steps, which the combine across chunks shares.  It zeroes the k
-top terms exp(0) = 1 where scipy subtracts its mask of them; as 1 - 1 is
-+0 and x - 0 is x, psi-hat keeps scipy's bits.
+scipy's steps, which the combine across chunks shares.  Its shift is the
+larger of the extremes t min S_n g and t max S_n g that the overflow
+guard computes, and its mask of the top terms goes to one bool array per
+chunk.  It zeroes the k top terms exp(0) = 1 where scipy subtracts its
+mask of them; as 1 - 1 is +0 and x - 0 is x, psi-hat keeps scipy's bits.
 """
 
 from __future__ import annotations
@@ -78,7 +84,29 @@ class DeviationExperiment:
             raise ConfigError(f"samples={self.samples} below minimum {MIN_SAMPLES}")
         if self.direction not in ("ge", "gt"):
             raise ConfigError("direction must be 'ge' or 'gt'")
+        check_level(self.c)
         check_float_horizon(self.map, grid[-1], "n")
+
+
+def check_level(c) -> None:
+    """Refuse a level c that is not finite."""
+    if not math.isfinite(c):
+        raise ConfigError(f"[deviation] c = {c!r} must be finite")
+
+
+def level_threshold(c: float, n: int, direction: str = "ge") -> float:
+    """The smallest double s whose rounded quotient s / n is >= c (> c
+    for ``gt``).  Rounding is monotone, so S_n / n passes iff S_n >= it;
+    it lies a few doubles from c n, at most about n / 2 near 0."""
+    c = float(c)
+    passes = ((lambda s: s / n >= c) if direction == "ge"
+              else (lambda s: s / n > c))
+    s = c * n
+    while passes(s):  # -inf / n fails a finite c
+        s = math.nextafter(s, -math.inf)
+    while not passes(s):  # inf / n passes it
+        s = math.nextafter(s, math.inf)
+    return s
 
 
 @dataclass
@@ -96,10 +124,12 @@ class RateCurve:
 def rate_curve(exp: DeviationExperiment, workers: int = 1) -> RateCurve:
     """Hits of S_n/n beyond c at each grid n, all on one sample set."""
     grid = [int(v) for v in exp.n_grid]
-    beyond = np.greater_equal if exp.direction == "ge" else np.greater
+    tau = {n: level_threshold(exp.c, n, exp.direction) for n in grid}
 
     def job(pts):
-        return np.array([np.count_nonzero(beyond(s / n, exp.c))
+        passed = np.empty(len(pts), dtype=bool)
+        return np.array([np.count_nonzero(np.greater_equal(s, tau[n],
+                                                           out=passed))
                          for n, s in birkhoff_sums(exp.map, exp.g, pts, grid)],
                         dtype=np.int64)
 
@@ -125,21 +155,22 @@ def rate_estimate(curve: RateCurve, window: tuple) -> OLSFit:
                    np.log(curve.p_hat[mask]))
 
 
-def logsumexp(a, out=None) -> float:
+def logsumexp(a, out=None, top=None, at_top=None) -> float:
     """log(sum(exp(a))) over a float array, bit for bit as scipy's.
 
     The steps of scipy 1.17 (Blanchard, Higham & Higham 2021): shift by
     top = max(a), take the k terms equal to top out of the sum, and return
-    log1p(sum(exp(a - top)) / k) + log(k) + top.  The terms go to ``out``
-    (which may be ``a`` itself) or to a fresh array.
+    log1p(sum(exp(a - top)) / k) + log(k) + top.  A caller may pass max(a)
+    as ``top``.  The terms go to ``out`` (which may be ``a`` itself) and
+    their mask to the bool array ``at_top``, or to fresh arrays.
     """
     a = np.asarray(a, dtype=float)
-    top = a.max()
-    at_top = a == top
+    top = a.max() if top is None else top
+    at_top = np.equal(a, top, out=at_top)
     k = np.float64(np.count_nonzero(at_top))
     terms = np.subtract(a, top, out=out)
     np.exp(terms, out=terms)
-    terms[at_top] = 0.0  # the k top terms, each exp(0) = 1
+    np.copyto(terms, 0.0, where=at_top)  # the k top terms, each exp(0) = 1
     return float(np.log1p(terms.sum() / k) + np.log(k) + top)
 
 
@@ -165,13 +196,16 @@ def free_energy_table(m: MapSystem, sampler, g, t_grid, n: int, samples: int,
         _, s = next(birkhoff_sums(m, g, pts, (n,)))
         lo, hi = float(s.min()), float(s.max())
         buf = np.empty(len(s))  # t * S_n g, then its terms, for every t
+        at_top = np.empty(len(s), dtype=bool)
         out = np.empty(len(ts))
         for k, t in enumerate(ts.tolist()):
             # rounding is monotone: t lo and t hi are the extremes of t s
-            if not (math.isfinite(t * lo) and math.isfinite(t * hi)):
+            ends = (t * lo, t * hi)
+            if not all(map(math.isfinite, ends)):
                 raise RangeError(f"[deviation] t_grid: t = {t!r} overflows "
                                  f"t * S_n g for S_n g in [{lo!r}, {hi!r}]")
-            out[k] = logsumexp(np.multiply(t, s, out=buf), out=buf)
+            out[k] = logsumexp(np.multiply(t, s, out=buf), out=buf,
+                               top=max(ends), at_top=at_top)
         return out
 
     lse = np.array(chunk_map(job, sampler, samples, seed, f"fe:{n}", workers))

@@ -28,6 +28,14 @@ def frac(x):
     return x - np.floor(x)
 
 
+def _wrap(x, out):
+    """frac(frac(x)) into ``out``: frac(x) lies in [0, 1], and the second
+    frac only folds the 1.0 of a tiny negative x to 0."""
+    np.subtract(x, np.floor(x, out=out), out=out)
+    np.copyto(out, 0.0, where=out == 1.0)
+    return out
+
+
 def circle_dist(a, b):
     """Arc-length distance on R/Z."""
     d = frac(np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
@@ -76,8 +84,8 @@ class Circle:
         return np.all((x >= -tol) & (x < 1.0 + tol))
 
     def clamp(self, x):
-        # a tiny negative x has frac(x) == 1.0; the second frac folds it to 0
-        return frac(frac(np.asarray(x, dtype=float)))
+        x = np.asarray(x, dtype=float)
+        return _wrap(x, np.empty_like(x))
 
     def require(self, x):
         if not self.contains(x):
@@ -111,10 +119,11 @@ class Cylinder:
         return np.all(ok_theta & ok_x)
 
     def clamp(self, p):
-        p = np.array(p, dtype=float, copy=True)
-        p[..., 0] = frac(frac(p[..., 0]))  # as in Circle.clamp
-        p[..., 1] = np.clip(p[..., 1], self.fiber_lo, self.fiber_hi)
-        return p
+        p = np.asarray(p, dtype=float)
+        out = np.empty_like(p)
+        _wrap(p[..., 0], out[..., 0])  # as in Circle.clamp
+        np.clip(p[..., 1], self.fiber_lo, self.fiber_hi, out=out[..., 1])
+        return out
 
     def require(self, p):
         if not self.contains(p):

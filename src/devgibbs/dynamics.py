@@ -20,10 +20,18 @@ the walk's states in blocks of rows and evaluates the map's derivative
 and critical distance once per block, but it still takes every step
 through the walk, one call of ``step`` per row.  No caller clamps a
 ``step`` result.
+
+The walk steps in two buffers, ``step(cur, out=spare)`` and a swap, so a
+yielded state is valid only until the next step and a reader that keeps
+one copies it.  ``birkhoff_sums`` evaluates a g that takes ``out`` into
+the spare buffer, so a chunk steps and sums without allocating.  Retiring
+points packs the live ones into the spare buffer, or into fresh buffers
+once at most half are left, so memory follows the live points.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -39,8 +47,10 @@ NEAR_CRITICAL_TOL = 1e-14
 class MapSystem:
     """A dynamical system handle.
 
-    ``step`` is the point update and maps the domain into itself (each
-    family's constructor says why), so its images are never clamped;
+    ``step(x, out=None)`` is the point update and maps the domain into
+    itself (each family's constructor says why), so its images are never
+    clamped.  Given ``out`` it writes f(x) there, returns ``out`` and may
+    overwrite ``x``; without it, it leaves ``x`` as it is.
     ``deriv`` returns |f'(x)| data as a scalar for 1D maps or a (..., 2, 2)
     Jacobian for cylinder maps, and ``crit_dist`` is the distance to the
     critical/singular set (``inf`` when the set is empty).
@@ -83,13 +93,19 @@ def check_float_horizon(m: MapSystem, n: int, setting: str):
 
 @dataclass(frozen=True)
 class Observable:
-    """A real-valued function on the domain, vectorized over points."""
+    """A real-valued function on the domain, vectorized over points; an
+    ``fn`` that takes ``out`` writes its values there and returns it."""
 
     fn: Callable
     label: str
 
-    def __call__(self, x):
-        return self.fn(x)
+    def __call__(self, x, out=None):
+        return self.fn(x) if out is None else self.fn(x, out=out)
+
+
+def _takes_out(g) -> bool:
+    """Whether g (an ``Observable`` or a plain function) takes ``out``."""
+    return "out" in inspect.signature(getattr(g, "fn", g)).parameters
 
 
 @dataclass(frozen=True)
@@ -121,21 +137,32 @@ def evaluate(m: MapSystem, x):
 class walk:
     """Iterate ``(j, live states)`` for j = 0..n from points checked on the
     way in.  ``keep(idx)``, a mask or an index array, retires the others;
-    the walk ends once no point is live and takes no step after j = n."""
+    the walk ends once no point is live and takes no step after j = n.
+    A yielded state is valid until the next step."""
 
     def __init__(self, m: MapSystem, xs, n: int):
         self.m, self.n = m, n
+        # ``require`` returns a fresh array (its clamp), never ``xs``
         self.cur = np.asarray(m.domain.require(xs), dtype=float)
+        self.spare = np.empty_like(self.cur)
 
     def __iter__(self):
         for j in range(self.n + 1):
             yield j, self.cur
             if j == self.n or not self.cur.size:
                 return
-            self.cur = self.m.step(self.cur)
+            self.cur, self.spare = (self.m.step(self.cur, out=self.spare),
+                                    self.cur)
 
     def keep(self, idx):
-        self.cur = self.cur[idx]
+        idx = np.flatnonzero(idx) if np.asarray(idx).dtype == bool else idx
+        if 2 * len(idx) <= len(self.cur):  # the buffers shrink with the batch
+            self.cur = self.cur[idx]
+            self.spare = np.empty_like(self.cur)
+        else:  # the indices are in range; "raise" would copy via a buffer
+            live = np.take(self.cur, idx, axis=0, out=self.spare[:len(idx)],
+                           mode="clip")
+            self.cur, self.spare = live, self.cur[:len(idx)]
 
 
 def orbit(m: MapSystem, x, n: int):
@@ -162,8 +189,12 @@ def birkhoff_sums(m: MapSystem, g, xs, n_grid):
     last = max(n_grid)
     steps = walk(m, xs, last - 1)
     total = np.zeros(steps.cur.shape[:steps.cur.ndim + 1 - m.domain.ndim])
+    fill = _takes_out(g)
     for j, cur in steps:
-        total += g(cur)  # never += into g's result: it may be the state
+        # never += into a g(cur) of its own making: it may be the state; a
+        # g that takes ``out`` fills the spare buffer (its angle column)
+        total += g(cur, out=steps.spare[..., 0] if m.domain.ndim == 2
+                   else steps.spare) if fill else g(cur)
         if j + 1 == last and not np.isfinite(total).all():
             vals = np.asarray(g(orbit(m, xs, last - 1)), dtype=float)
             bad = ~np.isfinite(vals).reshape(last, -1).all(axis=1)

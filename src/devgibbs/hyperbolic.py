@@ -27,7 +27,9 @@ column per call, more than a ufunc call per row on wider blocks.  K
 doubles from 1 while K * live stays within ``BLOCK_POINT_STEPS`` (4096
 point-steps) and never passes the horizon: a full 65,536-point chunk
 runs K = 1, in-place ufuncs on one row and no accumulation, and a small
-batch pays ~40 numpy calls per block instead of per step.
+batch pays ~40 numpy calls per block instead of per step.  A walk state
+is valid only until the next step: a K = 1 block reads it in place, and
+blocks of K > 1 rows and a ``PausedScan`` copy the states they keep.
 
 Points whose answer is settled (a hit past the ``settle`` time) are
 masked for the rest of their block and retired through the walk at its
@@ -208,14 +210,18 @@ def _scan_blocks(m: MapSystem, xs, params: HyperbolicParams, settle: int,
     k = 1
     while live.size and n0 <= horizon:
         if pause and live.size <= BLOCK_POINT_STEPS:
-            next(states)  # the states at n0 - 1
-            return PausedScan(n0, steps.cur, state, names[live])
+            next(states)  # the states at n0 - 1, copied out of the walk
+            return PausedScan(n0, steps.cur.copy(), state, names[live])
         k = min(k, horizon + 1 - n0)
-        rows = [cur for _, cur in islice(states, k)]
-        cur = rows[0] if k == 1 else np.concatenate(rows)
+        if k == 1:
+            cur = next(states)[1]
+        else:  # a state is valid only until the next step: copy the rows
+            cur = np.empty((k,) + steps.cur.shape)
+            for r, (_, row) in enumerate(islice(states, k)):
+                cur[r] = row
         dist = np.asarray(m.crit_dist(cur), dtype=float).reshape(k, -1)
         jac = jacobian_data(m, cur)[0].reshape(k, -1)
-        del rows, cur  # old states go before the next step: RSS
+        del cur  # old states go before the next step: RSS
         low = dist.min()
         bad = dist < NEAR_CRITICAL_TOL if low < NEAR_CRITICAL_TOL else None
         if bad is not None:  # quiet stand-ins: a live point here fails below

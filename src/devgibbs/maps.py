@@ -22,6 +22,10 @@ Five families are shipped:
   alpha > 0; ``step`` clips the fiber overflow (a band of width ~alpha
   near the fiber edges) to the boundary.  With alpha = 0 the fiber orbits
   reproduce the quadratic family bit for bit.
+
+Every ``step(x, out=None)`` runs the formula's ufuncs in place, into
+``out`` with ``x`` as its only scratch, or else on a copy of ``x``: both
+give the same bits.
 """
 
 from __future__ import annotations
@@ -34,11 +38,18 @@ import numpy as np
 
 from .branching import (CircleBranches, IntervalBranches, MonotonePiece,
                         newton_inverse)
-from .domain import Circle, Cylinder, Interval, frac
+from .domain import Circle, Cylinder, Interval
 from .dynamics import MapSystem
 from .errors import ConfigError, ParameterError
 
 TWO_PI = 2.0 * math.pi
+
+
+def _buffers(x, out):
+    """A step's scratch and output: x and ``out``, or without ``out`` a
+    copy of x and a fresh array."""
+    x = np.array(x, dtype=float) if out is None else x
+    return x, np.empty_like(x) if out is None else out
 
 
 def make_quadratic(a: float = 2.0) -> MapSystem:
@@ -46,9 +57,12 @@ def make_quadratic(a: float = 2.0) -> MapSystem:
     if not (0.0 < a <= 2.0):
         raise ParameterError(f"quadratic parameter a={a} outside (0, 2]")
 
-    def step(x):
+    def step(x, out=None):
         # |a x x| <= a <= 2 under monotone rounding, so 1 - a x x is in [-1, 1]
-        return 1.0 - a * np.asarray(x, dtype=float) * np.asarray(x, dtype=float)
+        x, out = _buffers(x, out)
+        np.multiply(a, x, out=out)
+        out *= x
+        return np.subtract(1.0, out, out=out)
 
     def deriv(x):
         return -2.0 * a * np.asarray(x, dtype=float)
@@ -80,11 +94,19 @@ def make_mp(alpha: float = 0.5) -> MapSystem:
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"intermittency exponent alpha={alpha} outside (0, 1)")
 
-    def step(x):
+    def step(x, out=None):
         # x (1 + (2x)^alpha) <= 2x on [0, 1/2], and 2x - 1 is in (0, 1]
-        x = np.asarray(x, dtype=float)
-        left = x * (1.0 + np.power(2.0 * x, alpha))
-        return np.where(x <= 0.5, left, 2.0 * x - 1.0)
+        # both branches everywhere: a masked ufunc loop is several times slower
+        x, out = _buffers(x, out)
+        left = x <= 0.5
+        np.multiply(2.0, x, out=out)
+        np.power(out, alpha, out=out)
+        out += 1.0
+        out *= x  # the left branch x (1 + (2x)^alpha)
+        np.multiply(2.0, x, out=x)
+        x -= 1.0  # the right branch 2x - 1
+        np.copyto(out, x, where=~left)
+        return out
 
     def deriv(x):
         x = np.asarray(x, dtype=float)
@@ -155,8 +177,10 @@ def make_perturbed_expanding(d: int = 4, a: float = 0.55) -> MapSystem:
     # remainder mod 1 lies in [0, 1)
     if a == 0.0:
 
-        def step(x):
-            return frac(d * np.asarray(x, dtype=float))
+        def step(x, out=None):
+            x, out = _buffers(x, out)
+            np.multiply(d, x, out=out)
+            return np.subtract(out, np.floor(out, out=x), out=out)  # frac
 
         def lift(x):
             return d * np.asarray(x, dtype=float)
@@ -166,9 +190,15 @@ def make_perturbed_expanding(d: int = 4, a: float = 0.55) -> MapSystem:
 
     else:
 
-        def step(x):
-            x = np.asarray(x, dtype=float)
-            return frac(d * x + omega - a * np.sin(TWO_PI * x))
+        def step(x, out=None):
+            x, out = _buffers(x, out)
+            np.multiply(d, x, out=out)
+            out += omega
+            np.multiply(TWO_PI, x, out=x)
+            np.sin(x, out=x)
+            x *= a
+            out -= x
+            return np.subtract(out, np.floor(out, out=x), out=out)  # frac
 
         def lift(x):
             x = np.asarray(x, dtype=float)
@@ -218,14 +248,21 @@ def make_viana(d: int = 16, a: float = 2.0, alpha: float = 0.01) -> MapSystem:
     fiber = 1.0 + alpha
     dom = Cylinder(-fiber, fiber)
 
-    def step(p):
+    def step(p, out=None):
         # alpha = 0 adds +-0.0 and clips nothing: quadratic, bit for bit
-        p = np.asarray(p, dtype=float)
-        out = np.empty_like(p)
-        out[..., 0] = frac(d * p[..., 0])
-        x = p[..., 1]
-        out[..., 1] = 1.0 - a * x * x + alpha * np.cos(TWO_PI * p[..., 0])
-        np.clip(out[..., 1], -fiber, fiber, out=out[..., 1])
+        p, out = _buffers(p, out)
+        theta, x = p[..., 0], p[..., 1]
+        angle, fib = out[..., 0], out[..., 1]
+        np.multiply(a, x, out=fib)
+        fib *= x
+        np.subtract(1.0, fib, out=fib)
+        np.multiply(TWO_PI, theta, out=x)
+        np.cos(x, out=x)
+        x *= alpha
+        fib += x
+        np.clip(fib, -fiber, fiber, out=fib)
+        np.multiply(d, theta, out=angle)
+        np.subtract(angle, np.floor(angle, out=theta), out=angle)  # frac
         return out
 
     def deriv(p):

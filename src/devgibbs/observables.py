@@ -4,7 +4,8 @@ Scalar-domain observables act on the point itself; cylinder variants read
 the angle coordinate for the phase-based ones and the fiber for identity.
 ``log_deriv`` is the log absolute Jacobian determinant and is flagged
 singular: it produces non-finite values on the critical set, which the
-Birkhoff machinery reports as evaluation errors.
+Birkhoff machinery reports as evaluation errors.  Each ``fn(x, out=None)``
+writes its values to ``out`` (never to x) or to a fresh array.
 """
 
 from __future__ import annotations
@@ -22,24 +23,43 @@ def _coordinate(m: MapSystem, x, which: str):
     return x[..., 0] if which == "angle" else x[..., 1]
 
 
+def _on(read, body):
+    """``fn(x, out=None)``: ``body(read(x), out)``, with a fresh float
+    array for ``out`` when none is given."""
+    def fn(x, out=None):
+        c = read(x)
+        return body(c, np.empty(np.shape(c)) if out is None else out)
+    return fn
+
+
+def _spin(c, out):
+    np.less(c, 0.5, out=out)  # 1.0 below 1/2, else 0.0
+    out *= 2.0
+    return np.subtract(out, 1.0, out=out)
+
+
+def _cos(c, out):
+    return np.cos(np.multiply(2.0 * np.pi, c, out=out), out=out)
+
+
+def _log_abs(c, out):
+    return np.log(np.abs(c, out=out), out=out)
+
+
 def make_observable(name: str, m: MapSystem, table=None) -> Observable:
+    angle = lambda x: _coordinate(m, x, "angle")
+    fiber = lambda x: _coordinate(m, x, "fiber")
     if name == "indicator_half":
         return Observable(
-            fn=lambda x: (_coordinate(m, x, "angle") < 0.5).astype(float),
-            label=name)
+            fn=_on(angle, lambda c, out: np.less(c, 0.5, out=out)), label=name)
     if name == "spin_half":
-        return Observable(
-            fn=lambda x: np.where(_coordinate(m, x, "angle") < 0.5, 1.0, -1.0),
-            label=name)
+        return Observable(fn=_on(angle, _spin), label=name)
     if name == "cos2pi":
-        return Observable(
-            fn=lambda x: np.cos(2.0 * np.pi * _coordinate(m, x, "angle")),
-            label=name)
+        return Observable(fn=_on(angle, _cos), label=name)
     if name == "identity":
-        return Observable(fn=lambda x: _coordinate(m, x, "fiber"),
-                          label=name)
+        return Observable(fn=_on(fiber, np.positive), label=name)
     if name == "log_deriv":
-        return Observable(fn=lambda x: np.log(np.abs(jacobian_data(m, x)[2])),
+        return Observable(fn=_on(lambda x: jacobian_data(m, x)[2], _log_abs),
                           label=name)
     if name == "piecewise_linear":
         if table is None:
@@ -48,9 +68,8 @@ def make_observable(name: str, m: MapSystem, table=None) -> Observable:
         ys = np.asarray([r[1] for r in table], dtype=float)
         if np.any(np.diff(xs) <= 0):
             raise ConfigError("piecewise_linear abscissae must increase")
-        return Observable(
-            fn=lambda x: np.interp(_coordinate(m, x, "fiber"), xs, ys),
-            label=name)
+        return Observable(fn=_on(fiber, lambda c, out: np.positive(
+            np.interp(c, xs, ys), out=out)), label=name)
     raise ConfigError(f"unknown observable {name!r}; see list-observables")
 
 

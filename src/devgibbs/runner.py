@@ -33,8 +33,8 @@ from .deviation import (DeviationExperiment, bound_report, free_energy_table,
 from .dynamics import PotentialModel, check_float_horizon
 from .errors import ConfigError, DevgibbsError, SamplingError
 from .gibbs import delta_grid, delta_set_rate, subexp_check
-from .hyperbolic import (classify_tail, default_params, sample_anchors,
-                         straddling_times, tail_curve)
+from .hyperbolic import (classify_tail, default_params, gap_horizon,
+                         sample_anchors, straddling_times, tail_curve)
 from .maps import make_family
 from .metric import backward_contraction_check, calibrate_delta1, \
     distortion_estimate, katok_entropy
@@ -81,8 +81,9 @@ def _hyper_params(cfg: ExperimentConfig, m, n_max_default=1000):
 def _log_deriv_potential(m) -> PotentialModel:
     """phi = -log |det Df| with zero pressure: the conformal benchmark."""
     g = make_observable("log_deriv", m)
-    return PotentialModel(phi=lambda x: -g.fn(x), pressure=0.0,
-                          label="-log|det Df|")
+    return PotentialModel(
+        phi=lambda x, out=None: np.negative(g(x, out=out), out=out),
+        pressure=0.0, label="-log|det Df|")
 
 
 def _manifest_files(out):
@@ -280,6 +281,13 @@ def _run_gibbs(cfg, m, sampler, workers, emit):
     beta = sec.get("beta")
     if beta is not None:  # refuse a bad grid before any ball mass is measured
         grid = delta_grid(sec.get("delta_n_grid", [200, 350, 500, 650]))
+        steps, h = gap_horizon(grid[-1]), m.float_horizon
+        if m.family == "viana" and steps > h:  # a d-adic scan reads f' = d
+            raise ConfigError(
+                f"[gibbs] delta_n_grid = {grid} scans {m.label} to "
+                f"gap_horizon({grid[-1]}) = {steps} steps, past its "
+                f"floating-point horizon {math.floor(h)}; remove [gibbs] "
+                f"beta to skip the Delta_n scan")
     pot = _log_deriv_potential(m)
     rep = subexp_check(m, pot, sampler, n_grid,
                        sec.get("eps", 2.0 ** -6), cfg.samples or 100000,

@@ -29,8 +29,8 @@ def count_steps(m):
     to the returned list: its length counts calls, its sum point-steps."""
     sizes = []
 
-    def step(x):
+    def step(x, out=None):
         sizes.append(np.shape(x)[0] if np.ndim(x) else 1)
-        return m.step(x)
+        return m.step(x, out=out)
 
     return replace(m, step=step), sizes

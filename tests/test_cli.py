@@ -1058,3 +1058,38 @@ def test_gibbs_n_grid_past_float_horizon(tmp_path):
     assert "[gibbs] n_grid=16 exceeds the floating-point horizon 13" \
         in res.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+def test_deviation_level_must_be_finite(tmp_path, c):
+    # c = nan or inf used to run the whole rate curve and then fail the fit
+    # without naming c; c = -inf wrote a NaN Legendre rate
+    out = tmp_path / "out"
+    cfg = tmp_path / "dev.cfg"
+    cfg.write_text(TINY_RUN.format(out=out).replace("c = 0.7", f"c = {c}"))
+    for cmd in ("validate", "run"):
+        res = CliRunner().invoke(main, [cmd, str(cfg)])
+        assert res.exit_code == 1, res.output
+        assert f"[deviation] c = {float(c)!r} must be finite" in res.output
+    assert not out.exists()
+
+
+def test_viana_delta_scan_past_float_horizon(tmp_path, monkeypatch):
+    # the Delta_n scan to gap_horizon(650) = 1025 steps read the viana base
+    # angle long after its horizon of 13 and wrote delta_hat = -inf
+    out = tmp_path / "out"
+    cfg = tmp_path / "gibbs.cfg"
+    cfg.write_text(f"family = viana\nkind = gibbs\nseed = 3\n"
+                   f"samples = 20000\nout = {out}\n[gibbs]\n"
+                   f"n_grid = [2, 4]\neps = 0.4\npoints = 4\nbeta = 0.5\n"
+                   f"delta_n_grid = [200, 350, 500, 650]\n"
+                   f"delta_samples = 2000\n")
+    calls = []
+    orig = run_mod.subexp_check
+    monkeypatch.setattr(run_mod, "subexp_check",
+                        lambda *a, **k: calls.append(1) or orig(*a, **k))
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 1, res.output
+    assert "[gibbs] delta_n_grid = [200, 350, 500, 650] scans" in res.output
+    assert "past its floating-point horizon 13" in res.output
+    assert calls == [] and not out.exists()

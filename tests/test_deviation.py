@@ -438,3 +438,30 @@ def test_free_energy_table_refuses_an_unsorted_t_grid(doubling):
                                     10, 20_000, 9)
     leg = dev.legendre_rate(ts, psi, 0.4)
     assert leg.t_star == 0.5 and leg.boundary
+
+
+@given(n=st.integers(1, 60),
+       c=st.floats(allow_nan=False, allow_infinity=False),
+       extra=st.lists(st.floats(), max_size=20),
+       direction=st.sampled_from(["ge", "gt"]))
+@settings(max_examples=400, deadline=None)
+def test_level_threshold_counts_as_the_quotient(n, c, extra, direction):
+    # rate_curve counts S_n >= tau_n in place of S_n / n beyond c
+    tau = dev.level_threshold(c, n, direction)
+    below = math.nextafter(tau, -math.inf)
+    near = [tau, below, math.nextafter(tau, math.inf)]
+    s = np.array(near + extra + [0.0, -0.0, np.inf, -np.inf, np.nan,
+                                 c * n if math.isfinite(c * n) else 0.0])
+    beyond = np.greater_equal if direction == "ge" else np.greater
+    with np.errstate(over="ignore"):
+        assert np.array_equal(s >= tau, beyond(s / n, c))
+    # the smallest such double: the one below it fails
+    assert not beyond(below / n, c)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_non_finite_level_is_refused(doubling, c):
+    g = make_observable("indicator_half", doubling)
+    with pytest.raises(ConfigError, match=r"\[deviation\] c = .* must be "
+                                          r"finite"):
+        experiment(doubling, g, c, [10, 20])

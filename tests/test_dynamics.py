@@ -394,3 +394,56 @@ def test_potential_model_psi():
     pot = PotentialModel(phi=lambda x: np.asarray(x) * 2.0, pressure=0.3)
     assert pot.psi(0.5) == pytest.approx(1.0 - 0.3)
     assert pot.lam == pytest.approx(math.exp(0.3))
+
+
+@pytest.mark.parametrize("make", FAMILY_MAKERS.values(), ids=FAMILY_MAKERS)
+def test_step_into_out_is_the_pure_step_bit_for_bit(make):
+    # walk hands step its spare buffer and lets it use x as scratch
+    m = make()
+    pts = np.concatenate([m.domain.sample(np.random.default_rng(5), 20000),
+                          _edge_points(m)])
+    before = pts.copy()
+    ref = m.step(pts)
+    assert np.array_equal(pts, before)  # without out, x is left as it is
+    out = np.empty_like(pts)
+    assert m.step(pts.copy(), out=out) is out
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("make", FAMILY_MAKERS.values(), ids=FAMILY_MAKERS)
+def test_observables_into_out_bit_for_bit(make):
+    m = make()
+    pts = np.concatenate([m.domain.sample(np.random.default_rng(6), 20000),
+                          _edge_points(m)])
+    before = pts.copy()
+    for name in ("indicator_half", "spin_half", "cos2pi", "identity",
+                 "log_deriv", "piecewise_linear"):
+        g = make_observable(name, m, table=[(-2.0, 1.0), (0.5, -1.0),
+                                            (2.0, 3.0)])
+        out = np.empty(len(pts))
+        with np.errstate(divide="ignore"):  # log|f'| at a critical point
+            ref = g(pts)
+            assert g(pts, out=out) is out, name
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64)), name
+        assert np.array_equal(pts, before), name
+
+
+def test_walk_steps_in_two_buffers(doubling):
+    xs = doubling.domain.sample(np.random.default_rng(7), 65536)
+    ref = orbit(doubling, xs, 30)
+    homes = []
+    for j, cur in walk(doubling, xs, 30):
+        assert np.array_equal(cur, ref[j])
+        homes.append(cur.__array_interface__["data"][0])
+    assert len(set(homes)) == 2
+    assert all(a != b for a, b in zip(homes, homes[1:]))
+
+
+@given(st.lists(st.floats(), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_circle_clamp_folds_twice(xs):
+    x = np.array(xs + EDGE_DOUBLES + [math.inf, -math.inf, math.nan])
+    with np.errstate(invalid="ignore"):  # inf - floor(inf)
+        ref = frac(frac(x))
+        got = Circle().clamp(x)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))

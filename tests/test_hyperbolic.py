@@ -356,7 +356,7 @@ def test_retiring_first_times_match_eager_loop(name, us, n_max):
 def _halving():
     """x -> x / 2 on [0, 1]; expanding only on [1/2, 1], critical at 0."""
     return MapSystem(label="halving", domain=Interval(0.0, 1.0), params={},
-                     step=lambda x: np.asarray(x, dtype=float) / 2,
+                     step=lambda x, out=None: np.divide(x, 2.0, out=out),
                      deriv=lambda x: np.where(np.asarray(x) >= 0.5, 4.0, 0.5),
                      crit_dist=lambda x: np.abs(np.asarray(x, dtype=float)))
 
@@ -515,9 +515,10 @@ def _drop():
     |f'| is 4 at 0.85, min(1, 10 x) elsewhere: 0.95 has its first
     hyperbolic time at n = 2 and reaches 0, where f' = 0, at orbit index
     2; 0.5 has no hyperbolic time."""
-    def step(x):
+    def step(x, out=None):
         x = np.asarray(x, dtype=float)
-        return np.where(x > 0.9, x - 0.1, np.where(x > 0.8, 0.0, x))
+        return np.positive(np.where(x > 0.9, x - 0.1,
+                                    np.where(x > 0.8, 0.0, x)), out=out)
 
     def deriv(x):
         x = np.asarray(x, dtype=float)
