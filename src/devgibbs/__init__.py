@@ -9,7 +9,7 @@ and Monte Carlo deviation rates checked against analytic oracles.
 
 __version__ = "0.1.0"
 
-from .dynamics import MapSystem, Observable, PotentialModel  # noqa: E402,F401
+from .dynamics import MapSystem  # noqa: E402,F401
 from .maps import (make_doubling, make_family, make_mp,  # noqa: E402,F401
                    make_perturbed_expanding, make_quadratic, make_viana)
 from .hyperbolic import HyperbolicParams  # noqa: E402,F401

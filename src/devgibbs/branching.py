@@ -96,8 +96,8 @@ class IntervalUnion:
     def total_length(self) -> float:
         return sum(b - a for a, b in self.segments)
 
-    def covers_chart(self, tol: float = COVER_TOL) -> bool:
-        return self.total_length >= (self.hi - self.lo) - tol
+    def covers_chart(self) -> bool:
+        return self.total_length >= (self.hi - self.lo) - COVER_TOL
 
 
 def _split(a, ln):
@@ -134,9 +134,6 @@ class MonotonePiece:
         if t == self.hi:
             return self.f_hi
         return float(self.fwd(t))
-
-    def value_range(self):
-        return (min(self.f_lo, self.f_hi), max(self.f_lo, self.f_hi))
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,11 @@ default to wall-clock entropy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .deviation import check_level, check_t_grid
+from .deviation import check_t_grid
 from .errors import ConfigError
 
 # [check] target key -> (value kind, check name, result field, comparison).
@@ -85,25 +86,23 @@ _DRAW_KEYS = {"spec": "base_points", "contraction": "instances and pairs",
               "distortion": "instances and pairs"}
 
 
-def _parse_scalar(raw: str, want: str, line: int):
+def _parse_scalar(raw: str, want, line: int, name: str):
     raw = raw.strip()
+    if want == "str" or isinstance(want, tuple) and raw in want:
+        return raw
     try:
-        if want == "int":
-            v = float(raw)
-            if not v == int(v):
-                raise ValueError
-            return int(v)
-        if want == "float":
-            return float(raw)
         if want == "bool":
             if raw.lower() in ("true", "yes", "1"):
                 return True
             if raw.lower() in ("false", "no", "0"):
                 return False
             raise ValueError
-        if isinstance(want, tuple):
-            return raw if raw in want else float(raw)
-        return raw
+        v = float(raw)  # an int, a float or the number of a word key
+        if not math.isfinite(v):
+            raise ConfigError(f"{name} = {raw} must be finite", line=line)
+        if want == "int" and not v == int(v):
+            raise ValueError
+        return int(v) if want == "int" else v
     except ValueError:
         if isinstance(want, tuple):
             raise ConfigError(f"cannot parse {raw!r}: use {', '.join(want)} "
@@ -111,16 +110,16 @@ def _parse_scalar(raw: str, want: str, line: int):
         raise ConfigError(f"cannot parse {raw!r} as {want}", line=line)
 
 
-def _parse_value(raw: str, want: str, line: int):
+def _parse_value(raw: str, want, line: int, name: str):
     raw = raw.strip()
     if want == "count":
-        v = _parse_scalar(raw, "int", line)
+        v = _parse_scalar(raw, "int", line, name)
         if v < 1:
             raise ConfigError(f"{raw} is not a count: use an integer >= 1",
                               line=line)
         return v
     if want == "window":
-        v = _parse_value(raw, "int_list", line)
+        v = _parse_value(raw, "int_list", line, name)
         if len(v) != 2 or v[0] >= v[1]:
             raise ConfigError(f"window {raw} is not two increasing "
                               f"integers [lo, hi]", line=line)
@@ -131,8 +130,23 @@ def _parse_value(raw: str, want: str, line: int):
         if not parts:
             raise ConfigError("empty list value", line=line)
         base = want[:-5]
-        return [_parse_scalar(p, base, line) for p in parts]
-    return _parse_scalar(raw, want, line)
+        return [_parse_scalar(p, base, line, name) for p in parts]
+    return _parse_scalar(raw, want, line, name)
+
+
+# word keys whose number has a sign: key -> (test, requirement)
+_WORD_SIGNS = {"tail_rate": (lambda v: v <= 0, "<= 0: it is a decay rate"),
+               "delta1": (lambda v: v > 0, "> 0: it is a ball radius")}
+
+
+def _parse_key(section: str, key: str, raw: str, line: int):
+    """The value of ``key`` in ``section``, checked against the schema."""
+    v = _parse_value(raw, _SCHEMA[section][key], line, f"[{section}] {key}")
+    ok, need = _WORD_SIGNS.get(key, (None, None))
+    if isinstance(v, float) and ok and not ok(v):
+        raise ConfigError(f"[{section}] {key} = {raw.strip()} must be {need}",
+                          line=line)
+    return v
 
 
 @dataclass
@@ -174,16 +188,16 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if current is None:
             if key in _EXPERIMENT_KEYS:
-                val = _parse_value(raw, _SCHEMA["experiment"][key], lineno)
-                sections.setdefault("experiment", {})[key] = val
+                sections.setdefault("experiment", {})[key] = _parse_key(
+                    "experiment", key, raw, lineno)
             else:
                 pending_kind_keys.append((lineno, key, raw))
             continue
         if key not in _SCHEMA[current]:
             raise ConfigError(f"unknown key {key!r} in section [{current}]",
                               line=lineno)
-        sections.setdefault(current, {})[key] = _parse_value(
-            raw, _SCHEMA[current][key], lineno)
+        sections.setdefault(current, {})[key] = _parse_key(
+            current, key, raw, lineno)
 
     exp = sections.get("experiment", {})
     kind = exp.get("kind", "deviation")
@@ -191,12 +205,10 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"unknown experiment kind {kind!r}")
 
     for lineno, key, raw in pending_kind_keys:
-        if key in _SCHEMA.get("map", {}):
-            sections.setdefault("map", {})[key] = _parse_value(
-                raw, _SCHEMA["map"][key], lineno)
-        elif key in _SCHEMA.get(kind, {}):
-            sections.setdefault(kind, {})[key] = _parse_value(
-                raw, _SCHEMA[kind][key], lineno)
+        sec = "map" if key in _SCHEMA["map"] else kind
+        if key in _SCHEMA[sec]:
+            sections.setdefault(sec, {})[key] = _parse_key(sec, key, raw,
+                                                           lineno)
         else:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
 
@@ -219,7 +231,6 @@ def parse_config(text: str) -> ExperimentConfig:
         grid = dev["n"]
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("deviation n grid must be strictly increasing")
-        check_level(dev["c"])
         check_t_grid(dev.get("t_grid", []))
     if kind in ("spec", "gibbs") and "n_max" in sections.get("hyperbolic", {}):
         raise ConfigError(

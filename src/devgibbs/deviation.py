@@ -50,11 +50,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .dynamics import (MapSystem, Observable, birkhoff_sums,
-                       check_float_horizon)
+from .dynamics import MapSystem, birkhoff_sums, check_float_horizon
 from .errors import ConfigError, RangeError
 from .sampling import chunk_map
 from .stats import OLSFit, ols_fit, wilson_ci
@@ -66,7 +66,7 @@ NEG_INF = float("-inf")
 @dataclass(frozen=True)
 class DeviationExperiment:
     map: MapSystem
-    g: Observable
+    g: Callable  # g(x, out=None)
     c: float
     sampler: object
     n_grid: tuple

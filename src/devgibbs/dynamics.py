@@ -21,17 +21,19 @@ and critical distance once per block, but it still takes every step
 through the walk, one call of ``step`` per row.  No caller clamps a
 ``step`` result.
 
-The walk steps in two buffers, ``step(cur, out=spare)`` and a swap, so a
-yielded state is valid only until the next step and a reader that keeps
-one copies it.  ``birkhoff_sums`` evaluates a g that takes ``out`` into
-the spare buffer, so a chunk steps and sums without allocating.  Retiring
-points packs the live ones into the spare buffer, or into fresh buffers
-once at most half are left, so memory follows the live points.
+An observable or a potential is a plain function ``g(x, out=None)``, like
+``step``: given ``out`` it writes its values there and returns it, and it
+never writes to x.  The walk steps in two buffers,
+``step(cur, out=spare)`` and a swap, so a yielded state is valid only
+until the next step and a reader that keeps one copies it.
+``birkhoff_sums`` evaluates g into the spare buffer, so a chunk steps and
+sums without allocating.  Retiring points packs the live ones into the
+spare buffer, or into fresh buffers once at most half are left, so memory
+follows the live points.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -76,9 +78,6 @@ class MapSystem:
     float_horizon: Optional[float] = None
     family: Optional[str] = None
 
-    def __call__(self, x):
-        return evaluate(self, x)
-
 
 def check_float_horizon(m: MapSystem, n: int, setting: str):
     """Refuse orbit lengths past the map's floating-point horizon."""
@@ -89,49 +88,6 @@ def check_float_horizon(m: MapSystem, n: int, setting: str):
             f"{math.floor(h)} of {m.label}: the d x mod 1 coordinate of a "
             f"double-precision orbit collapses to 0 by then; lower {setting} "
             f"to at most {math.floor(h)}")
-
-
-@dataclass(frozen=True)
-class Observable:
-    """A real-valued function on the domain, vectorized over points; an
-    ``fn`` that takes ``out`` writes its values there and returns it."""
-
-    fn: Callable
-    label: str
-
-    def __call__(self, x, out=None):
-        return self.fn(x) if out is None else self.fn(x, out=out)
-
-
-def _takes_out(g) -> bool:
-    """Whether g (an ``Observable`` or a plain function) takes ``out``."""
-    return "out" in inspect.signature(getattr(g, "fn", g)).parameters
-
-
-@dataclass(frozen=True)
-class PotentialModel:
-    """A potential together with its pressure normalization.
-
-    The conformal Jacobian convention is J = lam * exp(-phi) with
-    lam = exp(pressure), and psi = phi - pressure is the normalized
-    potential entering the measure-control estimates.
-    """
-
-    phi: Callable
-    pressure: float
-    label: str = "potential"
-
-    @property
-    def lam(self):
-        return math.exp(self.pressure)
-
-    def psi(self, x):
-        return np.asarray(self.phi(x), dtype=float) - self.pressure
-
-
-def evaluate(m: MapSystem, x):
-    """Apply the map once, validating the input point."""
-    return orbit(m, x, 1)[1]
 
 
 class walk:
@@ -189,12 +145,10 @@ def birkhoff_sums(m: MapSystem, g, xs, n_grid):
     last = max(n_grid)
     steps = walk(m, xs, last - 1)
     total = np.zeros(steps.cur.shape[:steps.cur.ndim + 1 - m.domain.ndim])
-    fill = _takes_out(g)
     for j, cur in steps:
-        # never += into a g(cur) of its own making: it may be the state; a
-        # g that takes ``out`` fills the spare buffer (its angle column)
+        # g fills the spare buffer (its angle column on the cylinder)
         total += g(cur, out=steps.spare[..., 0] if m.domain.ndim == 2
-                   else steps.spare) if fill else g(cur)
+                   else steps.spare)
         if j + 1 == last and not np.isfinite(total).all():
             vals = np.asarray(g(orbit(m, xs, last - 1)), dtype=float)
             bad = ~np.isfinite(vals).reshape(last, -1).all(axis=1)

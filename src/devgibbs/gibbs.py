@@ -1,19 +1,23 @@
 """Dynamical-ball masses and the sandwich constants around them.
 
-The sandwich constant at (x, n, eps) compares the measured ball mass with
-exp(-P n + S_n phi(x)): K-hat is the larger of the ratio and its inverse,
-so K-hat >= 1 by construction.  Ball masses come from direct hit counting
-(not nested sampling) so the variance accounting stays transparent; a
-feasibility guard flags estimates whose expected hit count is starved.
+Every potential phi here is normalized, with pressure P = 0, as the
+conformal benchmark -log |det Df| with Lebesgue is; a potential with
+pressure P enters as phi - P.  The sandwich constant at (x, n, eps)
+compares the measured ball mass with exp(S_n phi(x)): the ratio is
+mass * exp(-S_n phi(x)) and K-hat is the larger of the ratio and its
+inverse, so K-hat >= 1 by construction.  Ball masses come from direct hit
+counting (not nested sampling) so the variance accounting stays
+transparent; a feasibility guard flags estimates whose expected hit count
+is starved.
 
 The Delta_n machinery replaces per-sample constant estimation (quadratic
 cost) with its hyperbolic-time surrogate: the constant at n is controlled
 by the current gap between consecutive hyperbolic times, so the
-exceptional set is {gap > c_beta * n} with c_beta = beta / (|P| + sup|phi|).
+exceptional set is {gap > c_beta * n} with c_beta = beta / sup|phi|.
 The times on either side of each grid n come from one
 ``hyperbolic.straddling_times`` scan per sample chunk.
 For unbounded potentials sup|phi| is read at the 99.9th percentile of
-sampled values and flagged as clipped.
+``SUP_PHI_PROBES`` sampled values and flagged as clipped.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MapSystem, PotentialModel, birkhoff_sum, orbit, walk
+from .dynamics import MapSystem, birkhoff_sum, orbit, walk
 from .errors import ConfigError
 from .hyperbolic import HyperbolicParams, gap_horizon, straddling_times
 from .metric import BallSpec
@@ -31,6 +35,7 @@ from .sampling import chunk_map, spawn_rng
 from .stats import ols_fit, wilson_ci
 
 STARVED_HITS = 10
+SUP_PHI_PROBES = 20000
 
 
 @dataclass
@@ -63,33 +68,21 @@ def ball_measure(m: MapSystem, sampler, spec: BallSpec, samples: int,
 @dataclass
 class GibbsConstant:
     k_hat: float
-    ratio: float  # mass * exp(P n - S_n phi(x))
+    ratio: float  # mass * exp(-S_n phi(x))
     snphi: float
     undefined: bool
-    delta0: float  # containment radius the estimate is valid under
 
 
-def gibbs_constant(m: MapSystem, potential: PotentialModel, x, n: int,
-                   eps: float, mass: float, delta0: float = None
+def gibbs_constant(m: MapSystem, phi, x, n: int, mass: float
                    ) -> GibbsConstant:
-    """Sandwich constant from a measured ball mass, centered at x.
-
-    The measure-control estimates presuppose the ball sits inside a
-    reference ball of some radius delta0; no canonical value exists, so
-    eps <= delta0 / 4 is enforced and the delta0 used is recorded
-    (default 4 eps, the loosest admissible).
-    """
-    if delta0 is None:
-        delta0 = 4.0 * eps
-    if eps > delta0 / 4.0 + 1e-15:
-        raise ConfigError(f"ball radius {eps} exceeds delta0/4 = {delta0 / 4}")
-    snphi = float(birkhoff_sum(m, potential.phi, x, n)) if n >= 1 else 0.0
+    """Sandwich constant from a measured ball mass, centered at x."""
+    snphi = float(birkhoff_sum(m, phi, x, n)) if n >= 1 else 0.0
     if mass <= 0.0:
         return GibbsConstant(k_hat=math.inf, ratio=0.0, snphi=snphi,
-                             undefined=True, delta0=delta0)
-    ratio = mass * math.exp(potential.pressure * n - snphi)
+                             undefined=True)
+    ratio = mass * math.exp(-snphi)
     return GibbsConstant(k_hat=max(ratio, 1.0 / ratio), ratio=ratio,
-                         snphi=snphi, undefined=False, delta0=delta0)
+                         snphi=snphi, undefined=False)
 
 
 @dataclass
@@ -99,7 +92,7 @@ class SubexpReport:
     flagged: int
 
 
-def subexp_check(m: MapSystem, potential: PotentialModel, sampler, n_grid,
+def subexp_check(m: MapSystem, phi, sampler, n_grid,
                  eps: float, samples: int, seed: int, n_points: int = 16,
                  workers: int = 1) -> SubexpReport:
     """Growth statistic of the sandwich constants between grid ends.
@@ -122,7 +115,7 @@ def subexp_check(m: MapSystem, potential: PotentialModel, sampler, n_grid,
         for n in n_grid:
             est = ball_measure(m, sampler, BallSpec(x, n, eps), samples,
                                seed + 7919 * pid + n, workers=workers)
-            gc = gibbs_constant(m, potential, x, n, eps, est.mass)
+            gc = gibbs_constant(m, phi, x, n, est.mass)
             rows.append((pid, n, est.mass, est.ci_low, est.ci_high,
                          gc.snphi, gc.k_hat,
                          (math.log(gc.k_hat) / n) if not gc.undefined else math.inf))
@@ -152,10 +145,9 @@ class DeltaSetRate:
     censored: int
 
 
-def _estimate_sup_phi(potential: PotentialModel, sampler, seed: int,
-                      probes: int = 20000):
-    vals = np.abs(potential.phi(sampler.sample(spawn_rng(seed, "supphi"),
-                                               probes)))
+def _estimate_sup_phi(phi, sampler, seed: int):
+    vals = np.abs(phi(sampler.sample(spawn_rng(seed, "supphi"),
+                                     SUP_PHI_PROBES)))
     finite = vals[np.isfinite(vals)]
     p999 = float(np.percentile(finite, 99.9))
     raw_max = float(np.max(finite)) if finite.size else math.inf
@@ -174,7 +166,7 @@ def delta_grid(n_grid) -> list:
 
 def delta_set_rate(m: MapSystem, params: HyperbolicParams, sampler,
                    beta: float, n_grid, samples: int, seed: int,
-                   potential: PotentialModel, workers: int = 1) -> DeltaSetRate:
+                   phi, workers: int = 1) -> DeltaSetRate:
     """Decay rate of the exceptional set via the hyperbolic-time surrogate.
 
     A sample violates at n when the gap between the consecutive hyperbolic
@@ -183,8 +175,8 @@ def delta_set_rate(m: MapSystem, params: HyperbolicParams, sampler,
     is the reported rate, with a -inf sentinel when violations vanish.
     """
     n_grid = delta_grid(n_grid)
-    sup_phi, clipped = _estimate_sup_phi(potential, sampler, seed)
-    c_beta = beta / (abs(potential.pressure) + sup_phi)
+    sup_phi, clipped = _estimate_sup_phi(phi, sampler, seed)
+    c_beta = beta / sup_phi
     grid = np.asarray(n_grid, dtype=np.int64)[:, None]
     horizon = gap_horizon(n_grid[-1])
 

@@ -130,10 +130,6 @@ class HyperbolicTimeRecord:
     n_max: int
     none_found: bool
 
-    @property
-    def first(self) -> Optional[int]:
-        return None if self.none_found else int(self.times[0])
-
 
 def _tolerance(mins):
     """The product-side bound on P_n: its running minimum, up to 1e-12

@@ -37,6 +37,10 @@ from .hyperbolic import HyperbolicParams, is_hyperbolic_time, sample_anchors
 from .sampling import chunk_map, spawn_rng
 from .stats import ols_fit
 
+# a pair passes while d(f^{n-j}y, f^{n-j}z) stays within this factor of
+# sigma^{-j/2} d(f^n y, f^n z)
+CONTRACTION_SLACK = 1.1
+
 
 @dataclass(frozen=True)
 class BallSpec:
@@ -272,9 +276,9 @@ def sample_ball_pairs(m: MapSystem, x, n: int, delta1: float, pairs: int,
 
 def backward_contraction_check(m: MapSystem, x, n: int,
                                params: HyperbolicParams, pairs: int,
-                               delta1: float, seed: int,
-                               slack: float = 1.1) -> ContractionReport:
-    """Check d(f^{n-j}y, f^{n-j}z) <= slack * sigma^{-j/2} d(f^n y, f^n z).
+                               delta1: float, seed: int) -> ContractionReport:
+    """Check d(f^{n-j}y, f^{n-j}z) <= CONTRACTION_SLACK * sigma^{-j/2}
+    d(f^n y, f^n z).
 
     ``n`` must be a verified hyperbolic time for x; pairs are sampled
     inside B(x, n, delta1).
@@ -294,22 +298,23 @@ def backward_contraction_check(m: MapSystem, x, n: int,
     js = np.arange(n + 1)
     bound = np.power(params.sigma, -js / 2.0)[:, None] * end[None, :]
     ratio = d[::-1] / bound
-    passed = ratio <= slack
+    passed = ratio <= CONTRACTION_SLACK
     return ContractionReport(
         pass_fraction=float(np.mean(passed)),
         worst_ratio=float(np.max(ratio)),
     )
 
 
-def distortion_estimate(m: MapSystem, potential, x, n: int, pairs: int,
+def distortion_estimate(m: MapSystem, phi, x, n: int, pairs: int,
                         delta1: float, seed: int) -> float:
-    """K-hat: max over pairs of the n-step Jacobian ratio (and inverse).
+    """K-hat: max over pairs of exp(S_n phi(z) - S_n phi(y)) and its
+    inverse, for a normalized potential phi (see ``gibbs``).
 
     ``delta1`` should stay well inside the recurrence clearance so the
     pair orbits keep clear of the critical set.
     """
     ys, zs = sample_ball_pairs(m, x, n, delta1, pairs, seed, tag="distortion")
-    sy, sz = birkhoff_sum(m, potential.phi, np.stack([ys, zs]), n)
+    sy, sz = birkhoff_sum(m, phi, np.stack([ys, zs]), n)
     r = np.exp(sz - sy)
     return float(np.max(np.maximum(r, 1.0 / r)))
 

@@ -4,15 +4,16 @@ Scalar-domain observables act on the point itself; cylinder variants read
 the angle coordinate for the phase-based ones and the fiber for identity.
 ``log_deriv`` is the log absolute Jacobian determinant and is flagged
 singular: it produces non-finite values on the critical set, which the
-Birkhoff machinery reports as evaluation errors.  Each ``fn(x, out=None)``
-writes its values to ``out`` (never to x) or to a fresh array.
+Birkhoff machinery reports as evaluation errors.  Each observable is a
+plain ``fn(x, out=None)`` that writes its values to ``out`` (never to x)
+or to a fresh array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import MapSystem, Observable, jacobian_data
+from .dynamics import MapSystem, jacobian_data
 from .errors import ConfigError
 
 
@@ -46,21 +47,19 @@ def _log_abs(c, out):
     return np.log(np.abs(c, out=out), out=out)
 
 
-def make_observable(name: str, m: MapSystem, table=None) -> Observable:
+def make_observable(name: str, m: MapSystem, table=None):
     angle = lambda x: _coordinate(m, x, "angle")
     fiber = lambda x: _coordinate(m, x, "fiber")
     if name == "indicator_half":
-        return Observable(
-            fn=_on(angle, lambda c, out: np.less(c, 0.5, out=out)), label=name)
+        return _on(angle, lambda c, out: np.less(c, 0.5, out=out))
     if name == "spin_half":
-        return Observable(fn=_on(angle, _spin), label=name)
+        return _on(angle, _spin)
     if name == "cos2pi":
-        return Observable(fn=_on(angle, _cos), label=name)
+        return _on(angle, _cos)
     if name == "identity":
-        return Observable(fn=_on(fiber, np.positive), label=name)
+        return _on(fiber, np.positive)
     if name == "log_deriv":
-        return Observable(fn=_on(lambda x: jacobian_data(m, x)[2], _log_abs),
-                          label=name)
+        return _on(lambda x: jacobian_data(m, x)[2], _log_abs)
     if name == "piecewise_linear":
         if table is None:
             raise ConfigError("piecewise_linear needs a table of x,y rows")
@@ -68,10 +67,9 @@ def make_observable(name: str, m: MapSystem, table=None) -> Observable:
         ys = np.asarray([r[1] for r in table], dtype=float)
         if np.any(np.diff(xs) <= 0):
             raise ConfigError("piecewise_linear abscissae must increase")
-        return Observable(fn=_on(fiber, lambda c, out: np.positive(
-            np.interp(c, xs, ys), out=out)), label=name)
+        return _on(fiber, lambda c, out: np.positive(np.interp(c, xs, ys),
+                                                     out=out))
     raise ConfigError(f"unknown observable {name!r}; see list-observables")
-
 
 OBSERVABLES = {
     "indicator_half": "1 on [0, 1/2), 0 elsewhere (discontinuous)",

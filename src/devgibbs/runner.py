@@ -30,7 +30,7 @@ from . import __version__
 from .config import CHECKS, ExperimentConfig
 from .deviation import (DeviationExperiment, bound_report, free_energy_table,
                         legendre_rate, rate_curve, rate_estimate)
-from .dynamics import PotentialModel, check_float_horizon
+from .dynamics import check_float_horizon
 from .errors import ConfigError, DevgibbsError, SamplingError
 from .gibbs import delta_grid, delta_set_rate, subexp_check
 from .hyperbolic import (classify_tail, default_params, gap_horizon,
@@ -78,12 +78,11 @@ def _hyper_params(cfg: ExperimentConfig, m, n_max_default=1000):
                    **cfg.section("hyperbolic"))
 
 
-def _log_deriv_potential(m) -> PotentialModel:
-    """phi = -log |det Df| with zero pressure: the conformal benchmark."""
+def _log_deriv_potential(m):
+    """phi(x, out=None) = -log |det Df|, of pressure 0: the conformal
+    benchmark."""
     g = make_observable("log_deriv", m)
-    return PotentialModel(
-        phi=lambda x, out=None: np.negative(g(x, out=out), out=out),
-        pressure=0.0, label="-log|det Df|")
+    return lambda x, out=None: np.negative(g(x, out=out), out=out)
 
 
 def _manifest_files(out):
@@ -288,8 +287,8 @@ def _run_gibbs(cfg, m, sampler, workers, emit):
                 f"gap_horizon({grid[-1]}) = {steps} steps, past its "
                 f"floating-point horizon {math.floor(h)}; remove [gibbs] "
                 f"beta to skip the Delta_n scan")
-    pot = _log_deriv_potential(m)
-    rep = subexp_check(m, pot, sampler, n_grid,
+    phi = _log_deriv_potential(m)
+    rep = subexp_check(m, phi, sampler, n_grid,
                        sec.get("eps", 2.0 ** -6), cfg.samples or 100000,
                        cfg.seed, n_points=sec.get("points", 12),
                        workers=workers)
@@ -302,7 +301,7 @@ def _run_gibbs(cfg, m, sampler, workers, emit):
     out = {"subexp_statistic": rep.statistic, "flagged": rep.flagged}
     if beta is not None:
         dr = delta_set_rate(m, _hyper_params(cfg, m), sampler, beta, grid,
-                            sec.get("delta_samples", 50000), cfg.seed, pot,
+                            sec.get("delta_samples", 50000), cfg.seed, phi,
                             workers=workers)
         out.update(delta_hat=dr.delta_hat,
                    delta_rows=[list(r) for r in dr.rows],
@@ -385,7 +384,7 @@ def _run_distortion(cfg, m, sampler, workers, emit):
     # radius stays well inside the recurrence clearance
     sec, params, d1, instances, settings = _anchors(cfg, m, cap=0.25)
     pairs = sec.get("pairs", 1000)
-    pot = _log_deriv_potential(m)
+    phi = _log_deriv_potential(m)
     # the second depth is the first hyperbolic time in [1.8 n, 2.2 n]:
     # the first time past ceil(1.8 n) - 1, when it is at most 2.2 n
     depths = sorted({n for _, n in instances})
@@ -396,8 +395,8 @@ def _run_distortion(cfg, m, sampler, workers, emit):
         n2 = int(after[depths.index(n), i])
         if not 0 < n2 <= 2.2 * n:
             continue
-        k1 = distortion_estimate(m, pot, x, n, pairs, d1, cfg.seed + i)
-        k2 = distortion_estimate(m, pot, x, n2, pairs, d1, cfg.seed + 50021 + i)
+        k1 = distortion_estimate(m, phi, x, n, pairs, d1, cfg.seed + i)
+        k2 = distortion_estimate(m, phi, x, n2, pairs, d1, cfg.seed + 50021 + i)
         ratios.append(max(k1 / k2, k2 / k1))
     if not ratios:
         raise SamplingError(

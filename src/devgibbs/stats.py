@@ -10,8 +10,8 @@ import numpy as np
 Z95 = 1.959963984540054
 
 
-def wilson_ci(hits, total, z: float = Z95):
-    """Wilson score intervals for binomial proportions, elementwise.
+def wilson_ci(hits, total):
+    """Wilson score 95% intervals for binomial proportions, elementwise.
 
     ``hits`` and ``total`` are counts or arrays of counts; a row without
     trials gets (0, 1).  Chosen over the Wald interval for correct
@@ -21,10 +21,10 @@ def wilson_ci(hits, total, z: float = Z95):
     total = np.asarray(total, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         p = hits / total
-        denom = 1.0 + z * z / total
-        center = (p + z * z / (2.0 * total)) / denom
-        spread = z * np.sqrt((p * (1.0 - p) + z * z / (4.0 * total))
-                             / total) / denom
+        denom = 1.0 + Z95 * Z95 / total
+        center = (p + Z95 * Z95 / (2.0 * total)) / denom
+        spread = Z95 * np.sqrt((p * (1.0 - p) + Z95 * Z95 / (4.0 * total))
+                               / total) / denom
     empty = total <= 0
     # [()] turns a 0-d result into a scalar and leaves arrays as they are
     return (np.where(empty, 0.0, np.maximum(0.0, center - spread))[()],

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 
 from devgibbs import hyperbolic as hyp
+from devgibbs.dynamics import orbit
 
 
 def combined_se(p1, n1, p2, n2):
@@ -12,6 +13,32 @@ def combined_se(p1, n1, p2, n2):
     v1 = p1 * (1.0 - p1) / max(n1, 1)
     v2 = p2 * (1.0 - p2) / max(n2, 1)
     return float(np.sqrt(v1 + v2))
+
+
+def evaluate(m, x):
+    """Apply the map once, checking the input point."""
+    return orbit(m, x, 1)[1]
+
+
+def with_out(f):
+    """f(x) as an observable or potential ``fn(x, out=None)``: given
+    ``out``, it writes the values there and returns it."""
+    def fn(x, out=None):
+        if out is None:
+            return f(x)
+        out[...] = f(x)
+        return out
+    return fn
+
+
+def constant(v):
+    """The constant observable or potential v on a 1D domain."""
+    return with_out(lambda x: np.full(np.shape(x), v))
+
+
+def neg_log_deriv(m):
+    """The potential -log |f'| of a 1D map."""
+    return with_out(lambda x: -np.log(np.abs(m.deriv(x))))
 
 
 def all_times(m, xs, params):

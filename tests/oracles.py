@@ -70,7 +70,7 @@ def preimage(br, u: IntervalUnion) -> IntervalUnion:
         return IntervalUnion(zip(xa.tolist(), xb.tolist()), 0.0, 1.0)
     segs = []
     for p in br.pieces:
-        vlo, vhi = p.value_range()
+        vlo, vhi = min(p.f_lo, p.f_hi), max(p.f_lo, p.f_hi)
         lo, hi = np.maximum(ya, vlo), np.minimum(yb, vhi)
         keep = lo <= hi
         xa, xb = p.inv_array(lo[keep]), p.inv_array(hi[keep])

@@ -19,11 +19,12 @@ from devgibbs import deviation as dev
 from devgibbs import gibbs, hyperbolic as hyp
 from devgibbs import maps, metric, specprobe as sp
 from devgibbs.config import parse_config
-from devgibbs.dynamics import PotentialModel, orbit
+from devgibbs.dynamics import orbit
 from devgibbs.metric import BallSpec
 from devgibbs.observables import make_observable
 from devgibbs.runner import run as run_experiment
 from devgibbs.sampling import UniformSampler, spawn_rng
+from helpers import constant, neg_log_deriv
 from oracles import (OrbitPiece, dn_distance, maximal_separated_subset,
                      naive_is_hyperbolic_time, shadow_search)
 
@@ -197,8 +198,7 @@ def test_criterion_06_lyapunov_oracle(quadratic_map):
 
 def test_criterion_07_weak_gibbs_sandwich(doubling_map):
     samp = UniformSampler(doubling_map.domain)
-    pot = PotentialModel(phi=lambda x: np.full(np.shape(x), -math.log(2)),
-                         pressure=0.0)
+    pot = constant(-math.log(2))
     eps = 2.0 ** -6
     band = (2 * eps * 0.9, 2 * eps * 1.1)
     strict, consistent, starved = [], [], []
@@ -246,8 +246,7 @@ def test_criterion_08_contraction_distortion(quadratic_map):
         worst = max(worst, rep.worst_ratio)
     pooled = float(np.mean(fracs))
 
-    pot = PotentialModel(
-        phi=lambda x: -np.log(np.abs(quadratic_map.deriv(x))), pressure=0.0)
+    pot = neg_log_deriv(quadratic_map)
     d1_dist = min(d1, params.delta / 4.0)
     ratios = []
     for i, (x, n) in enumerate(instances):
@@ -300,21 +299,20 @@ def test_criterion_09_specification_probes(doubling_map):
 
 
 def test_criterion_10_delta_rate_signs(quadratic_map):
-    pot_q = PotentialModel(
-        phi=lambda x: -np.log(np.abs(quadratic_map.deriv(x))), pressure=0.0)
+    pot_q = neg_log_deriv(quadratic_map)
     pq = hyp.default_params(quadratic_map, n_max=200)
     dr_q = gibbs.delta_set_rate(quadratic_map, pq,
                                 UniformSampler(quadratic_map.domain),
                                 beta=1.0, n_grid=[200, 350, 500, 650],
                                 samples=60_000, seed=SEEDS["delta_quadratic"],
-                                potential=pot_q)
+                                phi=pot_q)
     mp = maps.make_mp(0.5)
-    pot_mp = PotentialModel(phi=lambda x: -np.log(mp.deriv(x)), pressure=0.0)
+    pot_mp = neg_log_deriv(mp)
     pmp = hyp.default_params(mp, n_max=200)
     dr_mp = gibbs.delta_set_rate(mp, pmp, UniformSampler(mp.domain),
                                  beta=0.2, n_grid=[100, 200, 300, 400],
                                  samples=50_000, seed=SEEDS["delta_mp"],
-                                 potential=pot_mp)
+                                 phi=pot_mp)
     print(f"\n[criterion 10] quadratic delta-hat {dr_q.delta_hat:.4f} < "
           f"-0.005; MP delta-hat {dr_mp.delta_hat:.5f}, |.| <= 0.01")
     assert dr_q.delta_hat < -0.005

@@ -827,6 +827,19 @@ def test_spec_cell_with_every_point_censored_reads_inf(tmp_path):
     ("deviation", "window = [4, 6, 8]", 6, "window [4, 6, 8] is not two"),
     ("tail", "window = [20]", 6, "window [20] is not two"),
     ("tail", "window = [20, 20]", 6, "window [20, 20] is not two"),
+    ("gibbs", "beta = nan", 6, "[gibbs] beta = nan must be finite"),
+    ("contraction", "delta1 = inf", 6,
+     "[contraction] delta1 = inf must be finite"),
+    ("entropy", "mass_deficit = nan", 6,
+     "[entropy] mass_deficit = nan must be finite"),
+    ("spec", "eps_grid = [nan]", 6, "[spec] eps_grid = nan must be finite"),
+    ("spec", "cap = inf", 6, "[spec] cap = inf must be finite"),
+    ("deviation", "tail_rate = 5", 6, "[deviation] tail_rate = 5 must be "
+     "<= 0: it is a decay rate"),
+    ("contraction", "delta1 = 0", 6, "[contraction] delta1 = 0 must be "
+     "> 0: it is a ball radius"),
+    ("distortion", "delta1 = -0.1", 6, "[distortion] delta1 = -0.1 must be "
+     "> 0: it is a ball radius"),
 ])
 def test_count_and_window_keys_are_checked_on_parse(tmp_path, kind, body,
                                                     line, named):
@@ -890,10 +903,13 @@ def test_deviation_t_grid_is_checked(tmp_path, grid):
     cfg = tmp_path / "dev.cfg"
     cfg.write_text(TINY_RUN.format(out=out).replace(
         "t_grid = [-0.5, 0.0, 0.5, 1.0, 1.5]", f"t_grid = {grid}"))
+    # a number that is not finite is refused on its line as it is parsed
+    finite = "nan" not in grid and "inf" not in grid
+    where = "" if finite else "line 15: "
     for command in ("validate", "run"):
         res = CliRunner().invoke(main, [command, str(cfg)])
         assert res.exit_code == 1, res.output
-        assert "config error: [deviation] t_grid = " in res.output
+        assert f"config error: {where}[deviation] t_grid = " in res.output
     assert not out.exists()
 
 
@@ -1060,17 +1076,30 @@ def test_gibbs_n_grid_past_float_horizon(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
-def test_deviation_level_must_be_finite(tmp_path, c):
+@pytest.mark.parametrize("old,new,named", [
     # c = nan or inf used to run the whole rate curve and then fail the fit
     # without naming c; c = -inf wrote a NaN Legendre rate
+    pytest.param("c = 0.7", "c = nan", "line 9: [deviation] c = nan",
+                 id="nan"),
+    pytest.param("c = 0.7", "c = inf", "line 9: [deviation] c = inf",
+                 id="inf"),
+    pytest.param("c = 0.7", "c = -inf", "line 9: [deviation] c = -inf",
+                 id="-inf"),
+    pytest.param("seed = 9", "seed = inf", "line 3: [experiment] seed = inf",
+                 id="seed-inf"),
+    pytest.param("n = [8, 12, 16]", "n = [8, 1e400]",
+                 "line 10: [deviation] n = 1e400", id="n-1e400"),
+    pytest.param("tail_rate = neg_inf", "tail_rate = nan",
+                 "line 12: [deviation] tail_rate = nan", id="tail_rate-nan"),
+])
+def test_deviation_level_must_be_finite(tmp_path, old, new, named):
     out = tmp_path / "out"
     cfg = tmp_path / "dev.cfg"
-    cfg.write_text(TINY_RUN.format(out=out).replace("c = 0.7", f"c = {c}"))
+    cfg.write_text(TINY_RUN.format(out=out).replace(old, new))
     for cmd in ("validate", "run"):
         res = CliRunner().invoke(main, [cmd, str(cfg)])
         assert res.exit_code == 1, res.output
-        assert f"[deviation] c = {float(c)!r} must be finite" in res.output
+        assert f"config error: {named} must be finite" in res.output
     assert not out.exists()
 
 

@@ -9,12 +9,11 @@ from scipy import stats as sps
 
 from devgibbs import deviation as dev
 from devgibbs import maps
-from devgibbs.dynamics import Observable
 from devgibbs.errors import ConfigError, EvaluationError, RangeError
 from devgibbs.observables import make_observable
 from devgibbs.sampling import (CHUNK, EmpiricalSampler, UniformSampler,
                                sample_chunks)
-from helpers import combined_se
+from helpers import combined_se, constant, with_out
 
 
 def experiment(m, g, c, n_grid, samples=2000, seed=1, direction="ge"):
@@ -42,7 +41,7 @@ def test_experiment_validation(doubling):
 
 
 def test_probability_sure_event(doubling):
-    g = Observable(fn=lambda x: np.full(np.shape(x), 1.7), label="const")
+    g = constant(1.7)
     exp = experiment(doubling, g, 0.7, [5])
     p, ci, hits, total = probability(exp, 5)
     assert p == 1.0 and hits == total
@@ -120,7 +119,7 @@ def test_free_energy_zero_t_exact(doubling):
 
 
 def test_free_energy_constant_observable(doubling):
-    g = Observable(fn=lambda x: np.full(np.shape(x), 0.4), label="c")
+    g = constant(0.4)
     val = dev.free_energy_table(doubling, UniformSampler(doubling.domain), g,
                                 [1.5], 8, 2000, seed=3)[1][0]
     assert val == pytest.approx(1.5 * 0.4, rel=1e-12)
@@ -417,7 +416,7 @@ def test_logsumexp_in_place_matches_scipy_bitwise():
 def test_free_energy_overflow_at_the_low_end_names_the_t(doubling):
     # S_4 g lies in about [-4.5, -0.5]: t = -1e308 overflows only on the
     # lowest sums, where t S_n g is largest
-    g = Observable(fn=lambda x: -0.125 - x, label="negative")
+    g = with_out(lambda x: -0.125 - x)
     with pytest.raises(RangeError) as exc:
         dev.free_energy_table(doubling, UniformSampler(doubling.domain), g,
                               [-1e308], 4, 1000, seed=0)

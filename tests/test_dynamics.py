@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from devgibbs import maps
 from devgibbs.domain import Circle, Cylinder, frac
-from devgibbs.dynamics import (Observable, PotentialModel, birkhoff_sum,
-                               evaluate, orbit, walk)
+from devgibbs.dynamics import birkhoff_sum, orbit, walk
 from devgibbs.errors import (CapabilityError, DomainError, EvaluationError,
                              SingularityError)
 from devgibbs.observables import make_observable
-from helpers import count_steps
+from devgibbs.runner import _log_deriv_potential
+from helpers import constant, count_steps, evaluate, with_out
 import oracles
 from oracles import expansion_cocycle, truncated_distance
 
@@ -108,17 +108,17 @@ def test_walk_scalar_start_point(mp):
 
 
 def test_birkhoff_constant(doubling):
-    g = Observable(fn=lambda x: np.full(np.shape(x), 5.0), label="five")
+    g = constant(5.0)
     assert birkhoff_sum(doubling, g, 0.9, 7) == pytest.approx(35.0)
 
 
 def test_birkhoff_identity_on_period_two(doubling):
-    g = Observable(fn=lambda x: np.asarray(x, dtype=float), label="id")
+    g = with_out(lambda x: np.asarray(x, dtype=float))
     assert birkhoff_sum(doubling, g, 1 / 3, 2) == pytest.approx(1.0)
 
 
 def test_birkhoff_log_deriv_uniform(doubling):
-    g = Observable(fn=lambda x: np.log(np.abs(doubling.deriv(x))), label="ld")
+    g = with_out(lambda x: np.log(np.abs(doubling.deriv(x))))
     assert birkhoff_sum(doubling, g, 0.3141, 10) == pytest.approx(
         10 * math.log(2), rel=1e-12)
 
@@ -128,7 +128,7 @@ def test_birkhoff_nonfinite_raises(quadratic):
         with np.errstate(divide="ignore"):
             return np.log(np.abs(np.asarray(x)))
 
-    g = Observable(fn=logx, label="logx")
+    g = with_out(logx)
     with pytest.raises(EvaluationError) as exc:
         birkhoff_sum(quadratic, g, 0.0, 3)
     assert exc.value.index == 0
@@ -140,7 +140,7 @@ def test_birkhoff_nonfinite_index_past_zero(doubling):
         with np.errstate(divide="ignore"):
             return np.log(np.abs(np.asarray(x)))
 
-    g = Observable(fn=logx, label="logx")
+    g = with_out(logx)
     for x in (0.25, np.array([0.3, 0.25])):
         with pytest.raises(EvaluationError) as exc:
             birkhoff_sum(doubling, g, x, 3)
@@ -390,12 +390,6 @@ def test_truncated_distance_lipschitz(x, y):
         assert abs(tx - ty) <= abs(x - y) + 1e-12
 
 
-def test_potential_model_psi():
-    pot = PotentialModel(phi=lambda x: np.asarray(x) * 2.0, pressure=0.3)
-    assert pot.psi(0.5) == pytest.approx(1.0 - 0.3)
-    assert pot.lam == pytest.approx(math.exp(0.3))
-
-
 @pytest.mark.parametrize("make", FAMILY_MAKERS.values(), ids=FAMILY_MAKERS)
 def test_step_into_out_is_the_pure_step_bit_for_bit(make):
     # walk hands step its spare buffer and lets it use x as scratch
@@ -416,10 +410,12 @@ def test_observables_into_out_bit_for_bit(make):
     pts = np.concatenate([m.domain.sample(np.random.default_rng(6), 20000),
                           _edge_points(m)])
     before = pts.copy()
-    for name in ("indicator_half", "spin_half", "cos2pi", "identity",
-                 "log_deriv", "piecewise_linear"):
-        g = make_observable(name, m, table=[(-2.0, 1.0), (0.5, -1.0),
-                                            (2.0, 3.0)])
+    kernels = {name: make_observable(name, m, table=[(-2.0, 1.0),
+                                                     (0.5, -1.0), (2.0, 3.0)])
+               for name in ("indicator_half", "spin_half", "cos2pi",
+                            "identity", "log_deriv", "piecewise_linear")}
+    kernels["potential"] = _log_deriv_potential(m)  # phi = -log |det Df|
+    for name, g in kernels.items():
         out = np.empty(len(pts))
         with np.errstate(divide="ignore"):  # log|f'| at a critical point
             ref = g(pts)

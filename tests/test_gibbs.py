@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 
 from devgibbs import gibbs, hyperbolic as hyp, maps
-from devgibbs.dynamics import MapSystem, PotentialModel
 from devgibbs.domain import Interval
 from devgibbs.metric import BallSpec
 from devgibbs.sampling import UniformSampler, sample_chunks
-from helpers import all_times
+from helpers import all_times, constant, neg_log_deriv
 
 
 def log2_potential():
-    return PotentialModel(phi=lambda x: np.full(np.shape(x), -math.log(2)),
-                          pressure=0.0)
+    return constant(-math.log(2))
 
 
 def test_ball_measure_whole_space(doubling):
@@ -58,7 +56,7 @@ def test_gibbs_constant_doubling(doubling):
     pot = log2_potential()
     est = gibbs.ball_measure(doubling, UniformSampler(doubling.domain),
                              BallSpec(0.37, 5, 0.05), 1000000, seed=5)
-    gc = gibbs.gibbs_constant(doubling, pot, 0.37, 5, 0.05, est.mass)
+    gc = gibbs.gibbs_constant(doubling, pot, 0.37, 5, est.mass)
     assert gc.ratio == pytest.approx(2 * 0.05, rel=0.05)
     assert gc.k_hat == pytest.approx(1 / (2 * 0.05), rel=0.05)
     assert gc.k_hat >= 1.0
@@ -71,21 +69,20 @@ def test_gibbs_constant_stable_in_depth(doubling):
         est = gibbs.ball_measure(doubling, UniformSampler(doubling.domain),
                                  BallSpec(0.37, n, 0.05), 1000000,
                                  seed=100 + n)
-        ks.append(gibbs.gibbs_constant(doubling, pot, 0.37, n, 0.05,
+        ks.append(gibbs.gibbs_constant(doubling, pot, 0.37, n,
                                        est.mass).k_hat)
     assert max(ks) / min(ks) <= 1.1
 
 
 def test_gibbs_constant_zero_mass_flag(doubling):
-    gc = gibbs.gibbs_constant(doubling, log2_potential(), 0.3, 5, 0.05, 0.0)
+    gc = gibbs.gibbs_constant(doubling, log2_potential(), 0.3, 5, 0.0)
     assert gc.undefined and math.isinf(gc.k_hat)
 
 
 def test_exact_gibbs_synthetic_subexp():
     # tripling map with constant Jacobian: exactly Gibbs, statistic ~ 0
     m = maps.make_perturbed_expanding(3, 0.0)
-    pot = PotentialModel(phi=lambda x: np.full(np.shape(x), -math.log(3)),
-                         pressure=0.0)
+    pot = constant(-math.log(3))
     rep = gibbs.subexp_check(m, pot, UniformSampler(m.domain), [2, 6],
                              eps=2 ** -3, samples=1000000, seed=6, n_points=6)
     assert abs(rep.statistic) <= 0.05
@@ -104,19 +101,18 @@ def test_delta_set_rate_doubling_sentinel(doubling):
     dr = gibbs.delta_set_rate(doubling, params,
                               UniformSampler(doubling.domain), beta=0.7,
                               n_grid=[10, 20, 40], samples=5000, seed=7,
-                              potential=log2_potential())
+                              phi=log2_potential())
     assert dr.delta_hat == float("-inf")
     assert all(r[1] == 0 for r in dr.rows)
 
 
 def test_delta_set_rate_sup_phi_clipping(quadratic):
     params = hyp.default_params(quadratic, n_max=100)
-    pot = PotentialModel(
-        phi=lambda x: -np.log(np.abs(quadratic.deriv(x))), pressure=0.0)
+    pot = neg_log_deriv(quadratic)
     dr = gibbs.delta_set_rate(quadratic, params,
                               UniformSampler(quadratic.domain), beta=0.5,
                               n_grid=[20, 40, 80], samples=4000, seed=8,
-                              potential=pot)
+                              phi=pot)
     assert dr.clipped  # the potential is unbounded near the critical point
     assert np.isfinite(dr.sup_phi)
 
@@ -148,10 +144,9 @@ def _reference_delta_rows(m, params, n_grid, samples, seed, c_beta):
 def test_delta_set_rate_matches_full_scans(family, beta, n_grid):
     m = maps.make_family(family)
     params = hyp.default_params(m, n_max=100)
-    pot = PotentialModel(phi=lambda x: -np.log(np.abs(m.deriv(x))),
-                         pressure=0.0)
+    pot = neg_log_deriv(m)
     dr = gibbs.delta_set_rate(m, params, UniformSampler(m.domain), beta,
-                              n_grid, samples=3000, seed=3, potential=pot)
+                              n_grid, samples=3000, seed=3, phi=pot)
     rows, cens = _reference_delta_rows(m, params, n_grid, 3000, 3, dr.c_beta)
     assert dr.rows == rows
     assert dr.censored == cens
@@ -161,12 +156,11 @@ def test_delta_set_rate_matches_full_scans(family, beta, n_grid):
 def test_delta_set_rate_is_worker_invariant(quadratic):
     # three sample chunks (the last partial) through the pool
     params = hyp.default_params(quadratic, n_max=100)
-    pot = PotentialModel(
-        phi=lambda x: -np.log(np.abs(quadratic.deriv(x))), pressure=0.0)
+    pot = neg_log_deriv(quadratic)
     one, two = (gibbs.delta_set_rate(quadratic, params,
                                      UniformSampler(quadratic.domain),
                                      beta=0.5, n_grid=[10, 20, 30],
-                                     samples=140_000, seed=6, potential=pot,
+                                     samples=140_000, seed=6, phi=pot,
                                      workers=w) for w in (1, 2))
     assert any(0 < r[1] < 140_000 for r in one.rows)
     assert one == two
@@ -181,10 +175,3 @@ def test_ball_mass_nondecreasing_in_eps(doubling):
         masses.append(est.mass)
     assert masses[0] <= masses[1] <= masses[2]
 
-
-def test_gibbs_constant_records_delta0(doubling):
-    gc = gibbs.gibbs_constant(doubling, log2_potential(), 0.3, 4, 0.05, 0.01)
-    assert gc.delta0 == pytest.approx(4 * 0.05)
-    with pytest.raises(Exception):
-        gibbs.gibbs_constant(doubling, log2_potential(), 0.3, 4, 0.05, 0.01,
-                             delta0=0.1)

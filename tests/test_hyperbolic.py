@@ -38,7 +38,7 @@ def test_param_validation():
 def test_doubling_every_time_hyperbolic(doubling):
     rec = hyp.hyperbolic_times(doubling, 0.3174, params(n_max=50))
     assert np.array_equal(rec.times, np.arange(1, 51))
-    assert rec.first == 1
+    assert rec.times[0] == 1
 
 
 def test_sigma_two_boundary_inclusive(doubling):
@@ -57,7 +57,7 @@ def test_mp_first_step_threshold(mp):
 
 def test_mp_deep_point_has_late_first_time(mp):
     rec = hyp.hyperbolic_times(mp, 1e-6, params(sigma=1.2, n_max=100))
-    assert rec.none_found or rec.first > 50
+    assert rec.none_found or rec.times[0] > 50
 
 
 def test_quadratic_record_nonempty(quadratic):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from devgibbs import maps
-from devgibbs.dynamics import evaluate, orbit
+from devgibbs.dynamics import orbit
 from devgibbs.errors import CapabilityError, ConfigError, ParameterError
+from helpers import evaluate
 import oracles
 
 

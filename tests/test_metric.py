@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from devgibbs import hyperbolic as hyp
 from devgibbs import maps, metric
-from devgibbs.dynamics import PotentialModel, orbit
+from devgibbs.dynamics import orbit
 from devgibbs.errors import (CapabilityError, ConfigError,
                              ImpossibleCoverError, SamplingError)
 from devgibbs.sampling import UniformSampler, spawn_rng
+from helpers import constant
 import oracles
 
 
@@ -311,19 +312,17 @@ def test_contraction_requires_hyperbolic_time(quadratic):
 
 
 def test_distortion_constant_jacobian(doubling):
-    pot = PotentialModel(phi=lambda x: np.full(np.shape(x), -math.log(2)),
-                         pressure=0.0)
+    pot = constant(-math.log(2))
     k = metric.distortion_estimate(doubling, pot, 0.3217, 10, pairs=100,
                                    delta1=0.05, seed=4)
     assert k == pytest.approx(1.0, abs=1e-12)
 
 
 def test_distortion_identical_pairs(doubling):
-    pot = PotentialModel(phi=lambda x: np.full(np.shape(x), -math.log(2)),
-                         pressure=0.0)
+    pot = constant(-math.log(2))
     ys, _ = metric.sample_ball_pairs(doubling, 0.3217, 8, 0.05, 50, seed=5)
     from devgibbs.dynamics import birkhoff_sum
-    s = birkhoff_sum(doubling, pot.phi, ys, 8)
+    s = birkhoff_sum(doubling, pot, ys, 8)
     r = np.exp(s - s)
     assert np.max(np.maximum(r, 1 / r)) == 1.0
 

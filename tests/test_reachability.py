@@ -6,7 +6,10 @@ and classes (``runner.STAGES``, ``maps.FAMILIES``, the ``__init__``
 exports, ...) and the click commands.  From there the walk follows every
 name loaded inside a reached definition: a bare name to its definition in
 its own module or in the module it is imported from, and an attribute
-``obj.name`` to every top-level definition called ``name``.  Code that
+load ``obj.name`` to every top-level definition, method or property
+called ``name``.  A reached class brings its dunders (``__init__``,
+``__post_init__``, ...) with it, but not its other methods: each of
+those is reached only through an attribute load of its name.  Code that
 only tests call is a second path that the program never runs; such
 references live in ``tests/oracles.py``.
 """
@@ -29,12 +32,26 @@ def _is_click_command(node):
     return False
 
 
+def _is_method(node):
+    """A def in a class body that is not a dunder."""
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def _walked(node):
+    """What reaching a definition walks: a class without its methods."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    return node.bases + node.keywords + node.decorator_list + [
+        n for n in node.body if not _is_method(n)]
+
+
 def unreached_names():
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
-    defs = {}  # (module, name) -> def or class node
+    defs = {}  # (module, name or Class.method) -> def or class node
     imported = {}  # (module, local name) -> (source module, name)
-    named = {}  # name -> the (module, name) keys of that name
+    named = {}  # name -> the keys of the definitions of that name
     for mod, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -45,6 +62,11 @@ def unreached_names():
             if isinstance(node, DEFS):
                 defs[mod, node.name] = node
                 named.setdefault(node.name, []).append((mod, node.name))
+            if isinstance(node, ast.ClassDef):
+                for meth in filter(_is_method, node.body):
+                    key = (mod, f"{node.name}.{meth.name}")
+                    defs[key] = meth
+                    named.setdefault(meth.name, []).append(key)
 
     def resolve(mod, name):
         seen = set()
@@ -59,7 +81,7 @@ def unreached_names():
         for key in keys:
             if key not in reached:
                 reached.add(key)
-                todo.append((key[0], defs[key]))
+                todo.extend((key[0], node) for node in _walked(defs[key]))
 
     for mod, tree in trees.items():
         for node in tree.body:
@@ -77,7 +99,8 @@ def unreached_names():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 reach(resolve(mod, node.id))
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Load):
                 reach(named.get(node.attr, []))
     return sorted(f"{mod}.{name}" for mod, name in defs
                   if (mod, name) not in reached)
