@@ -12,14 +12,16 @@ intermittent family are represented exactly); degree-d circle maps carry
 a strictly increasing lift.  Each branch has one inverse, vectorized over
 values: a closed form, or ``newton_inverse`` where none exists.  Both
 flavours offer the same set operations, ``ball`` and ``image``, and
-both pull intervals back through the branch that contains a point,
-vectorized over points, which is what exact dynamical balls need.  Whole
+both pull ranges around many points back at once: ``pull_back`` returns
+the whole preimage of each range, through every branch, that lies within
+a radius of its point, which is what exact dynamical balls need.  Whole
 preimage sets and intersections, which only the tests take, are in
 ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
@@ -107,6 +109,17 @@ def _split(a, ln):
     return [(a, 1.0), (0.0, a + ln - 1.0)]
 
 
+def _within(parts, cap):
+    """The offset ranges (own, lo, hi) of all parts, cut to [-cap, cap];
+    those outside it are dropped."""
+    own, lo, hi = parts[0] if len(parts) == 1 else (
+        np.concatenate(v) for v in zip(*parts))
+    np.maximum(lo, -cap, out=lo)
+    np.minimum(hi, cap, out=hi)
+    keep = lo <= hi
+    return (own, lo, hi) if keep.all() else (own[keep], lo[keep], hi[keep])
+
+
 @dataclass(frozen=True)
 class MonotonePiece:
     """f restricted to [lo, hi], continuous and strictly monotone there.
@@ -123,10 +136,6 @@ class MonotonePiece:
     f_hi: float
     fwd: Callable[[float], float]
     inv_array: Callable[[np.ndarray], np.ndarray]
-
-    @property
-    def increasing(self):
-        return self.f_hi >= self.f_lo
 
     def value_at(self, t):
         if t == self.lo:
@@ -159,53 +168,25 @@ class IntervalBranches:
                     segs.append((min(fa, fb), max(fa, fb)))
         return IntervalUnion(segs, *self.chart)
 
-    def pull_back(self, o, lo, hi):
-        """Offsets (lo', hi') around each o of the component containing o
-        of f^{-1}([f(o) - lo, f(o) + hi]).
+    def pull_back(self, o, own, lo, hi, cap):
+        """The preimage of the ranges [f(o) + lo, f(o) + hi] within
+        [o - cap, o + cap], as ranges (own, lo, hi) of offsets from o.
 
-        The component follows the piece that contains o (a breakpoint
-        belongs to the piece on its left, as in ``step``).  Where it
-        reaches a breakpoint at which f is continuous, a turning point, it
-        continues into the next piece; at a jump it stops.
+        ``o[k]`` is the centre of range k and ``own[k]`` its name, which
+        its preimages keep.  Each piece inverts the part of each range
+        inside its values (``oracles.preimage`` for many sets at once);
+        the result is unsorted, and touching ranges are not joined.
         """
-        o = np.asarray(o, dtype=float)
         k = np.searchsorted([p.hi for p in self.pieces[:-1]], o, side="left")
-        left = np.empty_like(o)
-        right = np.empty_like(o)
-        for i, p in enumerate(self.pieces):
-            sel = k == i
-            if not np.any(sel):
-                continue
-            y = p.fwd(o[sel])
-            ylo, yhi = y - lo[sel], y + hi[sel]
-            left[sel] = self._reach(i, ylo, yhi, -1)
-            right[sel] = self._reach(i, ylo, yhi, 1)
-        return o - left, right - o
-
-    def _reach(self, i, ylo, yhi, side):
-        """Far end, walking from piece i in direction ``side``, of the
-        points whose values stay in [ylo, yhi]."""
-        out = np.empty_like(ylo)
-        todo = np.ones(ylo.shape, dtype=bool)
-        while True:
-            p = self.pieces[i]
-            end, f_end = (p.hi, p.f_hi) if side > 0 else (p.lo, p.f_lo)
-            rising = p.increasing == (side > 0)
-            bound = yhi if rising else ylo
-            inside = (bound < f_end) if rising else (bound > f_end)
-            stop = todo & inside
-            out[stop] = p.inv_array(bound[stop])
-            todo &= ~inside
-            nxt = i + side
-            if not np.any(todo) or not 0 <= nxt < len(self.pieces):
-                break
-            q = self.pieces[nxt]
-            joined = (q.lo, q.f_lo) if side > 0 else (q.hi, q.f_hi)
-            if joined != (end, f_end):
-                break
-            i = nxt
-        out[todo] = end
-        return out
+        y = np.choose(k, [p.fwd(o) for p in self.pieces])
+        parts = []
+        for p in self.pieces:
+            va = np.maximum(y + lo, min(p.f_lo, p.f_hi))
+            vb = np.minimum(y + hi, max(p.f_lo, p.f_hi))
+            keep = np.flatnonzero(va <= vb)
+            xa, xb = (p.inv_array(v[keep]) - o[keep] for v in (va, vb))
+            parts.append((own[keep], np.minimum(xa, xb), np.maximum(xa, xb)))
+        return _within(parts, cap)
 
 
 @dataclass(frozen=True)
@@ -247,11 +228,16 @@ class CircleBranches:
             segs += _split(g0 % 1.0, g1 - g0)
         return IntervalUnion(segs, 0.0, 1.0)
 
-    def pull_back(self, o, lo, hi):
-        """Offsets (lo', hi') around each o of the component containing o
-        of the preimage of the arc [f(o) - lo, f(o) + hi], taken through
-        the lift: o - L^{-1}(L(o) - lo) and L^{-1}(L(o) + hi) - o."""
-        o = np.asarray(o, dtype=float)
+    def pull_back(self, o, own, lo, hi, cap):
+        """``IntervalBranches.pull_back`` for arcs.  With v = L(o) for the
+        lift L, turn t of an arc is inverted as L^{-1}(v + lo + t) ..
+        L^{-1}(v + hi + t), for each t from the lowest to the highest turn
+        that meets [L(o - cap), L(o + cap)] for some arc.
+        """
         v = self.lift(o)
-        return (o - self.inv_lift_array(v - lo),
-                self.inv_lift_array(v + hi) - o)
+        low = np.min(self.lift(o - cap) - v - hi, initial=0.0)
+        top = np.max(self.lift(o + cap) - v - lo, initial=0.0)
+        return _within([(own, self.inv_lift_array(v + (lo + t)) - o,
+                          self.inv_lift_array(v + (hi + t)) - o)
+                         for t in range(math.ceil(low), math.floor(top) + 1)],
+                        cap)

@@ -6,20 +6,14 @@ separated-set reference in the tests maximizes over j = 0..n-1.
 
 Covering numbers are greedy upper estimates: repeatedly center a ball at
 the sample point whose ball holds the most uncovered sample points,
-counted as integers, with equal counts going to the smallest candidate
-index, so no float rounding decides a pick.  Minimum cover is NP-hard
-for general set systems, but partial cover by arcs of a line or a circle
-is polynomial (a dynamic program over right endpoints).  Greedy is kept
-because each pick is cheap and its bias has a fixed direction (never
-below the minimum over sample-point centers), which is all the entropy
-regression needs.  For 1D maps each ball is taken as the interval that
-is its connected component through the center.  Every 1D family has a
-branch structure, which gives that interval exactly, vectorized over
-centers, by pulling B(f^n x, eps) back through the branch that contains
-each f^j x and intersecting with B(f^j x, eps) at every step; a 1D map
-without one raises ``CapabilityError``.  A direct orbit-matrix path,
-which uses whole balls rather than components, is kept for small sets
-and for cross-checks.
+counted as integers, equal counts going to the smallest point, so no
+float rounding decides a pick.  Greedy is kept because each pick is cheap
+and its bias has a fixed direction (never below the minimum over
+sample-point centers), which is all the entropy regression needs.  A
+ball is the full ball that Katok's formula counts, not only its
+component through the center: the branch structure of every 1D family
+gives it exactly as a union of ranges, vectorized over centers; a 1D map
+without one raises ``CapabilityError``, a cylinder map ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -29,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .branching import MAX_COMPONENTS, MERGE_TOL
 from .domain import frac
 from .dynamics import MapSystem, birkhoff_sum, orbit
 from .errors import (CapabilityError, ConfigError, ImpossibleCoverError,
@@ -56,15 +51,14 @@ class BallSpec:
 
 
 def ball_intervals(m: MapSystem, centers, n: int, eps: float):
-    """Per-center one-sided radii (r_minus, r_plus) of B(x, n, eps).
+    """The full balls {y : d(f^j x, f^j y) <= eps for j = 0..n} of the
+    centres x, as ranges [x + lo, x + hi] with x = centers[own].
 
-    [x - r_minus, x + r_plus] is the connected component through x of the
-    inclusive ball {y : d(f^j x, f^j y) <= eps for j = 0..n}; on the
-    circle each radius is also capped at 1/2.  The component is exact up
-    to rounding: the target B(f^n x, eps) is pulled back one step at a
-    time through the branch that contains f^j x and intersected with
-    B(f^j x, eps).  A 1D map without a branch structure raises
-    ``CapabilityError``.
+    ``(own, lo, hi)`` is sorted by centre and ``lo``, with touching ranges
+    of a centre joined within ``MERGE_TOL``, and |lo|, |hi| <= eps (1/2 on
+    the circle).  Exact up to rounding: B(f^n x, eps) is pulled back one
+    step at a time through every branch and cut to B(f^j x, eps).  More
+    than ``MAX_COMPONENTS`` ranges in a ball raise ``ConfigError``.
     """
     if m.domain.ndim != 1:
         raise ConfigError("interval extraction only applies to 1D maps")
@@ -72,99 +66,76 @@ def ball_intervals(m: MapSystem, centers, n: int, eps: float):
         raise CapabilityError(f"{m.label}: no branch structure")
     centers = np.asarray(centers, dtype=float)
     orb = orbit(m, centers, n)
+    own = np.arange(centers.size)
     if hasattr(m.domain, "lo"):
         cap = eps
-        r_lo = np.minimum(eps, orb[n] - m.domain.lo)
-        r_hi = np.minimum(eps, m.domain.hi - orb[n])
+        lo = -np.minimum(eps, orb[n] - m.domain.lo)
+        hi = np.minimum(eps, m.domain.hi - orb[n])
     else:
         cap = min(eps, 0.5)
-        r_lo = r_hi = np.full_like(centers, cap)
+        lo, hi = np.full_like(centers, -cap), np.full_like(centers, cap)
+    dense = True  # range k is the one range of centre k
     for j in range(n - 1, -1, -1):
-        r_lo, r_hi = m.branches.pull_back(orb[j], r_lo, r_hi)
-        r_lo = np.clip(r_lo, 0.0, cap)
-        r_hi = np.clip(r_hi, 0.0, cap)
-    return r_lo, r_hi
+        own, lo, hi = m.branches.pull_back(orb[j] if dense else orb[j][own],
+                                           own, lo, hi, cap)
+        dense = own.size == centers.size and bool(np.all(own[1:] > own[:-1]))
+        if not dense:
+            order = np.lexsort((lo, own))
+            own, lo, hi = own[order], lo[order], hi[order]
+            start = np.flatnonzero((np.diff(own, prepend=-1) > 0) | (
+                lo > np.append(-np.inf, hi[:-1]) + MERGE_TOL))
+            own, lo, hi = own[start], lo[start], np.maximum.reduceat(hi, start)
+            if np.bincount(own).max(initial=0) > MAX_COMPONENTS:
+                raise ConfigError(
+                    f"a ball B(x, n={n}, eps={eps}) splits into more than "
+                    f"{MAX_COMPONENTS} ranges; lower n or eps")
+    return own, lo, hi
 
 
-def covering_number(m: MapSystem, points, n: int, eps: float, delta: float,
-                    method: str = "auto") -> int:
+def covering_number(m: MapSystem, points, n: int, eps: float,
+                    delta: float) -> int:
     """Greedy count of (n, eps)-balls covering >= (1 - delta) N of N points.
 
-    Each round centers a ball at the sample point whose ball holds the
-    most uncovered points, counted as integers; equal counts go to the
-    smallest candidate index (in sorted order on the arc path).  It stops
-    once ``ceil((1 - delta) N)`` points are covered, the product taken
-    less 1e-9 so that (1 - 0.7) * 10 = 3.0000000000000004 needs 3.  An
-    upper estimate of the true minimum (greedy, and ball centers are
-    restricted to the sample points).  ``auto`` goes direct (an N x N
-    membership matrix) up to 1,500 points, by 1D ball intervals above.
+    Each round centers a full ball (``ball_intervals``) at the sample
+    point whose ball holds the most uncovered points, the smallest point
+    on ties.  It stops once ``ceil((1 - delta) N)`` points are covered,
+    the product taken less 1e-9 so that (1 - 0.7) * 10 =
+    3.0000000000000004 needs 3.  An upper estimate of the true minimum
+    (greedy, and centers restricted to the sample points).
     """
     pts = np.asarray(points, dtype=float)
     need = math.ceil((1.0 - delta) * pts.shape[0] - 1e-9)
     if need <= 0:
         return 0
-    if method == "auto":
-        method = "direct" if pts.shape[0] <= 1500 else "arc"
-    if method == "direct":
-        return _covering_direct(m, pts, n, eps, need)
-    return _covering_arc(m, pts, n, eps, need)
-
-
-def _covering_direct(m, pts, n, eps, need):
-    orb = orbit(m, pts, n)  # inclusive ball convention
-    npts = pts.shape[0]
-    member = np.empty((npts, npts), dtype=bool)
-    for i in range(npts):
-        dev = np.max(m.domain.distance(orb[:, i:i + 1], orb), axis=0)
-        member[i] = dev <= eps
-    alive = np.ones(npts, dtype=bool)
-    gain = member.sum(axis=1)  # member @ alive
-    covered = count = 0
-    while covered < need:
-        best = int(np.argmax(gain))
-        if gain[best] <= 0:
-            raise ImpossibleCoverError(
-                f"cover stalls at {covered} < {need} points")
-        dead = np.flatnonzero(member[best] & alive)
-        alive[dead] = False
-        gain -= member[:, dead].sum(axis=1)
-        covered += dead.size
-        count += 1
-    return count
-
-
-def _covering_arc(m, pts, n, eps, need):
-    r_lo, r_hi = ball_intervals(m, pts, n, eps)
-    order = np.argsort(pts, kind="stable")
-    pos = pts[order]
-    a = (pts - r_lo)[order]
-    b = (pts + r_hi)[order]
+    pos = np.sort(pts, kind="stable")
+    own, lo, hi = ball_intervals(m, pos, n, eps)
+    a, b = pos[own] + lo, pos[own] + hi
     if not hasattr(m.domain, "lo"):
         # wrapped arcs become ranges over a virtually doubled index space
-        length = b - a
-        a = frac(a)
-        b = a + length
+        a, b = frac(a), frac(a) + (b - a)
         pos = np.concatenate([pos, pos + 1.0])
     lo_idx = np.searchsorted(pos, a - 1e-15, side="left")
     hi_idx = np.searchsorted(pos, b + 1e-15, side="right")
-    return _greedy_range_cover(lo_idx, hi_idx, len(order), need)
+    return _greedy_range_cover(own, lo_idx, hi_idx, pts.shape[0], need)
 
 
-def _greedy_range_cover(lo_idx, hi_idx, npts, need):
-    """Greedy count of index ranges covering >= ``need`` of ``npts`` points.
+def _greedy_range_cover(own, lo_idx, hi_idx, npts, need):
+    """Greedy count of candidates covering >= ``need`` of ``npts`` points.
 
-    Candidate k covers ``[lo_idx[k], hi_idx[k])`` of the doubled index,
-    where index i + npts is point i again, so a range past ``npts`` wraps
-    round the circle.  Each round picks the most uncovered points, the
-    smallest index on ties.  The integer gains are updated after a pick
-    only where a range can meet a newly covered point: ranges with ``lo``
-    in (dead_min - span, dead_max] or in that window one circle later.
+    Candidate own[k] (``own`` sorted) covers [lo_idx[k], hi_idx[k]) of the
+    doubled index, where i + npts is point i again.  Each round picks the
+    most uncovered points, the smallest candidate on ties; then only the
+    integer gains of ranges that can meet a newly covered point change,
+    those with lo in (dead_min - span, dead_max] or one circle later.
     """
+    own = np.asarray(own, dtype=np.intp)
     lo = np.asarray(lo_idx, dtype=np.intp)
     # a range is at most one whole circle: no point counts twice
     hi = np.minimum(np.asarray(hi_idx, dtype=np.intp), lo + npts)
-    gain = hi - lo
-    span = int(gain.max(initial=0))
+    span = int((hi - lo).max(initial=0))
+    ranges = np.bincount(own, minlength=npts)
+    stop = np.cumsum(ranges)
+    gain = np.bincount(own, hi - lo, minlength=npts).astype(np.intp)
     by_lo = np.argsort(lo, kind="stable")
     lo_sorted = lo[by_lo]
     alive = np.ones(npts, dtype=bool)
@@ -174,10 +145,19 @@ def _greedy_range_cover(lo_idx, hi_idx, npts, need):
         if gain[best] <= 0:
             raise ImpossibleCoverError(
                 f"cover stalls at {covered} < {need} points")
-        b_lo, b_hi = int(lo[best]), int(hi[best])
-        dead = np.flatnonzero(alive[b_lo:b_hi]) + b_lo
-        if b_hi > npts:
-            dead = np.concatenate([np.flatnonzero(alive[:b_hi - npts]), dead])
+        k = int(stop[best])
+        if ranges[best] == 1:
+            b_lo, b_hi = int(lo[k - 1]), int(hi[k - 1])
+            dead = np.flatnonzero(alive[b_lo:b_hi]) + b_lo
+            if b_hi > npts:
+                dead = np.concatenate([np.flatnonzero(alive[:b_hi - npts]),
+                                       dead])
+        else:  # every index of the candidate's ranges, folded onto the points
+            b_lo = lo[k - ranges[best]:k]
+            w = hi[k - ranges[best]:k] - b_lo
+            idx = np.arange(w.sum()) + np.repeat(b_lo - np.cumsum(w) + w, w)
+            idx[idx >= npts] -= npts
+            dead = np.unique(idx[alive[idx]])
         alive[dead] = False
         covered += dead.size
         count += 1
@@ -187,8 +167,8 @@ def _greedy_range_cover(lo_idx, hi_idx, npts, need):
             side="right")
         touched = by_lo[s1:e2] if s2 <= e1 else np.concatenate(
             [by_lo[s1:e1], by_lo[s2:e2]])
-        gain[touched] -= (dead2.searchsorted(hi[touched])
-                          - dead2.searchsorted(lo[touched]))
+        np.subtract.at(gain, own[touched], dead2.searchsorted(hi[touched])
+                       - dead2.searchsorted(lo[touched]))
     return count
 
 
@@ -201,8 +181,7 @@ class EntropyEstimate:
 
 
 def katok_entropy(m: MapSystem, sampler, n_grid, eps_grid, delta: float,
-                  samples: int, seed: int,
-                  method: str = "auto") -> EntropyEstimate:
+                  samples: int, seed: int) -> EntropyEstimate:
     """Covering-count growth rate: slope of log N(n, eps, delta) in n.
 
     Reports the slope at the smallest eps plus the full slope-vs-eps
@@ -225,8 +204,8 @@ def katok_entropy(m: MapSystem, sampler, n_grid, eps_grid, delta: float,
     for eps in eps_grid:
         logs = []
         for n in n_grid:
-            sub = _cell_subset(m, pts, n, eps, delta, method)
-            cnt = covering_number(m, sub, n, eps, delta, method=method)
+            sub = _cell_subset(m, pts, n, eps, delta)
+            cnt = covering_number(m, sub, n, eps, delta)
             table.append((eps, n, cnt, float(np.log(max(cnt, 1)))))
             logs.append(np.log(max(cnt, 1)))
         fit = ols_fit(np.asarray(n_grid, dtype=float), np.asarray(logs))
@@ -237,13 +216,13 @@ def katok_entropy(m: MapSystem, sampler, n_grid, eps_grid, delta: float,
                            table=table, slopes=slopes)
 
 
-def _cell_subset(m, pts, n, eps, delta, method):
-    """Deterministic per-cell sample budget: ~40 points per expected ball."""
-    if method == "direct" or len(pts) <= 4000:
+def _cell_subset(m, pts, n, eps, delta):
+    """Per-cell sample budget: ~40 points per ball of a 2,000-point pilot."""
+    if len(pts) <= 4000:
         return pts
     pilot = pts[:2000]
-    r_lo, r_hi = ball_intervals(m, pilot, n, eps)
-    mean_len = float(np.mean(r_lo + r_hi))
+    _, lo, hi = ball_intervals(m, pilot, n, eps)
+    mean_len = float(np.sum(hi - lo)) / len(pilot)
     if mean_len <= 0:
         return pts
     length = (m.domain.hi - m.domain.lo) if hasattr(m.domain, "lo") else 1.0
@@ -262,12 +241,15 @@ class ContractionReport:
 
 def sample_ball_pairs(m: MapSystem, x, n: int, delta1: float, pairs: int,
                       seed: int, tag: str = "ballpairs"):
-    """Pairs (y, z) uniform in the interval realizing B(x, n, delta1)."""
-    r_lo, r_hi = ball_intervals(m, np.asarray([x], dtype=float), n, delta1)
-    lo = float(x - r_lo[0])
-    hi = float(x + r_hi[0])
+    """Pairs (y, z) uniform in the range of B(x, n, delta1) through x: the
+    component of the ball that backward contraction is about."""
+    _, lo, hi = ball_intervals(m, np.asarray([x], dtype=float), n, delta1)
+    through = (lo <= 0.0) & (hi >= 0.0)  # one range at most
+    lo, hi = float(x + lo[through].sum()), float(x + hi[through].sum())
     if not hi > lo:
-        raise SamplingError("dynamical ball has empty interior")
+        raise SamplingError(
+            f"the ball B(x, n={n}, delta1={delta1}) about x = {x} has empty "
+            f"interior; lower n or raise delta1")
     rng = spawn_rng(seed, tag)
     ys = lo + (hi - lo) * rng.random(pairs)
     zs = lo + (hi - lo) * rng.random(pairs)

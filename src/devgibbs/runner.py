@@ -339,6 +339,9 @@ def _anchors(cfg, m, cap=None):
     given; each anchor has a hyperbolic time n in [depth_lo, depth_hi].
     """
     sec = cfg.section(cfg.kind)
+    lo = sec.get("depth_lo", 8)
+    hi = sec.get("depth_hi", 16)
+    check_float_horizon(m, hi, f"[{cfg.kind}] depth_hi")
     params = _hyper_params(cfg, m, n_max_default=100)
     d1 = sec.get("delta1", "auto")
     if d1 == "auto":
@@ -346,8 +349,6 @@ def _anchors(cfg, m, cap=None):
         if cap is not None:
             d1 = min(d1, cap * params.delta)
     rng = spawn_rng(cfg.seed, f"{cfg.kind}-anchors")
-    lo = sec.get("depth_lo", 8)
-    hi = sec.get("depth_hi", 16)
     want = sec.get("instances", 100)
     instances, guard = sample_anchors(
         m, lambda: float(m.domain.sample(rng, 1)[0]), params, lo, hi, want,

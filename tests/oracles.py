@@ -10,11 +10,15 @@ the paper's objects that no kind emits yet:
 * ``dn_distance``, ``in_dynamical_ball`` and ``maximal_separated_subset``
   are the pointwise orbit metric, ball membership and a greedy separated
   set, the references of ``metric.ball_intervals`` and the covers;
+  ``direct_cover`` is the greedy cover on an N x N matrix of full-ball
+  memberships, which ``metric.covering_number`` must equal on sorted
+  points;
 * ``verify_H`` and ``verify_C`` check the paper's non-degeneracy
   condition (H) and its backward preimage contraction (C);
 * ``lag_statistic`` is the lag of non-uniform specification;
 * ``preimage`` and ``intersect`` are whole interval-set preimages and
-  cuts, which the program replaces by ``pull_back`` around known points;
+  cuts, which the program replaces by ``pull_back``: the same preimage,
+  kept only near known points and vectorized over them;
 * ``shadow_search`` finds a point shadowing a chain of orbit pieces by
   backward cylinder refinement: realize the last piece's constraint set
   as an interval union, pull it back through the gap iterates along every
@@ -37,7 +41,7 @@ from devgibbs.domain import frac
 from devgibbs.dynamics import (MapSystem, NEAR_CRITICAL_TOL, jacobian_data,
                                orbit)
 from devgibbs.errors import (CapabilityError, ConfigError, HorizonError,
-                             SingularityError)
+                             ImpossibleCoverError, SingularityError)
 from devgibbs.hyperbolic import (HyperbolicParams, _INDEX_TOL, gap_horizon,
                                  hyperbolic_times, straddling_times)
 from devgibbs.metric import BallSpec
@@ -206,6 +210,40 @@ def dn_distance(m: MapSystem, x, y, n: int) -> float:
 def in_dynamical_ball(m: MapSystem, y, spec: BallSpec) -> bool:
     """Membership with the inclusive convention j = 0..n."""
     return dn_distance(m, spec.center, y, spec.n + 1) <= spec.eps
+
+
+def direct_cover(m: MapSystem, points, n: int, eps: float,
+                 delta: float) -> int:
+    """``metric.covering_number`` on an N x N full-ball membership matrix.
+
+    Row i holds the points y with d(f^j y, f^j x_i) <= eps for j = 0..n;
+    each round picks the row with the most uncovered points, the smallest
+    index on ties.
+    """
+    pts = np.asarray(points, dtype=float)
+    need = math.ceil((1.0 - delta) * pts.shape[0] - 1e-9)
+    if need <= 0:
+        return 0
+    orb = orbit(m, pts, n)  # inclusive ball convention
+    npts = pts.shape[0]
+    member = np.empty((npts, npts), dtype=bool)
+    for i in range(npts):
+        dev = np.max(m.domain.distance(orb[:, i:i + 1], orb), axis=0)
+        member[i] = dev <= eps
+    alive = np.ones(npts, dtype=bool)
+    gain = member.sum(axis=1)  # member @ alive
+    covered = count = 0
+    while covered < need:
+        best = int(np.argmax(gain))
+        if gain[best] <= 0:
+            raise ImpossibleCoverError(
+                f"cover stalls at {covered} < {need} points")
+        dead = np.flatnonzero(member[best] & alive)
+        alive[dead] = False
+        gain -= member[:, dead].sum(axis=1)
+        covered += dead.size
+        count += 1
+    return count
 
 
 @dataclass

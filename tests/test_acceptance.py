@@ -136,11 +136,11 @@ def test_criterion_04_katok_entropy(doubling_map):
     est2 = metric.katok_entropy(
         doubling_map, UniformSampler(doubling_map.domain),
         [3, 4, 5, 6, 7, 8, 9], [0.2, 0.1, 0.05], 0.1, 200_000,
-        seed=SEEDS["entropy_doubling"], method="arc")
+        seed=SEEDS["entropy_doubling"])
     p4 = maps.make_perturbed_expanding(4, 0.0)
     est4 = metric.katok_entropy(
         p4, UniformSampler(p4.domain), [2, 3, 4], [0.2, 0.1, 0.05], 0.1,
-        200_000, seed=SEEDS["entropy_degree4"], method="arc")
+        200_000, seed=SEEDS["entropy_degree4"])
     elapsed = time.time() - t0
     print(f"\n[criterion 4] doubling {est2.entropy:.4f} vs log2="
           f"{math.log(2):.4f}; degree-4 {est4.entropy:.4f} vs log4="

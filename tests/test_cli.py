@@ -451,6 +451,24 @@ def test_viana_tail_past_float_horizon(tmp_path):
     assert (out / "tail_fit.json").is_file()
 
 
+@pytest.mark.parametrize("kind", ["contraction", "distortion"])
+def test_depth_past_float_horizon(tmp_path, kind):
+    # doubling orbits collapse to 0 by step 53, so balls and pairs at
+    # depth 56..60 would read nothing: the depth key is refused by name
+    # before any sampling
+    out = tmp_path / "out"
+    cfg = tmp_path / "depth.cfg"
+    cfg.write_text(f"family = doubling\nkind = {kind}\nseed = 3\n"
+                   f"out = {out}\n[hyperbolic]\nn_max = 100\n[{kind}]\n"
+                   f"delta1 = 0.0625\ndepth_lo = 56\ndepth_hi = 60\n")
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 1, res.output
+    assert (f"[{kind}] depth_hi=60 exceeds the floating-point horizon 52"
+            in res.output)
+    assert f"lower [{kind}] depth_hi to at most 52" in res.output
+    assert not out.exists()
+
+
 SHORT_TAIL = """\
 family = quadratic
 kind = tail

@@ -93,37 +93,51 @@ def test_covering_trivial_cases(doubling):
     assert metric.covering_number(doubling, pts, 2, 0.2, 1.0) == 0
 
 
-def test_covering_methods_agree(doubling):
-    pts = spawn_rng(0, "covertest").random(1200)
-    direct = metric.covering_number(doubling, pts, 5, 0.1, 0.1,
-                                    method="direct")
-    arc = metric.covering_number(doubling, pts, 5, 0.1, 0.1, method="arc")
-    assert abs(direct - arc) <= max(2, 0.02 * direct)
+COVER_FAMILIES = {
+    "doubling": maps.make_doubling(),
+    "perturbed_expanding(4, 0.55)": maps.make_perturbed_expanding(4, 0.55),
+    "perturbed_expanding(3, 0.1)": maps.make_perturbed_expanding(3, 0.1),
+    "quadratic": maps.make_quadratic(2.0),
+    "manneville_pomeau": maps.make_mp(0.5),
+}
+
+
+def test_covering_methods_agree():
+    # the range cover of the full balls is the greedy cover of the N x N
+    # full-ball membership matrix, pick for pick, where balls split too
+    # (quadratic's turning point, MP's jump, perturbed_expanding(4, 0.55)
+    # where f' < 1): sorted points make both break ties the same way
+    for name, m in COVER_FAMILIES.items():
+        pts = np.sort(m.domain.sample(spawn_rng(0, f"covertest-{name}"), 600))
+        for n, eps in ((2, 0.2), (4, 0.1), (6, 0.05), (8, 0.2), (10, 0.1)):
+            assert (metric.covering_number(m, pts, n, eps, 0.1)
+                    == oracles.direct_cover(m, pts, n, eps, 0.1)), (name, n,
+                                                                   eps)
 
 
 def test_covering_cylinder_takes_no_arc_path(viana):
-    # above 1,500 points the cover reads 1D ball intervals; a cylinder
-    # family gets their typed refusal, not an N x N membership matrix
+    # the cover reads 1D ball intervals at every size; a cylinder family
+    # gets their typed refusal, not an N x N membership matrix
     pts = viana.domain.sample(spawn_rng(1, "cyl"), 1501)
-    with pytest.raises(ConfigError, match="only applies to 1D maps"):
-        metric.covering_number(viana, pts, 2, 0.3, 0.1)
-    assert metric.covering_number(viana, pts[:40], 2, 0.3, 0.1) > 0
+    for size in (1501, 40):
+        with pytest.raises(ConfigError, match="only applies to 1D maps"):
+            metric.covering_number(viana, pts[:size], 2, 0.3, 0.1)
 
 
 def test_covering_scale_doubling(doubling):
     # covering 0.9 of the circle with balls of length 2 eps 2^-n
     pts = spawn_rng(1, "coverscale").random(10000)
-    count = metric.covering_number(doubling, pts, 5, 0.1, 0.1, method="arc")
+    count = metric.covering_number(doubling, pts, 5, 0.1, 0.1)
     ideal = 0.9 / (2 * 0.1 * 2 ** -5)
     assert ideal / 2 <= count <= ideal * 2
 
 
 def test_covering_monotonicity(doubling):
     pts = spawn_rng(2, "covermono").random(3000)
-    c_eps = [metric.covering_number(doubling, pts, 4, e, 0.1, method="arc")
+    c_eps = [metric.covering_number(doubling, pts, 4, e, 0.1)
              for e in (0.2, 0.1, 0.05)]
     assert c_eps[0] <= c_eps[1] <= c_eps[2]
-    c_n = [metric.covering_number(doubling, pts, n, 0.1, 0.1, method="arc")
+    c_n = [metric.covering_number(doubling, pts, n, 0.1, 0.1)
            for n in (2, 4, 6)]
     assert c_n[0] <= c_n[1] <= c_n[2]
 
@@ -151,6 +165,11 @@ def _eager_range_cover(lo, hi, npts, need):
     return count
 
 
+def _range_cover(lo, hi, npts, need):
+    """``_greedy_range_cover`` with candidate k owning range k alone."""
+    return metric._greedy_range_cover(np.arange(len(lo)), lo, hi, npts, need)
+
+
 def _cover_or_stall(cover, lo, hi, npts, need):
     try:
         return cover(lo, hi, npts, need)
@@ -175,7 +194,7 @@ def range_instances(draw):
 @given(range_instances())
 @settings(max_examples=400, deadline=None)
 def test_greedy_range_cover_matches_eager(inst):
-    assert (_cover_or_stall(metric._greedy_range_cover, *inst)
+    assert (_cover_or_stall(_range_cover, *inst)
             == _cover_or_stall(_eager_range_cover, *inst))
 
 
@@ -190,33 +209,29 @@ def test_greedy_range_cover_matches_eager(inst):
     (np.arange(10), np.arange(10) + 3, 10, 10, 4),
 ])
 def test_greedy_range_cover_hand_cases(lo, hi, npts, need, count):
-    assert metric._greedy_range_cover(lo, hi, npts, need) == count
+    assert _range_cover(lo, hi, npts, need) == count
     assert _eager_range_cover(lo, hi, npts, need) == count
 
 
-@pytest.mark.parametrize("method", ["direct", "arc"])
-def test_covering_need_rounding(doubling, method):
+def test_covering_need_rounding(doubling):
     # balls of radius 0.01 round ten points 0.1 apart hold one point each,
     # so the count is the number of points needed: (1 - 0.7) * 10 is
     # 3.0000000000000004 in floating point and still needs 3 points
     pts = (np.arange(10) + 0.5) / 10
-    counts = [metric.covering_number(doubling, pts, 0, 0.01, delta,
-                                     method=method)
+    counts = [metric.covering_number(doubling, pts, 0, 0.01, delta)
               for delta in (0.0, 0.7, 1.0)]
     assert counts == [10, 3, 0]
 
 
-@pytest.mark.parametrize("method", ["direct", "arc"])
-def test_covering_every_point_of_a_circle_grid(doubling, method):
+def test_covering_every_point_of_a_circle_grid(doubling):
     # radius 2/64 round the 64-point grid holds 5 points: ceil(64 / 5)
     pts = np.arange(64) / 64
-    assert metric.covering_number(doubling, pts, 0, 1 / 32, 0.0,
-                                  method=method) == 13
+    assert metric.covering_number(doubling, pts, 0, 1 / 32, 0.0) == 13
 
 
 def test_covering_stall_is_reported_in_points():
     with pytest.raises(ImpossibleCoverError, match="2 < 3 points"):
-        metric._greedy_range_cover([0], [2], 4, 3)
+        _range_cover([0], [2], 4, 3)
 
 
 def _exact_line_cover(lo, hi, need):
@@ -252,8 +267,7 @@ def test_greedy_line_cover_against_exact_minimum():
         hi = np.minimum(lo + rng.integers(0, 8, lo.size), npts)
         need = int(rng.integers(0, npts + 1))
         exact = _exact_line_cover(lo, hi, need)
-        greedy = _cover_or_stall(metric._greedy_range_cover, lo, hi, npts,
-                                 need)
+        greedy = _cover_or_stall(_range_cover, lo, hi, npts, need)
         if exact is None:
             assert greedy == "stall"
             continue
@@ -274,6 +288,12 @@ def test_katok_grid_validation(doubling):
     with pytest.raises(Exception):
         metric.katok_entropy(doubling, UniformSampler(doubling.domain),
                              [2, 4], [0.1, 0.05, 0.025], 0.1, 1000, seed=1)
+
+
+def test_ball_pairs_refusal_names_depth_and_radius(doubling):
+    # at n = 60 the doubling ball about 0.3 is narrower than one ulp
+    with pytest.raises(SamplingError, match=r"n=60, delta1=0\.0625"):
+        metric.sample_ball_pairs(doubling, 0.3, 60, 0.0625, 10, seed=1)
 
 
 def test_contraction_doubling_exact(doubling):
@@ -327,9 +347,17 @@ def test_distortion_identical_pairs(doubling):
     assert np.max(np.maximum(r, 1 / r)) == 1.0
 
 
+def _through_centres(m, centers, n, eps):
+    """(r_minus, r_plus) of the range of each ball through its centre."""
+    own, lo, hi = metric.ball_intervals(m, centers, n, eps)
+    mid = (lo <= 0.0) & (hi >= 0.0)
+    assert np.array_equal(own[mid], np.arange(len(centers)))
+    return -lo[mid], hi[mid]
+
+
 def test_ball_intervals_match_membership(doubling):
     centers = np.array([0.1, 0.37, 0.52, 0.9])
-    r_lo, r_hi = metric.ball_intervals(doubling, centers, 6, 0.05)
+    r_lo, r_hi = _through_centres(doubling, centers, 6, 0.05)
     for c, rl, rh in zip(centers, r_lo, r_hi):
         spec = metric.BallSpec(float(c), 6, 0.05)
         assert oracles.in_dynamical_ball(doubling, float(c + rh * 0.999), spec)
@@ -357,11 +385,14 @@ def _members(m, x, ys, n, eps):
 @given(st.sampled_from(sorted(BRANCH_FAMILIES)),
        st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 16),
        st.floats(1e-3, 0.2))
-@example("quadratic", 0.505, 3, 0.2)  # the component crosses the turning point
+@example("quadratic", 0.505, 3, 0.2)  # the range crosses the turning point
 @example("manneville_pomeau", 0.51, 4, 0.2)  # and stops at the jump
 @example("perturbed_expanding", 0.16, 3, 0.2)  # the ball is not an interval
 @settings(max_examples=200, deadline=None)
 def test_ball_intervals_exact_component(name, u, n, eps):
+    # every range of the full ball is checked against brute-force
+    # membership: its inside is in the ball, and just past each end is
+    # not, unless the end is cut at the radius or the domain edge
     m = BRANCH_FAMILIES[name]
     circle = not hasattr(m.domain, "lo")
     x = u if circle else m.domain.lo + u * (m.domain.hi - m.domain.lo)
@@ -370,32 +401,41 @@ def test_ball_intervals_exact_component(name, u, n, eps):
     # margins below: membership itself is undecided there
     assume(circle or name != "quadratic"
            or np.min(np.abs(orbit(m, x, n)[:-1]), initial=1.0) > 1e-3)
-    r_lo, r_hi = metric.ball_intervals(m, np.array([x]), n, eps)
-    for sign, r in ((-1.0, float(r_lo[0])), (1.0, float(r_hi[0]))):
-        assert 0.0 <= r <= eps
-        margin = max(1e-12, 1e-9 * r)
-        scan = x + sign * np.linspace(0.0, max(r - margin, 0.0), 1000)
-        if circle:
-            scan %= 1.0
-        assert np.all(_members(m, x, scan, n, eps))
-        edge = x + sign * (r + margin)
-        if circle:
-            edge %= 1.0
-        elif not m.domain.lo <= edge <= m.domain.hi:
-            continue  # the component ends at the domain edge
-        assert r == eps or not oracles.in_dynamical_ball(
-            m, edge, metric.BallSpec(x, n, eps))
+    try:
+        own, lo, hi = metric.ball_intervals(m, np.array([x]), n, eps)
+    except ConfigError as exc:  # more than MAX_COMPONENTS ranges
+        assert f"B(x, n={n}, eps={eps}) splits" in str(exc)
+        return
+    assert np.all(own == 0) and np.all(lo[1:] > hi[:-1])
+    assert np.all((-eps <= lo) & (lo <= hi) & (hi <= eps))
+    assert np.any((lo <= 0.0) & (hi >= 0.0))  # the range through x
+    for a, b in zip(lo, hi):
+        margin = max(1e-12, 1e-9 * (b - a))
+        if b - a > 2.0 * margin:  # a narrower range is a rounding tangency
+            scan = x + np.linspace(a + margin, b - margin, 1000)
+            assert np.all(_members(m, x, scan % 1.0 if circle else scan, n,
+                                   eps))
+        for off in (a - margin, b + margin):
+            if abs(off) > eps or np.any((lo <= off) & (off <= hi)):
+                continue  # cut at the radius, or inside the next range
+            edge = x + off
+            if circle:
+                edge %= 1.0
+            elif not m.domain.lo <= edge <= m.domain.hi:
+                continue  # the range ends at the domain edge
+            assert not oracles.in_dynamical_ball(
+                m, edge, metric.BallSpec(x, n, eps))
 
 
 @pytest.mark.parametrize("d", [2, 4])
 def test_ball_intervals_linear_closed_form(d):
-    # for x -> d x mod 1 the component is x +- eps d^-n; at d = 4, eps = 0.2
-    # the ball also has other pieces, which bisection used to run into
+    # for x -> d x mod 1 the range through x is x +- eps d^-n; at d = 4,
+    # eps = 0.2 the ball also has other ranges
     m = maps.make_perturbed_expanding(d, 0.0)
     xs = spawn_rng(3, "closedform").random(500)
     for n in (0, 2, 5, 9):
         for eps in (0.2, 0.05):
-            for r in metric.ball_intervals(m, xs, n, eps):
+            for r in _through_centres(m, xs, n, eps):
                 assert np.max(np.abs(r - eps * float(d) ** -n)) <= 1e-15
 
 
