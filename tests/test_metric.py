@@ -213,20 +213,28 @@ def test_greedy_range_cover_hand_cases(lo, hi, npts, need, count):
     assert _eager_range_cover(lo, hi, npts, need) == count
 
 
-def test_covering_need_rounding(doubling):
+# the range cover and its N x N membership-matrix reference
+COVERS = pytest.mark.parametrize(
+    "cover", [oracles.direct_cover, metric.covering_number],
+    ids=["direct", "arc"])
+
+
+@COVERS
+def test_covering_need_rounding(doubling, cover):
     # balls of radius 0.01 round ten points 0.1 apart hold one point each,
     # so the count is the number of points needed: (1 - 0.7) * 10 is
     # 3.0000000000000004 in floating point and still needs 3 points
     pts = (np.arange(10) + 0.5) / 10
-    counts = [metric.covering_number(doubling, pts, 0, 0.01, delta)
+    counts = [cover(doubling, pts, 0, 0.01, delta)
               for delta in (0.0, 0.7, 1.0)]
     assert counts == [10, 3, 0]
 
 
-def test_covering_every_point_of_a_circle_grid(doubling):
+@COVERS
+def test_covering_every_point_of_a_circle_grid(doubling, cover):
     # radius 2/64 round the 64-point grid holds 5 points: ceil(64 / 5)
     pts = np.arange(64) / 64
-    assert metric.covering_number(doubling, pts, 0, 1 / 32, 0.0) == 13
+    assert cover(doubling, pts, 0, 1 / 32, 0.0) == 13
 
 
 def test_covering_stall_is_reported_in_points():
