@@ -12,8 +12,9 @@ and its bias has a fixed direction (never below the minimum over
 sample-point centers), which is all the entropy regression needs.  A
 ball is the full ball that Katok's formula counts, not only its
 component through the center: the branch structure of every 1D family
-gives it exactly as a union of ranges, vectorized over centers; a 1D map
-without one raises ``CapabilityError``, a cylinder map ``ConfigError``.
+gives it exactly as a union of ranges, vectorized over centers, of
+which the cover keeps those that hold a sample point; a 1D map without
+one raises ``CapabilityError``, a cylinder map ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ class BallSpec:
             raise ValueError("ball radius must be positive")
 
 
-def ball_intervals(m: MapSystem, centers, n: int, eps: float):
+def ball_intervals(m: MapSystem, centers, n: int, eps: float, *,
+                   held: bool = False):
     """The full balls {y : d(f^j x, f^j y) <= eps for j = 0..n} of the
     centres x, as ranges [x + lo, x + hi] with x = centers[own].
 
@@ -59,6 +61,10 @@ def ball_intervals(m: MapSystem, centers, n: int, eps: float):
     the circle).  Exact up to rounding: B(f^n x, eps) is pulled back one
     step at a time through every branch and cut to B(f^j x, eps).  More
     than ``MAX_COMPONENTS`` ranges in a ball raise ``ConfigError``.
+
+    With ``held``, each step drops the ranges that hold no f^j of a centre
+    (within ``MERGE_TOL``): their preimages hold none either, so each ball
+    holds the same centres in at most one range per centre.
     """
     if m.domain.ndim != 1:
         raise ConfigError("interval extraction only applies to 1D maps")
@@ -74,22 +80,35 @@ def ball_intervals(m: MapSystem, centers, n: int, eps: float):
     else:
         cap = min(eps, 0.5)
         lo, hi = np.full_like(centers, -cap), np.full_like(centers, cap)
-    dense = True  # range k is the one range of centre k
     for j in range(n - 1, -1, -1):
-        own, lo, hi = m.branches.pull_back(orb[j] if dense else orb[j][own],
-                                           own, lo, hi, cap)
-        dense = own.size == centers.size and bool(np.all(own[1:] > own[:-1]))
-        if not dense:
-            order = np.lexsort((lo, own))
-            own, lo, hi = own[order], lo[order], hi[order]
-            start = np.flatnonzero((np.diff(own, prepend=-1) > 0) | (
-                lo > np.append(-np.inf, hi[:-1]) + MERGE_TOL))
-            own, lo, hi = own[start], lo[start], np.maximum.reduceat(hi, start)
-            if np.bincount(own).max(initial=0) > MAX_COMPONENTS:
-                raise ConfigError(
-                    f"a ball B(x, n={n}, eps={eps}) splits into more than "
-                    f"{MAX_COMPONENTS} ranges; lower n or eps")
+        o = orb[j]
+        own, lo, hi = m.branches.pull_back(o[own], own, lo, hi, cap)
+        if np.all(own[1:] > own[:-1]):
+            continue  # one range per centre: nothing to sort, join or drop
+        order = np.lexsort((lo, own))
+        own, lo, hi = own[order], lo[order], hi[order]
+        start = np.flatnonzero((np.diff(own, prepend=-1) > 0) | (
+            lo > np.append(-np.inf, hi[:-1]) + MERGE_TOL))
+        own, lo, hi = own[start], lo[start], np.maximum.reduceat(hi, start)
+        if held:
+            first, stop = _point_span(m, np.sort(o), o[own] + lo - MERGE_TOL,
+                                      o[own] + hi + MERGE_TOL)
+            own, lo, hi = own[stop > first], lo[stop > first], hi[stop > first]
+        if np.bincount(own).max(initial=0) > MAX_COMPONENTS:
+            raise ConfigError(
+                f"a ball B(x, n={n}, eps={eps}) splits into more than "
+                f"{MAX_COMPONENTS} ranges; lower n or eps")
     return own, lo, hi
+
+
+def _point_span(m: MapSystem, pts, a, b):
+    """Indices [first, stop) of the sorted ``pts`` in [a, b]; on the circle
+    of ``pts`` doubled (i + N is point i again), from a mod 1."""
+    if not hasattr(m.domain, "lo"):
+        a, b = frac(a), frac(a) + (b - a)
+        pts = np.concatenate([pts, pts + 1.0])
+    return (np.searchsorted(pts, a, side="left"),
+            np.searchsorted(pts, b, side="right"))
 
 
 def covering_number(m: MapSystem, points, n: int, eps: float,
@@ -108,14 +127,9 @@ def covering_number(m: MapSystem, points, n: int, eps: float,
     if need <= 0:
         return 0
     pos = np.sort(pts, kind="stable")
-    own, lo, hi = ball_intervals(m, pos, n, eps)
-    a, b = pos[own] + lo, pos[own] + hi
-    if not hasattr(m.domain, "lo"):
-        # wrapped arcs become ranges over a virtually doubled index space
-        a, b = frac(a), frac(a) + (b - a)
-        pos = np.concatenate([pos, pos + 1.0])
-    lo_idx = np.searchsorted(pos, a - 1e-15, side="left")
-    hi_idx = np.searchsorted(pos, b + 1e-15, side="right")
+    own, lo, hi = ball_intervals(m, pos, n, eps, held=True)
+    lo_idx, hi_idx = _point_span(m, pos, pos[own] + lo - 1e-15,
+                                 pos[own] + hi + 1e-15)
     return _greedy_range_cover(own, lo_idx, hi_idx, pts.shape[0], need)
 
 
@@ -221,7 +235,7 @@ def _cell_subset(m, pts, n, eps, delta):
     if len(pts) <= 4000:
         return pts
     pilot = pts[:2000]
-    _, lo, hi = ball_intervals(m, pilot, n, eps)
+    _, lo, hi = ball_intervals(m, pilot, n, eps, held=True)
     mean_len = float(np.sum(hi - lo)) / len(pilot)
     if mean_len <= 0:
         return pts
@@ -243,7 +257,7 @@ def sample_ball_pairs(m: MapSystem, x, n: int, delta1: float, pairs: int,
                       seed: int, tag: str = "ballpairs"):
     """Pairs (y, z) uniform in the range of B(x, n, delta1) through x: the
     component of the ball that backward contraction is about."""
-    _, lo, hi = ball_intervals(m, np.asarray([x], dtype=float), n, delta1)
+    _, lo, hi = ball_intervals(m, [x], n, delta1, held=True)
     through = (lo <= 0.0) & (hi >= 0.0)  # one range at most
     lo, hi = float(x + lo[through].sum()), float(x + hi[through].sum())
     if not hi > lo:

@@ -115,6 +115,47 @@ def test_covering_methods_agree():
                                                                    eps)
 
 
+def _centres_held(m, pts, own, lo, hi):
+    """The set of sorted-point indices that each centre's ranges hold."""
+    first, stop = metric._point_span(m, pts, pts[own] + lo - 1e-15,
+                                     pts[own] + hi + 1e-15)
+    held = [set() for _ in pts]
+    for k, i, j in zip(own, first, stop):
+        held[k].update(np.arange(i, j) % pts.size)
+    return held
+
+
+@pytest.mark.parametrize("name", sorted(COVER_FAMILIES))
+def test_held_balls_hold_the_same_centres(name):
+    # dropping the ranges that hold no centre at each pullback step keeps
+    # every range that holds one, whole or as a part of a joined range
+    m = COVER_FAMILIES[name]
+    pts = np.sort(m.domain.sample(spawn_rng(2, f"held-{name}"), 200))
+    for n, eps in ((3, 0.2), (8, 0.2), (6, 0.05)):
+        full = metric.ball_intervals(m, pts, n, eps)
+        held = metric.ball_intervals(m, pts, n, eps, held=True)
+        assert np.bincount(held[0]).max() <= pts.size
+        assert all(_centres_held(m, pts, k[None], a[None], b[None])[k]
+                   for k, a, b in zip(*held))  # each range holds one
+        assert (_centres_held(m, pts, *held)
+                == _centres_held(m, pts, *full)), (name, n, eps)
+        for k, a, b in zip(*held):  # inside a range of the full ball
+            mine = full[0] == k
+            assert np.any((full[1][mine] <= a) & (b <= full[2][mine]))
+
+
+def test_covering_counts_balls_past_max_components():
+    # perturbed_expanding(4, 0.55) at n = 12, eps = 0.2: some full ball has
+    # more than MAX_COMPONENTS ranges, but at most one per sample point
+    # holds a sample point, and the cover reads only those
+    m = COVER_FAMILIES["perturbed_expanding(4, 0.55)"]
+    pts = np.sort(m.domain.sample(spawn_rng(0, "past-max"), 300))
+    with pytest.raises(ConfigError, match="n=12, eps=0.2"):
+        metric.ball_intervals(m, pts, 12, 0.2)
+    assert (metric.covering_number(m, pts, 12, 0.2, 0.1)
+            == oracles.direct_cover(m, pts, 12, 0.2, 0.1))
+
+
 def test_covering_cylinder_takes_no_arc_path(viana):
     # the cover reads 1D ball intervals at every size; a cylinder family
     # gets their typed refusal, not an N x N membership matrix
@@ -412,6 +453,7 @@ def test_ball_intervals_exact_component(name, u, n, eps):
     try:
         own, lo, hi = metric.ball_intervals(m, np.array([x]), n, eps)
     except ConfigError as exc:  # more than MAX_COMPONENTS ranges
+        assert name == "perturbed_expanding", (name, str(exc))
         assert f"B(x, n={n}, eps={eps}) splits" in str(exc)
         return
     assert np.all(own == 0) and np.all(lo[1:] > hi[:-1])
