@@ -1,29 +1,30 @@
-"""Branch structure and interval sets for the 1D map families.
+"""Branch structure and range sets for the 1D map families.
 
 This module is the one place that knows how sets of points on a chart
-are represented, merged, imaged and pulled back.  A set is an
-``IntervalUnion``: sorted disjoint closed intervals inside the branch
-chart, which is [pieces[0].lo, pieces[-1].hi] for an interval map and
-[0, 1) for a circle map, whose sets are stored cut at the seam.
+are represented, joined, imaged and pulled back.  The sets of many
+owners (ball centres, probes) are held at once as ranges ``(own, lo,
+hi)``: range k is [lo[k], hi[k]] of owner own[k], and ``join`` sorts and
+joins them.  The chart is [pieces[0].lo, pieces[-1].hi] for an interval
+map and [0, 1) for a circle map, whose arcs are cut at the seam.
 
-Interval maps carry explicit monotone pieces with one-sided limit values
-at the breakpoints (so discontinuities like the gap at 1/2 in the
-intermittent family are represented exactly); degree-d circle maps carry
-a strictly increasing lift.  Each branch has one inverse, vectorized over
-values: a closed form, or ``newton_inverse`` where none exists.  Both
-flavours offer the same set operations, ``ball`` and ``image``, and
-both pull ranges around many points back at once: ``pull_back`` returns
-the whole preimage of each range, through every branch, that lies within
-a radius of its point, which is what exact dynamical balls need.  Whole
-preimage sets and intersections, which only the tests take, are in
-``tests/oracles.py``.
+Interval maps carry the map and explicit monotone pieces with one-sided
+limit values at the breakpoints (so discontinuities like the gap at 1/2
+in the intermittent family are represented exactly); degree-d circle
+maps carry a strictly increasing lift.  Each branch has one inverse,
+vectorized over values: a closed form, or ``newton_inverse`` where none
+exists.  Both flavours offer ``ball`` and ``image`` on ranges of points,
+which the exactness times propagate, and ``pull_back`` on ranges of
+offsets from known points: the whole preimage of each range, through
+every branch, within a radius of its point, as exact dynamical balls
+need.  One-set balls and images, whole preimage sets and intersections,
+which only the tests take, are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -67,46 +68,38 @@ def newton_inverse(fwd, dfwd, y, lo, hi):
     return t.reshape(shape)
 
 
-class IntervalUnion:
-    """Sorted disjoint closed intervals inside a chart [lo, hi].
+def join(own, lo, hi, what, keep=None):
+    """The ranges (own, lo, hi) sorted by owner and ``lo``, with the ranges
+    of an owner that touch within ``MERGE_TOL`` joined.
 
-    Intervals closer than ``MERGE_TOL`` are merged.  Circle sets live in
-    the chart [0, 1); wrapped arcs are stored split at the seam.
+    With ``keep``, only the joined ranges that the mask ``keep(own, lo,
+    hi)`` marks stay.  An owner left with more than ``MAX_COMPONENTS``
+    ranges raises ``ConfigError`` naming ``what``, the set that split.
     """
-
-    def __init__(self, segments, lo: float, hi: float):
-        self.lo = lo
-        self.hi = hi
-        segs = []
-        for a, b in segments:
-            a, b = max(a, lo), min(b, hi)
-            if b >= a:
-                segs.append((a, b))
-        segs.sort()
-        merged: List[List[float]] = []
-        for a, b in segs:
-            if merged and a <= merged[-1][1] + MERGE_TOL:
-                merged[-1][1] = max(merged[-1][1], b)
-            else:
-                merged.append([a, b])
-        if len(merged) > MAX_COMPONENTS:
-            raise ConfigError(
-                f"interval union exceeded {MAX_COMPONENTS} components")
-        self.segments = [(a, b) for a, b in merged]
-
-    @property
-    def total_length(self) -> float:
-        return sum(b - a for a, b in self.segments)
-
-    def covers_chart(self) -> bool:
-        return self.total_length >= (self.hi - self.lo) - COVER_TOL
+    order = np.lexsort((lo, own))
+    own, lo, hi = own[order], lo[order], hi[order]
+    # the highest end so far of each owner: a complex maximum compares
+    # real parts (the owners, ascending) before imaginary parts
+    top = np.maximum.accumulate(own + 1j * hi).imag
+    start = np.flatnonzero((np.diff(own, prepend=-1) > 0) | (
+        lo > np.append(-np.inf, top[:-1]) + MERGE_TOL))
+    own, lo, hi = own[start], lo[start], np.maximum.reduceat(hi, start)
+    if keep is not None:
+        held = keep(own, lo, hi)
+        own, lo, hi = own[held], lo[held], hi[held]
+    if np.bincount(own).max(initial=0) > MAX_COMPONENTS:
+        raise ConfigError(f"{what} splits into more than {MAX_COMPONENTS} "
+                          f"ranges; lower n or eps")
+    return own, lo, hi
 
 
-def _split(a, ln):
-    """The arc [a, a + ln], a in [0, 1), as chart segments cut at the seam."""
-    if a + ln <= 1.0:
-        return [(a, a + ln)]
-    return [(a, 1.0), (0.0, a + ln - 1.0)]
+def _arcs(own, a, ln):
+    """The arcs [a, a + ln], a in [0, 1), as ranges cut at the seam."""
+    b = a + ln
+    cut = np.flatnonzero(b > 1.0)
+    return (np.concatenate([own, own[cut]]),
+            np.concatenate([a, np.zeros(cut.size)]),
+            np.concatenate([np.minimum(b, 1.0), b[cut] - 1.0]))
 
 
 def _within(parts, cap):
@@ -124,49 +117,50 @@ def _within(parts, cap):
 class MonotonePiece:
     """f restricted to [lo, hi], continuous and strictly monotone there.
 
-    ``f_lo`` / ``f_hi`` are one-sided limits at the endpoints.  ``fwd``
-    and ``inv_array`` act elementwise on arrays; ``fwd`` uses the same
-    arithmetic as the map's ``step``, and ``inv_array`` inverts it on
-    values between the two limits.
+    ``f_lo`` / ``f_hi`` are one-sided limits at the endpoints, and
+    ``inv_array`` inverts f elementwise on values between the two.
     """
 
     lo: float
     hi: float
     f_lo: float
     f_hi: float
-    fwd: Callable[[float], float]
     inv_array: Callable[[np.ndarray], np.ndarray]
-
-    def value_at(self, t):
-        if t == self.lo:
-            return self.f_lo
-        if t == self.hi:
-            return self.f_hi
-        return float(self.fwd(t))
 
 
 @dataclass(frozen=True)
 class IntervalBranches:
+    """An interval map: ``f(t)``, the map on an array of points of the
+    chart, and its monotone pieces, in order."""
+
+    f: Callable[[np.ndarray], np.ndarray]
     pieces: Tuple[MonotonePiece, ...]
 
     @property
     def chart(self):
         return self.pieces[0].lo, self.pieces[-1].hi
 
-    def ball(self, center, eps) -> IntervalUnion:
-        """[center - eps, center + eps], cut at the chart ends."""
-        return IntervalUnion([(center - eps, center + eps)], *self.chart)
+    def ball(self, centers, eps):
+        """The ranges [x - eps, x + eps] of the ``centers`` x, owner k for
+        centers[k], cut at the chart ends."""
+        lo, hi = self.chart
+        return (np.arange(centers.size), np.maximum(centers - eps, lo),
+                np.minimum(centers + eps, hi))
 
-    def image(self, u: IntervalUnion) -> IntervalUnion:
-        """f(u): one closed interval per piece that a component meets."""
-        segs = []
-        for a, b in u.segments:
-            for p in self.pieces:
-                lo, hi = max(a, p.lo), min(b, p.hi)
-                if lo <= hi:
-                    fa, fb = p.value_at(lo), p.value_at(hi)
-                    segs.append((min(fa, fb), max(fa, fb)))
-        return IntervalUnion(segs, *self.chart)
+    def image(self, own, lo, hi):
+        """f of the ranges: one range per piece that a range meets, with
+        the piece's one-sided limits at its ends.  The result is unsorted,
+        and touching ranges are not joined."""
+        parts = []
+        for p in self.pieces:
+            a, b = np.maximum(lo, p.lo), np.minimum(hi, p.hi)
+            keep = np.flatnonzero(a <= b)
+            t = np.concatenate([a[keep], b[keep]])
+            f = np.where(t == p.lo, p.f_lo,
+                         np.where(t == p.hi, p.f_hi, self.f(t)))
+            fa, fb = f[:keep.size], f[keep.size:]
+            parts.append((own[keep], np.minimum(fa, fb), np.maximum(fa, fb)))
+        return tuple(np.concatenate(v) for v in zip(*parts))
 
     def pull_back(self, o, own, lo, hi, cap):
         """The preimage of the ranges [f(o) + lo, f(o) + hi] within
@@ -177,8 +171,7 @@ class IntervalBranches:
         inside its values (``oracles.preimage`` for many sets at once);
         the result is unsorted, and touching ranges are not joined.
         """
-        k = np.searchsorted([p.hi for p in self.pieces[:-1]], o, side="left")
-        y = np.choose(k, [p.fwd(o) for p in self.pieces])
+        y = self.f(o)
         parts = []
         for p in self.pieces:
             va = np.maximum(y + lo, min(p.f_lo, p.f_hi))
@@ -193,40 +186,32 @@ class IntervalBranches:
 class CircleBranches:
     """Degree-d covering map of the circle via a strictly increasing lift.
 
-    ``lift`` maps [0, 1] onto [base, base + d] where base = lift(0) (a
-    possibly nonzero rotation offset).  It acts elementwise on arrays and
-    satisfies lift(x + 1) = lift(x) + d on the whole line, where
-    ``inv_lift_array`` inverts it elementwise.  Sets are unions on the
-    chart [0, 1), cut at the seam.
+    ``lift(x, out=None)`` maps [0, 1] onto [lift(0), lift(0) + d], where
+    lift(0) is a possibly nonzero rotation offset, and the map's ``step``
+    is its fractional part.  It acts elementwise on arrays and satisfies
+    lift(x + 1) = lift(x) + d on the whole line, where ``inv_lift_array``
+    inverts it elementwise.
     """
 
     degree: int
-    lift: Callable[[float], float]
+    lift: Callable
     inv_lift_array: Callable[[np.ndarray], np.ndarray]
-    base: float = 0.0
 
-    def ball(self, center, eps) -> IntervalUnion:
-        """The arc of radius eps about ``center``; the whole circle when
-        2 eps >= 1."""
-        return IntervalUnion(_split((center - eps) % 1.0, min(2.0 * eps, 1.0)),
-                             0.0, 1.0)
+    def ball(self, centers, eps):
+        """The arcs of radius eps about the ``centers``, owner k for
+        centers[k]; the whole circle when 2 eps >= 1."""
+        return _arcs(np.arange(centers.size), np.mod(centers - eps, 1.0),
+                     min(2.0 * eps, 1.0))
 
-    def image(self, u: IntervalUnion) -> IntervalUnion:
-        """f(u): one arc per component; the whole circle as soon as one
-        component's image wraps it."""
-        segs = []
-        for a, b in u.segments:
-            s = a % 1.0
-            hi = s + (b - a)
-            g0 = float(self.lift(s))
-            if hi <= 1.0:
-                g1 = float(self.lift(hi))
-            else:
-                g1 = float(self.lift(hi - 1.0)) + self.degree
-            if g1 - g0 >= 1.0:
-                return IntervalUnion([(0.0, 1.0)], 0.0, 1.0)
-            segs += _split(g0 % 1.0, g1 - g0)
-        return IntervalUnion(segs, 0.0, 1.0)
+    def image(self, own, lo, hi):
+        """f of the ranges: one arc each, and the whole circle for an owner
+        as soon as the image of one of its ranges wraps it.  The result is
+        unsorted, and touching ranges are not joined."""
+        g = self.lift(np.concatenate([lo, hi]))
+        g0, ln = g[:lo.size], g[lo.size:] - g[:lo.size]
+        whole = (np.bincount(own, ln >= 1.0) > 0)[own]
+        return _arcs(own, np.where(whole, 0.0, np.mod(g0, 1.0)),
+                     np.where(whole, 1.0, ln))
 
     def pull_back(self, o, own, lo, hi, cap):
         """``IntervalBranches.pull_back`` for arcs.  With v = L(o) for the

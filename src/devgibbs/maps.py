@@ -25,13 +25,17 @@ Five families are shipped:
 
 Every ``step(x, out=None)`` runs the formula's ufuncs in place, into
 ``out`` with ``x`` as its only scratch, or else on a copy of ``x``: both
-give the same bits.
+give the same bits.  Each formula is written once: an interval map's
+branch structure evaluates it as a one-step orbit, Newton inverses solve
+with ``step`` and ``deriv``, and a circle map's ``step`` is the
+fractional part of its ``lift``, which runs the same way.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -39,10 +43,18 @@ import numpy as np
 from .branching import (CircleBranches, IntervalBranches, MonotonePiece,
                         newton_inverse)
 from .domain import Circle, Cylinder, Interval
-from .dynamics import MapSystem
+from .dynamics import MapSystem, orbit
 from .errors import ConfigError, ParameterError
 
 TWO_PI = 2.0 * math.pi
+
+
+def _with_pieces(m: MapSystem, pieces) -> MapSystem:
+    """m with the branch structure of an interval map of these pieces,
+    which evaluates f as the one-step orbit: ``dynamics.walk`` stays the
+    one caller of ``step``."""
+    return replace(m, branches=IntervalBranches(
+        lambda t: orbit(m, t, 1)[1], pieces))
 
 
 def _buffers(x, out):
@@ -70,14 +82,12 @@ def make_quadratic(a: float = 2.0) -> MapSystem:
     def crit_dist(x):
         return np.abs(np.asarray(x, dtype=float))
 
-    fwd = lambda t: 1.0 - a * t * t
     root = lambda y: np.sqrt(np.maximum((1.0 - y) / a, 0.0))
     pieces = (
-        MonotonePiece(-1.0, 0.0, 1.0 - a, 1.0, fwd=fwd,
-                      inv_array=lambda y: -root(y)),
-        MonotonePiece(0.0, 1.0, 1.0, 1.0 - a, fwd=fwd, inv_array=root),
+        MonotonePiece(-1.0, 0.0, 1.0 - a, 1.0, inv_array=lambda y: -root(y)),
+        MonotonePiece(0.0, 1.0, 1.0, 1.0 - a, inv_array=root),
     )
-    return MapSystem(
+    return _with_pieces(MapSystem(
         label=f"quadratic(a={a})",
         family="quadratic",
         domain=Interval(-1.0, 1.0),
@@ -85,8 +95,7 @@ def make_quadratic(a: float = 2.0) -> MapSystem:
         step=step,
         deriv=deriv,
         crit_dist=crit_dist,
-        branches=IntervalBranches(pieces),
-    )
+    ), pieces)
 
 
 def make_mp(alpha: float = 0.5) -> MapSystem:
@@ -116,22 +125,15 @@ def make_mp(alpha: float = 0.5) -> MapSystem:
     def crit_dist(x):
         return np.full(np.shape(x), np.inf)
 
-    def left_fwd(t):
-        return t * (1.0 + (2.0 * t) ** alpha)
-
     def left_inv_array(y):
         # t <= t (1 + (2t)^alpha) <= 2t on [0, 1/2] brackets the root
-        return newton_inverse(left_fwd,
-                              lambda t: 1.0 + (1.0 + alpha) * np.power(2.0 * t, alpha),
-                              y, 0.5 * y, np.minimum(y, 0.5))
+        return newton_inverse(step, deriv, y, 0.5 * y, np.minimum(y, 0.5))
 
     pieces = (
-        MonotonePiece(0.0, 0.5, 0.0, 1.0, fwd=left_fwd,
-                      inv_array=left_inv_array),
-        MonotonePiece(0.5, 1.0, 0.0, 1.0, fwd=lambda t: 2.0 * t - 1.0,
-                      inv_array=lambda y: (y + 1.0) / 2.0),
+        MonotonePiece(0.0, 0.5, 0.0, 1.0, inv_array=left_inv_array),
+        MonotonePiece(0.5, 1.0, 0.0, 1.0, inv_array=lambda y: (y + 1.0) / 2.0),
     )
-    return MapSystem(
+    return _with_pieces(MapSystem(
         label=f"manneville_pomeau(alpha={alpha})",
         family="manneville_pomeau",
         domain=Interval(0.0, 1.0),
@@ -139,8 +141,7 @@ def make_mp(alpha: float = 0.5) -> MapSystem:
         step=step,
         deriv=deriv,
         crit_dist=crit_dist,
-        branches=IntervalBranches(pieces),
-    )
+    ), pieces)
 
 
 def _saddle_node_threshold(d: int, a: float) -> float:
@@ -177,37 +178,33 @@ def make_perturbed_expanding(d: int = 4, a: float = 0.55) -> MapSystem:
     # remainder mod 1 lies in [0, 1)
     if a == 0.0:
 
-        def step(x, out=None):
+        def lift(x, out=None):
             x, out = _buffers(x, out)
-            np.multiply(d, x, out=out)
-            return np.subtract(out, np.floor(out, out=x), out=out)  # frac
-
-        def lift(x):
-            return d * np.asarray(x, dtype=float)
+            return np.multiply(d, x, out=out)
 
         def inv_lift_array(v):
             return v / d
 
     else:
 
-        def step(x, out=None):
+        def lift(x, out=None):
             x, out = _buffers(x, out)
             np.multiply(d, x, out=out)
             out += omega
             np.multiply(TWO_PI, x, out=x)
             np.sin(x, out=x)
             x *= a
-            out -= x
-            return np.subtract(out, np.floor(out, out=x), out=out)  # frac
-
-        def lift(x):
-            x = np.asarray(x, dtype=float)
-            return d * x + omega - a * np.sin(TWO_PI * x)
+            return np.subtract(out, x, out=out)
 
         def inv_lift_array(v):
             # |a sin| <= a puts the root within a / d of (v - omega) / d
             c = (np.asarray(v, dtype=float) - omega) / d
             return newton_inverse(lift, deriv, v, c - a / d, c + a / d)
+
+    def step(x, out=None):
+        x, out = _buffers(x, out)
+        lift(x, out)
+        return np.subtract(out, np.floor(out, out=x), out=out)  # frac
 
     def deriv(x):
         x = np.asarray(x, dtype=float)
@@ -226,7 +223,7 @@ def make_perturbed_expanding(d: int = 4, a: float = 0.55) -> MapSystem:
         deriv=deriv,
         crit_dist=crit_dist,
         branches=CircleBranches(degree=d, lift=lift,
-                                inv_lift_array=inv_lift_array, base=omega),
+                                inv_lift_array=inv_lift_array),
         float_horizon=52 / math.log2(d) if a == 0.0 else None,
     )
 

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .branching import MAX_COMPONENTS, MERGE_TOL
+from .branching import MERGE_TOL, join
 from .domain import frac
 from .dynamics import MapSystem, birkhoff_sum, orbit
 from .errors import (CapabilityError, ConfigError, ImpossibleCoverError,
@@ -36,6 +37,10 @@ from .stats import ols_fit
 # a pair passes while d(f^{n-j}y, f^{n-j}z) stays within this factor of
 # sigma^{-j/2} d(f^n y, f^n z)
 CONTRACTION_SLACK = 1.1
+# the pilot of calibrate_delta1 (see there)
+CALIBRATION_ANCHORS = 5
+CALIBRATION_PAIRS = 200
+CALIBRATION_THRESHOLD = 0.99
 
 
 @dataclass(frozen=True)
@@ -80,25 +85,23 @@ def ball_intervals(m: MapSystem, centers, n: int, eps: float, *,
     else:
         cap = min(eps, 0.5)
         lo, hi = np.full_like(centers, -cap), np.full_like(centers, cap)
+    what = f"a ball B(x, n={n}, eps={eps})"
     for j in range(n - 1, -1, -1):
         o = orb[j]
         own, lo, hi = m.branches.pull_back(o[own], own, lo, hi, cap)
         if np.all(own[1:] > own[:-1]):
             continue  # one range per centre: nothing to sort, join or drop
-        order = np.lexsort((lo, own))
-        own, lo, hi = own[order], lo[order], hi[order]
-        start = np.flatnonzero((np.diff(own, prepend=-1) > 0) | (
-            lo > np.append(-np.inf, hi[:-1]) + MERGE_TOL))
-        own, lo, hi = own[start], lo[start], np.maximum.reduceat(hi, start)
-        if held:
-            first, stop = _point_span(m, np.sort(o), o[own] + lo - MERGE_TOL,
-                                      o[own] + hi + MERGE_TOL)
-            own, lo, hi = own[stop > first], lo[stop > first], hi[stop > first]
-        if np.bincount(own).max(initial=0) > MAX_COMPONENTS:
-            raise ConfigError(
-                f"a ball B(x, n={n}, eps={eps}) splits into more than "
-                f"{MAX_COMPONENTS} ranges; lower n or eps")
+        own, lo, hi = join(own, lo, hi, what, partial(
+            _holds_point, m, np.sort(o), o) if held else None)
     return own, lo, hi
+
+
+def _holds_point(m: MapSystem, pts, o, own, lo, hi):
+    """Whether each range [o[own] + lo, o[own] + hi] holds a point of the
+    sorted ``pts``, within ``MERGE_TOL``."""
+    first, stop = _point_span(m, pts, o[own] + lo - MERGE_TOL,
+                              o[own] + hi + MERGE_TOL)
+    return stop > first
 
 
 def _point_span(m: MapSystem, pts, a, b):
@@ -126,7 +129,7 @@ def covering_number(m: MapSystem, points, n: int, eps: float,
     need = math.ceil((1.0 - delta) * pts.shape[0] - 1e-9)
     if need <= 0:
         return 0
-    pos = np.sort(pts, kind="stable")
+    pos = np.sort(pts)
     own, lo, hi = ball_intervals(m, pos, n, eps, held=True)
     lo_idx, hi_idx = _point_span(m, pos, pos[own] + lo - 1e-15,
                                  pos[own] + hi + 1e-15)
@@ -315,21 +318,23 @@ def distortion_estimate(m: MapSystem, phi, x, n: int, pairs: int,
     return float(np.max(np.maximum(r, 1.0 / r)))
 
 
-def calibrate_delta1(m: MapSystem, params: HyperbolicParams, seed: int,
-                     instances: int = 5, pairs: int = 200,
-                     threshold: float = 0.99) -> float:
+def calibrate_delta1(m: MapSystem, params: HyperbolicParams,
+                     seed: int) -> float:
     """Largest radius in {2^-3 .. 2^-10} passing a pilot contraction check.
 
-    A radius passes when every anchor's pass fraction reaches
-    ``threshold``.  The backward-contraction statement guarantees such a
-    radius exists but not its value; this pins one per family and reports
-    it, and raises ``SamplingError`` when none of the eight passes.
+    The pilot checks ``CALIBRATION_PAIRS`` pairs at each of
+    ``CALIBRATION_ANCHORS`` anchors, and a radius passes when every
+    anchor's pass fraction reaches ``CALIBRATION_THRESHOLD``.  The
+    backward-contraction statement guarantees such a radius exists but not
+    its value; this pins one per family and reports it, and raises
+    ``SamplingError`` when none of the eight passes.
     """
     rng = spawn_rng(seed, "delta1")
     # modest depths: the ball width shrinks like e^(-lambda n) and falls
     # under float spacing past n ~ 45, where pair sampling degenerates
     anchors, _ = sample_anchors(m, lambda: m.domain.sample(rng, 1)[0], params,
-                                10, 24, instances, 50 * instances)
+                                10, 24, CALIBRATION_ANCHORS,
+                                50 * CALIBRATION_ANCHORS)
     anchors = [(float(x), n) for x, n in anchors]
     if not anchors:
         raise SamplingError("no hyperbolic times found for calibration")
@@ -338,14 +343,14 @@ def calibrate_delta1(m: MapSystem, params: HyperbolicParams, seed: int,
         delta1 = 2.0 ** -k
         try:
             worst = min(backward_contraction_check(
-                m, x, n, params, pairs, delta1, seed).pass_fraction
+                m, x, n, params, CALIBRATION_PAIRS, delta1, seed).pass_fraction
                 for x, n in anchors)
         except SamplingError:
             continue
-        if worst >= threshold:
+        if worst >= CALIBRATION_THRESHOLD:
             return delta1
         best = max(best, worst)
     raise SamplingError(
         f"no radius in 2^-3 .. 2^-10 passes the pilot contraction check at "
-        f"threshold {threshold}: the best pass fraction is {best}; set "
-        f"delta1 by hand")
+        f"threshold {CALIBRATION_THRESHOLD}: the best pass fraction is "
+        f"{best}; set delta1 by hand")

@@ -1,9 +1,10 @@
 """Specification probes: exactness times and the gap statistic.
 
 The exactness time of a radius is the number of iterates after which the
-image of every probe ball covers the whole space, computed by exact
-interval-image propagation through the branch structure of
-``devgibbs.branching``.
+image of every probe ball covers the whole space.  The balls about all
+probes are imaged together, one step at a time, as the range sets of
+``devgibbs.branching``, and each probe leaves at its first covering
+step.
 
 The gap statistic composes two measured quantities: the exactness time
 at the radius and the wait until the next hyperbolic time strictly
@@ -26,6 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .branching import COVER_TOL, join
 from .dynamics import MapSystem
 from .errors import CapabilityError, ConfigError, HorizonError
 from .hyperbolic import HyperbolicParams, straddling_times
@@ -41,28 +43,33 @@ class ExactnessResult:
 
 def exactness_time(m: MapSystem, eps: float, probe_points: Sequence[float],
                    cap: int = 60) -> ExactnessResult:
-    """Smallest N with f^N(ball) covering the space, maximized over probes."""
+    """Smallest N with f^N(ball) covering the space, maximized over probes.
+
+    The balls about all probes are imaged together, as ranges, and each
+    probe retires at its first covering step.  Without one within
+    ``cap`` steps, ``residual`` is the largest uncovered length of
+    f^cap(ball).
+    """
     if m.branches is None:
         raise CapabilityError(f"{m.label}: no branch structure")
-    worst: Optional[int] = 0
-    residual = 0.0
-    for x in probe_points:
-        u = m.branches.ball(float(x), eps)
-        depth = None
-        for n in range(cap + 1):
-            if u.covers_chart():
-                depth = n
-                break
-            u = m.branches.image(u)
-        if depth is None:
-            worst = None
-            residual = max(residual,
-                           (u.hi - u.lo) - u.total_length)
-        elif worst is not None:
-            worst = max(worst, depth)
-    if worst is None:
-        return ExactnessResult(found=False, n=None, residual=residual)
-    return ExactnessResult(found=True, n=worst, residual=0.0)
+    br = m.branches
+    width = m.domain.hi - m.domain.lo if hasattr(m.domain, "lo") else 1.0
+    own, lo, hi = br.ball(np.asarray(probe_points, dtype=float), eps)
+    worst = 0
+    for n in range(cap + 1):
+        if n:
+            own, lo, hi = br.image(own, lo, hi)
+        own, lo, hi = join(own, lo, hi, f"f^n(B(x, eps={eps})) at n={n}")
+        length = np.bincount(own, hi - lo)
+        covered = length >= width - COVER_TOL
+        if covered.any():
+            worst = n
+            live = ~covered[own]
+            own, lo, hi = own[live], lo[live], hi[live]
+        if not own.size:
+            return ExactnessResult(found=True, n=worst, residual=0.0)
+    return ExactnessResult(found=False, n=None,
+                           residual=float(np.max(width - length[own])))
 
 
 @dataclass

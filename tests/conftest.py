@@ -40,14 +40,14 @@ def viana():
 @pytest.fixture(scope="session")
 def identity_map():
     """Trivial stub: no orbit separation, entropy zero."""
-    ident = lambda x: np.asarray(x, dtype=float)
+    ident = lambda x, out=None: np.positive(x, out=out)
     return MapSystem(
         label="identity",
         domain=Interval(0.0, 1.0),
         params={},
-        step=lambda x, out=None: np.positive(x, out=out),
+        step=ident,
         deriv=lambda x: np.ones(np.shape(x)),
         crit_dist=lambda x: np.full(np.shape(x), np.inf),
         branches=IntervalBranches(
-            (MonotonePiece(0.0, 1.0, 0.0, 1.0, fwd=ident, inv_array=ident),)),
+            ident, (MonotonePiece(0.0, 1.0, 0.0, 1.0, inv_array=ident),)),
     )

@@ -16,6 +16,11 @@ the paper's objects that no kind emits yet:
 * ``verify_H`` and ``verify_C`` check the paper's non-degeneracy
   condition (H) and its backward preimage contraction (C);
 * ``lag_statistic`` is the lag of non-uniform specification;
+* ``IntervalUnion`` is one set as sorted merged segments, with its
+  ``ball`` and its ``image`` one segment at a time; the program holds
+  the sets of many owners at once as ranges (``branching.join``).
+  ``scalar_exactness_time`` images each probe's ``IntervalUnion`` in
+  turn, the reference of ``specprobe.exactness_time``;
 * ``preimage`` and ``intersect`` are whole interval-set preimages and
   cuts, which the program replaces by ``pull_back``: the same preimage,
   kept only near known points and vectorized over them;
@@ -36,7 +41,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from devgibbs.branching import CircleBranches, IntervalUnion, MERGE_TOL
+from devgibbs.branching import (COVER_TOL, MAX_COMPONENTS, MERGE_TOL,
+                                CircleBranches)
 from devgibbs.domain import frac
 from devgibbs.dynamics import (MapSystem, NEAR_CRITICAL_TOL, jacobian_data,
                                orbit)
@@ -46,10 +52,130 @@ from devgibbs.hyperbolic import (HyperbolicParams, _INDEX_TOL, gap_horizon,
                                  hyperbolic_times, straddling_times)
 from devgibbs.metric import BallSpec
 from devgibbs.sampling import spawn_rng
+from devgibbs.specprobe import ExactnessResult
 from devgibbs.stats import ols_fit
 
 
 # --- interval sets -----------------------------------------------------------
+
+
+class IntervalUnion:
+    """Sorted disjoint closed intervals inside a chart [lo, hi].
+
+    Intervals closer than ``MERGE_TOL`` are merged.  Circle sets live in
+    the chart [0, 1); wrapped arcs are stored split at the seam.  The
+    one-set form of the program's ``(own, lo, hi)`` ranges.
+    """
+
+    def __init__(self, segments, lo: float, hi: float):
+        self.lo = lo
+        self.hi = hi
+        segs = []
+        for a, b in segments:
+            a, b = max(a, lo), min(b, hi)
+            if b >= a:
+                segs.append((a, b))
+        segs.sort()
+        merged = []
+        for a, b in segs:
+            if merged and a <= merged[-1][1] + MERGE_TOL:
+                merged[-1][1] = max(merged[-1][1], b)
+            else:
+                merged.append([a, b])
+        if len(merged) > MAX_COMPONENTS:
+            raise ConfigError(
+                f"interval union exceeded {MAX_COMPONENTS} components")
+        self.segments = [(a, b) for a, b in merged]
+
+    @property
+    def total_length(self) -> float:
+        return sum(b - a for a, b in self.segments)
+
+    def covers_chart(self) -> bool:
+        return self.total_length >= (self.hi - self.lo) - COVER_TOL
+
+
+def _split(a, ln):
+    """The arc [a, a + ln], a in [0, 1), as chart segments cut at the seam."""
+    if a + ln <= 1.0:
+        return [(a, a + ln)]
+    return [(a, 1.0), (0.0, a + ln - 1.0)]
+
+
+def ball(br, center, eps) -> IntervalUnion:
+    """B(center, eps) on the chart of the branch structure ``br``: cut at
+    the ends of an interval, split at the seam of the circle, and the
+    whole circle when 2 eps >= 1."""
+    if isinstance(br, CircleBranches):
+        return IntervalUnion(_split((center - eps) % 1.0,
+                                    min(2.0 * eps, 1.0)), 0.0, 1.0)
+    return IntervalUnion([(center - eps, center + eps)], *br.chart)
+
+
+def value_at(br, p, t):
+    """f(t) on the piece p of ``br``, with its one-sided limits at its
+    ends."""
+    if t == p.lo:
+        return p.f_lo
+    if t == p.hi:
+        return p.f_hi
+    return float(br.f(t))
+
+
+def image(br, u: IntervalUnion) -> IntervalUnion:
+    """f(u), one segment at a time.  On an interval map: one closed
+    interval per piece that a component meets.  On a circle map: one arc
+    per component, and the whole circle as soon as one component's image
+    wraps it."""
+    segs = []
+    if isinstance(br, CircleBranches):
+        for a, b in u.segments:
+            s = a % 1.0
+            hi = s + (b - a)
+            g0 = float(br.lift(s))
+            if hi <= 1.0:
+                g1 = float(br.lift(hi))
+            else:
+                g1 = float(br.lift(hi - 1.0)) + br.degree
+            if g1 - g0 >= 1.0:
+                return IntervalUnion([(0.0, 1.0)], 0.0, 1.0)
+            segs += _split(g0 % 1.0, g1 - g0)
+        return IntervalUnion(segs, 0.0, 1.0)
+    for a, b in u.segments:
+        for p in br.pieces:
+            lo, hi = max(a, p.lo), min(b, p.hi)
+            if lo <= hi:
+                fa, fb = value_at(br, p, lo), value_at(br, p, hi)
+                segs.append((min(fa, fb), max(fa, fb)))
+    return IntervalUnion(segs, *br.chart)
+
+
+def scalar_exactness_time(m: MapSystem, eps: float, probe_points,
+                          cap: int = 60) -> ExactnessResult:
+    """``specprobe.exactness_time`` one probe and one segment at a time:
+    each probe's ball is imaged as an ``IntervalUnion`` until it covers
+    the chart, for at most ``cap`` steps."""
+    if m.branches is None:
+        raise CapabilityError(f"{m.label}: no branch structure")
+    worst: Optional[int] = 0
+    residual = 0.0
+    for x in probe_points:
+        u = ball(m.branches, float(x), eps)
+        depth = None
+        for n in range(cap + 1):
+            if u.covers_chart():
+                depth = n
+                break
+            if n < cap:
+                u = image(m.branches, u)
+        if depth is None:
+            worst = None
+            residual = max(residual, (u.hi - u.lo) - u.total_length)
+        elif worst is not None:
+            worst = max(worst, depth)
+    if worst is None:
+        return ExactnessResult(found=False, n=None, residual=residual)
+    return ExactnessResult(found=True, n=worst, residual=0.0)
 
 
 def preimage(br, u: IntervalUnion) -> IntervalUnion:
@@ -65,10 +191,11 @@ def preimage(br, u: IntervalUnion) -> IntervalUnion:
     ends = np.array(u.segments, dtype=float).reshape(-1, 2)
     ya, yb = ends[:, 0], ends[:, 1]
     if isinstance(br, CircleBranches):
-        top = br.base + br.degree
-        k = np.arange(math.floor(br.base) - 1,
-                      math.floor(br.base) + br.degree + 1)[:, None]
-        lo, hi = np.maximum(ya + k, br.base), np.minimum(yb + k, top)
+        base = float(br.lift(0.0))
+        top = base + br.degree
+        k = np.arange(math.floor(base) - 1,
+                      math.floor(base) + br.degree + 1)[:, None]
+        lo, hi = np.maximum(ya + k, base), np.minimum(yb + k, top)
         keep = (lo < hi) | ((lo == hi) & (ya == yb) & (hi < top))
         xa, xb = br.inv_lift_array(lo[keep]), br.inv_lift_array(hi[keep])
         return IntervalUnion(zip(xa.tolist(), xb.tolist()), 0.0, 1.0)
@@ -414,7 +541,7 @@ def verify_C(m: MapSystem, eps_grid, samples: int = 32, seed: int = 0,
             c = float(c)
             if hasattr(m.domain, "lo"):
                 c = min(max(c, m.domain.lo + eps / 2.0), m.domain.hi - eps / 2.0)
-            pre = preimage(m.branches, m.branches.ball(c, eps / 2.0))
+            pre = preimage(m.branches, ball(m.branches, c, eps / 2.0))
             worst = max(worst, longest_component(m, pre))
         rows.append((eps, worst))
     x = np.log([r[0] for r in rows])
@@ -473,7 +600,7 @@ def shadow_search(m: MapSystem, pieces: Sequence[OrbitPiece], eps: float,
     future: Optional[IntervalUnion] = None
     for i in range(len(pieces) - 1, -1, -1):
         piece, pts = pieces[i], orbits[i]
-        cur = br.ball(float(pts[piece.n]), eps)
+        cur = ball(br, float(pts[piece.n]), eps)
         if future is not None:
             pulled = future
             for k in range(gaps[i]):
@@ -490,9 +617,9 @@ def shadow_search(m: MapSystem, pieces: Sequence[OrbitPiece], eps: float,
                 cur.lo, cur.hi)
         for j in range(piece.n - 1, -1, -1):
             cur = preimage(br, cur)
-            ball = br.ball(float(pts[j]), eps)
+            near = ball(br, float(pts[j]), eps)
             cur = IntervalUnion(
-                [seg for a, b in ball.segments
+                [seg for a, b in near.segments
                  for seg in intersect(cur, a, b).segments],
                 cur.lo, cur.hi)
         if not cur.segments:

@@ -595,7 +595,7 @@ def test_preimage_paths_leave_scipy_optimize_unloaded():
         "import oracles\n"
         "from devgibbs import maps, metric, specprobe as sp\n"
         "for m in (maps.make_mp(0.5), maps.make_perturbed_expanding(4, 0.55)):\n"
-        "    oracles.preimage(m.branches, m.branches.ball(0.3, 0.05))\n"
+        "    oracles.preimage(m.branches, oracles.ball(m.branches, 0.3, 0.05))\n"
         "    metric.ball_intervals(m, [0.3, 0.7], 6, 0.05)\n"
         "    sp.exactness_time(m, 0.05, [0.3, 0.7])\n"
         "print('scipy.optimize' in sys.modules)\n")

@@ -354,13 +354,15 @@ def test_contraction_doubling_exact(doubling):
     assert rep.worst_ratio <= 1.0 + 1e-9
 
 
-def test_calibrate_delta1_refuses_when_no_radius_passes(quadratic):
+def test_calibrate_delta1_refuses_when_no_radius_passes(quadratic,
+                                                        monkeypatch):
     # a pass fraction cannot reach 1.01, so no radius may be handed out,
     # not even one that every pilot pair passes
+    monkeypatch.setattr(metric, "CALIBRATION_THRESHOLD", 1.01)
     p = hyp.default_params(quadratic, n_max=100)
     with pytest.raises(SamplingError, match=r"best pass fraction is 1\.0; "
                                             r"set delta1 by hand"):
-        metric.calibrate_delta1(quadratic, p, 21, threshold=1.01)
+        metric.calibrate_delta1(quadratic, p, 21)
 
 
 def test_contraction_requires_hyperbolic_time(quadratic):

@@ -3,10 +3,10 @@ import pytest
 
 from devgibbs import hyperbolic as hyp
 from devgibbs import maps, specprobe as sp
-from devgibbs.branching import IntervalUnion
 from devgibbs.errors import CapabilityError, ConfigError, HorizonError
 from devgibbs.sampling import UniformSampler, spawn_rng
-from oracles import OrbitPiece, gap_estimate, intersect, shadow_search
+from oracles import (IntervalUnion, OrbitPiece, gap_estimate, intersect,
+                     scalar_exactness_time, shadow_search)
 
 
 PROBES = np.linspace(0.03, 0.97, 11)
@@ -53,6 +53,42 @@ def test_exactness_cap(doubling):
     res = sp.exactness_time(doubling, 1e-9, PROBES, cap=3)
     assert not res.found
     assert res.residual > 0
+
+
+@pytest.mark.parametrize("k", [4, 6, 8, 10])
+def test_exactness_quadratic_tent_law(quadratic, k):
+    # the tent conjugacy bounds N(eps) by ceil(log2(pi / eps)) + 1; the
+    # balls about 50 uniform probes, the turning point and both ends are
+    # exact one step before that, at log2(1 / eps) + 2
+    probes = np.concatenate([
+        quadratic.domain.sample(spawn_rng(0, "tent-law"), 50),
+        [-1.0, 0.0, 1.0]])
+    res = sp.exactness_time(quadratic, 2.0 ** -k, probes)
+    assert res.found and res.n == k + 2
+
+
+EXACTNESS_MAPS = {
+    "doubling": maps.make_doubling(),
+    "perturbed_expanding(4, 0.55)": maps.make_perturbed_expanding(4, 0.55),
+    "perturbed_expanding(3, 0.1)": maps.make_perturbed_expanding(3, 0.1),
+    "quadratic(2)": maps.make_quadratic(2.0),
+    "quadratic(1.7)": maps.make_quadratic(1.7),  # f([-1, 1]) = [-0.7, 1]
+    "manneville_pomeau(0.5)": maps.make_mp(0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACTNESS_MAPS))
+def test_exactness_matches_scalar_reference(name):
+    # all probes imaged at once, as ranges, against one probe and one
+    # segment at a time
+    m = EXACTNESS_MAPS[name]
+    for seed in range(3):
+        probes = m.domain.sample(spawn_rng(seed, "exact-cells"), 12)
+        for eps in (0.3, 0.1, 1 / 32, 1 / 64, 2.0 ** -8, 2.0 ** -10):
+            res = sp.exactness_time(m, eps, probes)
+            ref = scalar_exactness_time(m, eps, probes)
+            assert (res.found, res.n) == (ref.found, ref.n), (seed, eps)
+            assert res.residual == pytest.approx(ref.residual, abs=1e-12)
 
 
 def test_shadow_single_piece(doubling):
