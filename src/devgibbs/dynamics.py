@@ -57,7 +57,7 @@ class MapSystem:
     Jacobian for cylinder maps, and ``crit_dist`` is the distance to the
     critical/singular set (``inf`` when the set is empty).
     ``branches`` is the family's branch structure (``devgibbs.branching``),
-    which images and pulls back interval sets; it is ``None`` where the
+    which images and pulls back range sets; it is ``None`` where the
     map has none.
     ``float_horizon`` is the longest orbit whose double-precision
     iterates still carry information, for maps that step a coordinate by

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devgibbs import maps
+from devgibbs.branching import MAX_COMPONENTS, join
 from devgibbs.domain import Circle, Cylinder, frac
 from devgibbs.dynamics import birkhoff_sum, orbit, walk
-from devgibbs.errors import (CapabilityError, DomainError, EvaluationError,
-                             SingularityError)
+from devgibbs.errors import (CapabilityError, ConfigError, DomainError,
+                             EvaluationError, SingularityError)
 from devgibbs.observables import make_observable
 from devgibbs.runner import _log_deriv_potential
 from helpers import constant, count_steps, evaluate, with_out
@@ -215,6 +216,21 @@ def test_inverse_branches_quadratic_degenerate(quadratic):
 def test_inverse_branches_degree_four(pe40):
     # the preimage at 1 is the point 0, counted once
     assert point_preimages(pe40, 0.0) == pytest.approx([0, 0.25, 0.5, 0.75])
+
+
+def test_join_reads_each_owners_highest_end():
+    # a range inside an earlier one of its owner is joined to it even when
+    # a range between them ends lower; another owner's ends do not count
+    own = np.array([1, 0, 0, 0, 1])
+    lo = np.array([0.5, 0.0, 0.1, 0.5, 0.1])
+    hi = np.array([0.6, 0.9, 0.2, 0.6, 0.2])
+    got = join(own, lo, hi, "a set")
+    assert [a.tolist() for a in got] == [[0, 1, 1], [0.0, 0.1, 0.5],
+                                         [0.9, 0.2, 0.6]]
+    with pytest.raises(ConfigError, match=r"^a set splits into more than "):
+        join(np.zeros(MAX_COMPONENTS + 1, dtype=int),
+             np.arange(MAX_COMPONENTS + 1.0), np.arange(MAX_COMPONENTS + 1.0),
+             "a set")
 
 
 def test_inverse_branches_unsupported(viana):
