@@ -52,6 +52,8 @@ def exactness_time(m: MapSystem, eps: float, probe_points: Sequence[float],
     """
     if m.branches is None:
         raise CapabilityError(f"{m.label}: no branch structure")
+    if cap < 0:
+        raise ValueError(f"exactness cap {cap} must be >= 0")
     br = m.branches
     width = m.domain.hi - m.domain.lo if hasattr(m.domain, "lo") else 1.0
     own, lo, hi = br.ball(np.asarray(probe_points, dtype=float), eps)
