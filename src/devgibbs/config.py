@@ -231,7 +231,8 @@ def parse_config(text: str) -> ExperimentConfig:
         grid = dev["n"]
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("deviation n grid must be strictly increasing")
-        check_t_grid(dev.get("t_grid", []))
+        if "t_grid" in dev:
+            check_t_grid(dev["t_grid"])
     if kind in ("spec", "gibbs") and "n_max" in sections.get("hyperbolic", {}):
         raise ConfigError(
             f"[hyperbolic] n_max is not read by kind = {kind}: its scans "

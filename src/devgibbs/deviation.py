@@ -37,18 +37,23 @@ A row of the rate curve counts S_n g >= tau_n, the smallest double whose
 rounded quotient by n passes the test against a finite c: division by
 n > 0 is monotone, so no S_n g / n array is made.
 
-Each t of the free-energy table costs one chunk-wide multiply into one
-scratch array per chunk and one in-place ``logsumexp``, the one copy of
-scipy's steps, which the combine across chunks shares.  Its shift is the
-larger of the extremes t min S_n g and t max S_n g that the overflow
-guard computes, and its mask of the top terms goes to one bool array per
-chunk.  It zeroes the k top terms exp(0) = 1 where scipy subtracts its
-mask of them; as 1 - 1 is +0 and x - 0 is x, psi-hat keeps scipy's bits.
+Each free-energy chunk sorts its S_n g once into distinct values u with
+counts c; each t then costs one in-place ``logsumexp`` of t u weighted by
+c, the one copy of scipy's steps, which the combine across chunks shares.
+As t u is monotone in the sorted u, its top terms are a run at one end,
+found by bisection, so no pass over the chunk masks or counts them.  An
+indicator's S_12 g takes 13 values per 65,536-point chunk; a continuous g
+keeps every point and pays one sort per chunk.  Each chunk value equals
+scipy's ``logsumexp(t * u, b=c)`` bit for bit; the plain sum over the
+points adds the same terms in another order and can differ in the last
+bits.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -155,32 +160,68 @@ def rate_estimate(curve: RateCurve, window: tuple) -> OLSFit:
                    np.log(curve.p_hat[mask]))
 
 
-def logsumexp(a, out=None, top=None, at_top=None) -> float:
-    """log(sum(exp(a))) over a float array, bit for bit as scipy's.
+def logsumexp(a, b=None, at_top=None, out=None) -> float:
+    """log(sum(b exp(a))) over a float array a with positive weights b (1
+    where None), bit for bit as scipy's ``logsumexp(a, b=b)``.
 
     The steps of scipy 1.17 (Blanchard, Higham & Higham 2021): shift by
-    top = max(a), take the k terms equal to top out of the sum, and return
-    log1p(sum(exp(a - top)) / k) + log(k) + top.  A caller may pass max(a)
-    as ``top``.  The terms go to ``out`` (which may be ``a`` itself) and
-    their mask to the bool array ``at_top``, or to fresh arrays.
+    top = max(a), take the top terms out of the sum, and return
+    log1p(sum(b exp(a - top)) / k) + log(k) + top, where k is the top
+    terms' total weight.  A caller that knows where the top terms sit
+    passes them as the slice ``at_top``; otherwise a mask finds them.
+    The terms go to ``out`` (which may be ``a`` itself), or to a fresh
+    array.
     """
     a = np.asarray(a, dtype=float)
-    top = a.max() if top is None else top
-    at_top = np.equal(a, top, out=at_top)
-    k = np.float64(np.count_nonzero(at_top))
+    if at_top is None:
+        at_top = a == a.max()
+    top_terms = a[at_top]
+    top = top_terms[0]
+    k = np.float64(len(top_terms) if b is None else b[at_top].sum())
     terms = np.subtract(a, top, out=out)
     np.exp(terms, out=terms)
-    np.copyto(terms, 0.0, where=at_top)  # the k top terms, each exp(0) = 1
+    if b is not None:
+        terms *= b
+    terms[at_top] = 0.0  # the top terms, each b exp(0) = b
     return float(np.log1p(terms.sum() / k) + np.log(k) + top)
 
 
+def log_partition(s, ts) -> np.ndarray:
+    """log(sum(exp(t s))) over one chunk's S_n g values s, for each t of
+    ts: ``logsumexp(t * u, b=c)`` on the distinct values u of s and their
+    counts c.
+
+    Rounding is monotone, so t u is monotone in the sorted u, and its top
+    terms are one run at the end that holds t max s (t >= 0) or t min s
+    (t < 0); a bisection from that end finds the run.
+    """
+    u, c = np.unique(s, return_counts=True)
+    # weights of 1 change no bit (1 x = x), so all-distinct s skips them
+    c = c.astype(float) if len(u) < len(s) else None
+    lo, hi = float(u[0]), float(u[-1])
+    a = np.empty(len(u))
+    lse = np.empty(len(ts))
+    for k, t in enumerate(ts):
+        if not (math.isfinite(t * lo) and math.isfinite(t * hi)):
+            raise RangeError(f"[deviation] t_grid: t = {t!r} overflows "
+                             f"t * S_n g for S_n g in [{lo!r}, {hi!r}]")
+        np.multiply(t, u, out=a)
+        if t < 0:  # a falls from a[0], so -a rises
+            at_top = slice(0, bisect.bisect_right(a, -a[0], key=operator.neg))
+        else:
+            at_top = slice(bisect.bisect_left(a, a[-1]), None)
+        lse[k] = logsumexp(a, c, at_top, out=a)
+    return lse
+
+
 def check_t_grid(t_grid) -> None:
-    """Refuse a t grid that is not finite and strictly increasing:
-    ``legendre_rate`` reads the grid's edges by position."""
+    """Refuse a t grid that is empty, not finite or not strictly
+    increasing: ``legendre_rate`` reads the grid's edges by position."""
     ts = [float(t) for t in t_grid]
-    if not all(map(math.isfinite, ts)) or ts != sorted(set(ts)):
-        raise ConfigError(f"[deviation] t_grid = {ts} must be finite and "
-                          f"strictly increasing")
+    if (not ts or not all(map(math.isfinite, ts))
+            or ts != sorted(set(ts))):
+        raise ConfigError(f"[deviation] t_grid = {ts} must be non-empty, "
+                          f"finite and strictly increasing")
 
 
 def free_energy_table(m: MapSystem, sampler, g, t_grid, n: int, samples: int,
@@ -188,25 +229,15 @@ def free_energy_table(m: MapSystem, sampler, g, t_grid, n: int, samples: int,
     """psi-hat(t) for every t of the grid, all on one sample set."""
     if n < 1:
         raise ConfigError(f"free-energy depth n={n} must be >= 1")
+    if samples < 1:
+        raise ConfigError(f"[deviation] fe_samples = {samples} must be >= 1")
     check_t_grid(t_grid)
     check_float_horizon(m, n, "fe_n")
     ts = np.asarray(list(t_grid), dtype=float)
 
     def job(pts):
         _, s = next(birkhoff_sums(m, g, pts, (n,)))
-        lo, hi = float(s.min()), float(s.max())
-        buf = np.empty(len(s))  # t * S_n g, then its terms, for every t
-        at_top = np.empty(len(s), dtype=bool)
-        out = np.empty(len(ts))
-        for k, t in enumerate(ts.tolist()):
-            # rounding is monotone: t lo and t hi are the extremes of t s
-            ends = (t * lo, t * hi)
-            if not all(map(math.isfinite, ends)):
-                raise RangeError(f"[deviation] t_grid: t = {t!r} overflows "
-                                 f"t * S_n g for S_n g in [{lo!r}, {hi!r}]")
-            out[k] = logsumexp(np.multiply(t, s, out=buf), out=buf,
-                               top=max(ends), at_top=at_top)
-        return out
+        return log_partition(s, ts.tolist())
 
     lse = np.array(chunk_map(job, sampler, samples, seed, f"fe:{n}", workers))
     psi = np.array([(logsumexp(lse[:, k]) - math.log(samples)) / n

@@ -354,12 +354,13 @@ def test_wilson_ci_over_arrays_matches_each_row(pairs):
 
 
 def _reference_psi(m, g, ts, n, samples, seed):
-    """psi-hat from scipy's logsumexp of t S_n g on each keyed chunk, the
-    chunk values combined in chunk order, with S_n g summed one orbit at
-    a time."""
+    """psi-hat from scipy's logsumexp on each keyed chunk, the chunk values
+    combined in chunk order, with S_n g summed one orbit at a time: the
+    weighted sum over the distinct values of S_n g and the plain sum over
+    its points."""
     from scipy.special import logsumexp as scipy_logsumexp
 
-    lse = []
+    grouped, plain = [], []
     for _, pts in sample_chunks(UniformSampler(m.domain), samples, seed,
                                 f"fe:{n}"):
         cur, s = pts, np.zeros(len(pts))
@@ -367,10 +368,12 @@ def _reference_psi(m, g, ts, n, samples, seed):
             s += g(cur)
             if j + 1 < n:
                 cur = m.domain.clamp(m.step(cur))
-        lse.append([scipy_logsumexp(t * s) for t in ts])
-    lse = np.array(lse)
-    return np.array([(scipy_logsumexp(lse[:, k]) - math.log(samples)) / n
-                     for k in range(len(ts))])
+        u, c = np.unique(s, return_counts=True)
+        grouped.append([scipy_logsumexp(t * u, b=c) for t in ts])
+        plain.append([scipy_logsumexp(t * s) for t in ts])
+    return [np.array([(scipy_logsumexp(lse[:, k]) - math.log(samples)) / n
+                      for k in range(len(ts))])
+            for lse in map(np.array, (grouped, plain))]
 
 
 _FE_MAPS = {"doubling": maps.make_doubling(),
@@ -394,8 +397,11 @@ def test_free_energy_table_matches_scipy_per_chunk(family, obs, ts, chunks,
     got_ts, psi = dev.free_energy_table(m, UniformSampler(m.domain), g, ts, n,
                                         samples, seed, workers=workers)
     assert list(got_ts) == ts
-    assert psi.tobytes() == _reference_psi(m, g, ts, n, samples,
-                                           seed).tobytes()
+    grouped, plain = _reference_psi(m, g, ts, n, samples, seed)
+    assert psi.tobytes() == grouped.tobytes()
+    # the plain sum adds the same terms in another order: |t S_n g| stays
+    # below 100 here, so the two differ by a few ulps of 100 at most
+    assert np.allclose(psi, plain, rtol=0.0, atol=64 * np.spacing(100.0))
 
 
 def test_logsumexp_in_place_matches_scipy_bitwise():
@@ -411,6 +417,61 @@ def test_logsumexp_in_place_matches_scipy_bitwise():
         a = np.array(case, dtype=float)
         want = np.float64(scipy_logsumexp(a)).tobytes()
         assert np.float64(dev.logsumexp(a, out=a)).tobytes() == want
+
+
+_S_VALUES = st.one_of(
+    # a lattice S_n g, as of an indicator, with both signed zeros
+    st.lists(st.sampled_from([-3.0, -1.0, -0.0, 0.0, 2.0, 12.0]),
+             min_size=1, max_size=80),
+    st.lists(st.integers(-40, 40).map(lambda k: k / 4), min_size=1,
+             max_size=80),
+    # a continuous one: every point distinct
+    st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=80),
+    # a single distinct value
+    st.tuples(st.sampled_from([-0.0, 0.0, 0.4, -7.25]),
+              st.integers(1, 20)).map(lambda vk: [vk[0]] * vk[1]),
+)
+
+
+@given(_S_VALUES,
+       st.lists(st.one_of(st.floats(-2.0, 2.0),
+                          # 0 ties every term; tiny t ties the top terms
+                          # of distinct values as t S_n g underflows
+                          st.sampled_from([0.0, -0.0, -1.0, 0.5, 1e-310,
+                                           -1e-310, 5e-324])),
+                min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_log_partition_matches_scipy_on_the_distinct_values(s, ts):
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    s = np.array(s, dtype=float)
+    u, c = np.unique(s, return_counts=True)
+    want = np.array([scipy_logsumexp(t * u, b=c) for t in ts])
+    assert dev.log_partition(s, ts).tobytes() == want.tobytes()
+
+
+class _NoDraws:
+    """A sampler that fails the test if a point is drawn from it."""
+
+    def sample(self, rng, size):
+        raise AssertionError("sampled before the settings were checked")
+
+
+def test_empty_t_grid_is_refused(doubling):
+    # legendre_rate reads the grid's edges, so an empty grid has none
+    with pytest.raises(ConfigError, match=r"\[deviation\] t_grid = \[\] "):
+        dev.check_t_grid([])
+    g = make_observable("spin_half", doubling)
+    with pytest.raises(ConfigError, match=r"\[deviation\] t_grid = \[\] "):
+        dev.free_energy_table(doubling, _NoDraws(), g, [], 10, 2000, 1)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_free_energy_table_refuses_no_samples(doubling, samples):
+    g = make_observable("spin_half", doubling)
+    with pytest.raises(ConfigError,
+                       match=rf"\[deviation\] fe_samples = {samples} "):
+        dev.free_energy_table(doubling, _NoDraws(), g, [0.5], 10, samples, 1)
 
 
 def test_free_energy_overflow_at_the_low_end_names_the_t(doubling):
