@@ -43,7 +43,8 @@ def newton_inverse(fwd, dfwd, y, lo, hi):
     current bracket bisects instead, so each iteration either converges
     quadratically or halves the bracket.  An entry stops once its step
     falls to a few ulps, so its value does not depend on the rest of the
-    batch.
+    batch.  A step that rounds onto t itself has converged, though t has
+    just become an end of the bracket.
     """
     y = np.asarray(y, dtype=float)
     shape = y.shape
@@ -61,7 +62,8 @@ def newton_inverse(fwd, dfwd, y, lo, hi):
         hi_i = np.where(r > 0.0, ti, hi[idx])
         lo[idx], hi[idx] = lo_i, hi_i
         nxt = ti - r / dfwd(ti)
-        nxt = np.where((nxt > lo_i) & (nxt < hi_i), nxt, 0.5 * (lo_i + hi_i))
+        inside = (nxt > lo_i) & (nxt < hi_i) | (nxt == ti)
+        nxt = np.where(inside, nxt, 0.5 * (lo_i + hi_i))
         nxt = np.where(r == 0.0, ti, nxt)
         t[idx] = nxt
         idx = idx[np.abs(nxt - ti) > 4.0 * np.spacing(np.abs(nxt))]

@@ -23,7 +23,10 @@ through the walk, one call of ``step`` per row.  No caller clamps a
 
 An observable or a potential is a plain function ``g(x, out=None)``, like
 ``step``: given ``out`` it writes its values there and returns it, and it
-never writes to x.  The walk steps in two buffers,
+never writes to x.  A map's ``deriv`` and ``crit_dist`` keep the same
+rule, and ``jacobian_data``, the one reader of ``deriv``, writes
+sigma_min into an ``out``, so the scan's one-row blocks evaluate both
+into the walk's spare buffer.  The walk steps in two buffers,
 ``step(cur, out=spare)`` and a swap, so a yielded state is valid only
 until the next step and a reader that keeps one copies it.
 ``birkhoff_sums`` evaluates g into the spare buffer, so a chunk steps and
@@ -53,9 +56,11 @@ class MapSystem:
     itself (each family's constructor says why), so its images are never
     clamped.  Given ``out`` it writes f(x) there, returns ``out`` and may
     overwrite ``x``; without it, it leaves ``x`` as it is.
-    ``deriv`` returns |f'(x)| data as a scalar for 1D maps or a (..., 2, 2)
-    Jacobian for cylinder maps, and ``crit_dist`` is the distance to the
-    critical/singular set (``inf`` when the set is empty).
+    ``deriv(x, out=None)`` gives f'(x) for 1D maps or the (..., 2, 2)
+    Jacobian for cylinder maps, and ``crit_dist(x, out=None)`` the
+    distance to the critical/singular set (``inf`` when the set is
+    empty).  Given ``out``, each writes there and returns ``out``, the
+    same bits as without it, and neither ever writes ``x``.
     ``branches`` is the family's branch structure (``devgibbs.branching``),
     which images and pulls back range sets; it is ``None`` where the
     map has none.
@@ -167,21 +172,27 @@ def birkhoff_sum(m: MapSystem, g, x, n: int):
     return next(birkhoff_sums(m, g, x, (n,)))[1]
 
 
-def jacobian_data(m: MapSystem, pts):
-    """(sigma_min, sigma_max, det) of Df at each point.
+def jacobian_data(m: MapSystem, pts, out=None):
+    """(sigma_min, sigma_max, det) of Df at each point, or, given ``out``,
+    sigma_min alone, written there (in 1D f' goes there first, so a
+    caller that reads only ||Df^{-1}|| allocates nothing).
 
     In 1D these are (|f'|, |f'|, f'); ||Df^{-1}|| is 1 / sigma_min.
     """
-    d = np.asarray(m.deriv(pts), dtype=float)
     if m.domain.ndim == 1:
+        if out is not None:
+            return np.abs(m.deriv(pts, out=out), out=out)
+        d = np.asarray(m.deriv(pts), dtype=float)
         mag = np.abs(d)
         return mag, mag, d
+    d = m.deriv(pts)
     a, b = d[..., 0, 0], d[..., 0, 1]
     c, e = d[..., 1, 0], d[..., 1, 1]
     sq = a * a + b * b + c * c + e * e
     det = a * e - b * c
     disc = np.sqrt(np.maximum(sq * sq - 4.0 * det * det, 0.0))
-    smin = np.sqrt(np.maximum((sq - disc) / 2.0, 0.0))
-    smax = np.sqrt((sq + disc) / 2.0)
-    return smin, smax, det
+    smin = np.sqrt(np.maximum((sq - disc) / 2.0, 0.0), out=out)
+    if out is not None:
+        return smin
+    return smin, np.sqrt((sq + disc) / 2.0), det
 

@@ -31,6 +31,16 @@ batch pays ~40 numpy calls per block instead of per step.  A walk state
 is valid only until the next step: a K = 1 block reads it in place, and
 blocks of K > 1 rows and a ``PausedScan`` copy the states they keep.
 
+A one-row block allocates no float array as wide as its row.  The walk's
+spare buffer (its angle column on the cylinder) is free until the next
+step, so the critical distance goes there; ``low``, ``near`` and the
+stand-ins of near-critical points are read off it, and then
+||Df^-1|| and its log are written over it.  Each row's tolerance goes
+into its log values once the prefix sums have read them, and
+``_first_times`` names a one-row block's hits by their columns alone.
+Blocks of K > 1 rows hold at most ``BLOCK_POINT_STEPS`` entries and
+evaluate into one fresh (K, live) array.
+
 Points whose answer is settled (a hit past the ``settle`` time) are
 masked for the rest of their block and retired through the walk at its
 end; a retired or masked point yields no hit, is not checked against the
@@ -131,10 +141,10 @@ class HyperbolicTimeRecord:
     none_found: bool
 
 
-def _tolerance(mins):
+def _tolerance(mins, out=None):
     """The product-side bound on P_n: its running minimum, up to 1e-12
-    relative (absolute below 1)."""
-    tol = np.maximum(np.abs(mins), 1.0)
+    relative (absolute below 1), in ``out`` or a fresh array."""
+    tol = np.maximum(np.abs(mins, out=out), 1.0, out=out)
     tol *= 1e-12
     tol += mins
     return tol
@@ -209,22 +219,19 @@ def _scan_blocks(m: MapSystem, xs, params: HyperbolicParams, settle: int,
             next(states)  # the states at n0 - 1, copied out of the walk
             return PausedScan(n0, steps.cur.copy(), state, names[live])
         k = min(k, horizon + 1 - n0)
-        if k == 1:
+        if k == 1:  # the spare buffer is free until the next step
             cur = next(states)[1]
+            vals = steps.spare[..., 0] if m.domain.ndim == 2 else steps.spare
         else:  # a state is valid only until the next step: copy the rows
             cur = np.empty((k,) + steps.cur.shape)
             for r, (_, row) in enumerate(islice(states, k)):
                 cur[r] = row
-        dist = np.asarray(m.crit_dist(cur), dtype=float).reshape(k, -1)
-        jac = jacobian_data(m, cur)[0].reshape(k, -1)
-        del cur  # old states go before the next step: RSS
+            vals = np.empty(cur.shape[:cur.ndim + 1 - m.domain.ndim])
+        dist = m.crit_dist(cur, out=vals).reshape(k, -1)
         low = dist.min()
         bad = dist < NEAR_CRITICAL_TOL if low < NEAR_CRITICAL_TOL else None
         if bad is not None:  # quiet stand-ins: a live point here fails below
-            dist = np.where(bad, np.inf, dist)
-            jac = np.where(bad, 1.0, jac)
-        # jacobian_data's result is a fresh array: log 1/|f'| in place
-        logs = np.log(np.divide(1.0, jac, out=jac), out=jac)
+            dist[bad] = np.inf
         prefix, runmin, block = state
         near = None
         if low < params.delta:
@@ -232,6 +239,12 @@ def _scan_blocks(m: MapSystem, xs, params: HyperbolicParams, settle: int,
             near = _hits(dist < params.delta)
             t = (n0 - 1 + near[0]) + (-np.log(dist[near])) / (
                 params.b * log_sigma) - _INDEX_TOL
+        # the distances are read: log 1/sigma_min goes over them
+        jac = jacobian_data(m, cur, out=vals).reshape(k, -1)
+        del cur  # old states go before the next step: RSS
+        if bad is not None:
+            jac[bad] = 1.0
+        logs = np.log(np.divide(1.0, jac, out=jac), out=jac)
         if k == 1 or live.size > _ACCUMULATE_POINTS:
             # row by row, in place: on a wide block one ufunc call per row
             # costs less than accumulating down axis 0, ~15-30 ns a column
@@ -244,8 +257,9 @@ def _scan_blocks(m: MapSystem, xs, params: HyperbolicParams, settle: int,
                     cols = near[1][row]
                     block[cols] = np.maximum(block[cols], t[row])
                 prefix += log_sigma
-                prefix += logs[r]
-                np.less_equal(prefix, _tolerance(runmin), out=ok[r])
+                prefix += logs[r]  # spent: the tolerance goes there
+                tol = _tolerance(runmin, out=logs[r])
+                np.less_equal(prefix, tol, out=ok[r])
                 ok[r] &= block < n0 + r
                 np.minimum(runmin, prefix, out=runmin)
         else:
@@ -364,8 +378,11 @@ def _first_times(m: MapSystem, xs, params: HyperbolicParams, pause=False):
             n0, ok, live = next(blocks)
         except StopIteration as stop:
             return first, stop.value
-        rows, cols = _hits(ok)  # one time per column: its first
-        first[live[cols]] = n0 + rows
+        if len(ok) == 1:  # one row: its hits need no row index
+            first[live[ok[0]]] = n0
+        else:
+            rows, cols = _hits(ok)  # one time per column: its first
+            first[live[cols]] = n0 + rows
 
 
 def gap_horizon(n: int) -> int:

@@ -25,7 +25,9 @@ Five families are shipped:
 
 Every ``step(x, out=None)`` runs the formula's ufuncs in place, into
 ``out`` with ``x`` as its only scratch, or else on a copy of ``x``: both
-give the same bits.  Each formula is written once: an interval map's
+give the same bits.  ``deriv(x, out=None)`` and ``crit_dist(x, out=None)``
+write into ``out`` or a fresh array, the same bits either way, and
+never write ``x``.  Each formula is written once: an interval map's
 branch structure evaluates it as a one-step orbit, Newton inverses solve
 with ``step`` and ``deriv``, and a circle map's ``step`` is the
 fractional part of its ``lift``, which runs the same way.
@@ -64,6 +66,20 @@ def _buffers(x, out):
     return x, np.empty_like(x) if out is None else out
 
 
+def _into(x, out):
+    """A kernel's input as a float array, and its output: ``out``, or a
+    fresh array."""
+    x = np.asarray(x, dtype=float)
+    return x, np.empty_like(x) if out is None else out
+
+
+def _no_critical_set(x, out=None):
+    """``crit_dist`` of a 1D map whose critical set is empty."""
+    out = np.empty(np.shape(x)) if out is None else out
+    out.fill(np.inf)
+    return out
+
+
 def make_quadratic(a: float = 2.0) -> MapSystem:
     """The parabola family f(x) = 1 - a x^2 on [-1, 1]."""
     if not (0.0 < a <= 2.0):
@@ -76,11 +92,11 @@ def make_quadratic(a: float = 2.0) -> MapSystem:
         out *= x
         return np.subtract(1.0, out, out=out)
 
-    def deriv(x):
-        return -2.0 * a * np.asarray(x, dtype=float)
+    def deriv(x, out=None):
+        return np.multiply(-2.0 * a, x, out=out)
 
-    def crit_dist(x):
-        return np.abs(np.asarray(x, dtype=float))
+    def crit_dist(x, out=None):
+        return np.abs(np.asarray(x, dtype=float), out=out)
 
     root = lambda y: np.sqrt(np.maximum((1.0 - y) / a, 0.0))
     pieces = (
@@ -117,13 +133,16 @@ def make_mp(alpha: float = 0.5) -> MapSystem:
         np.copyto(out, x, where=~left)
         return out
 
-    def deriv(x):
-        x = np.asarray(x, dtype=float)
-        left = 1.0 + (1.0 + alpha) * np.power(2.0 * x, alpha)
-        return np.where(x <= 0.5, left, 2.0)
-
-    def crit_dist(x):
-        return np.full(np.shape(x), np.inf)
+    def deriv(x, out=None):
+        # 1 + (1 + alpha) (2x)^alpha on [0, 1/2], 2 on the right branch
+        x, out = _into(x, out)
+        left = x <= 0.5
+        np.multiply(2.0, x, out=out)
+        np.power(out, alpha, out=out)
+        out *= 1.0 + alpha
+        out += 1.0
+        np.copyto(out, 2.0, where=~left)
+        return out
 
     def left_inv_array(y):
         # t <= t (1 + (2t)^alpha) <= 2t on [0, 1/2] brackets the root
@@ -140,7 +159,7 @@ def make_mp(alpha: float = 0.5) -> MapSystem:
         params={"alpha": alpha},
         step=step,
         deriv=deriv,
-        crit_dist=crit_dist,
+        crit_dist=_no_critical_set,
     ), pieces)
 
 
@@ -206,12 +225,13 @@ def make_perturbed_expanding(d: int = 4, a: float = 0.55) -> MapSystem:
         lift(x, out)
         return np.subtract(out, np.floor(out, out=x), out=out)  # frac
 
-    def deriv(x):
-        x = np.asarray(x, dtype=float)
-        return d - TWO_PI * a * np.cos(TWO_PI * x)
-
-    def crit_dist(x):
-        return np.full(np.shape(x), np.inf)
+    def deriv(x, out=None):
+        # d - 2 pi a cos(2 pi x)
+        x, out = _into(x, out)
+        np.multiply(TWO_PI, x, out=out)
+        np.cos(out, out=out)
+        out *= TWO_PI * a
+        return np.subtract(d, out, out=out)
 
     label = "doubling" if (d == 2 and a == 0.0) else f"perturbed_expanding(d={d}, a={a})"
     return MapSystem(
@@ -221,7 +241,7 @@ def make_perturbed_expanding(d: int = 4, a: float = 0.55) -> MapSystem:
         params={"d": float(d), "a": a, "omega": omega},
         step=step,
         deriv=deriv,
-        crit_dist=crit_dist,
+        crit_dist=_no_critical_set,
         branches=CircleBranches(degree=d, lift=lift,
                                 inv_lift_array=inv_lift_array),
         float_horizon=52 / math.log2(d) if a == 0.0 else None,
@@ -262,17 +282,16 @@ def make_viana(d: int = 16, a: float = 2.0, alpha: float = 0.01) -> MapSystem:
         np.subtract(angle, np.floor(angle, out=theta), out=angle)  # frac
         return out
 
-    def deriv(p):
+    def deriv(p, out=None):
         p = np.asarray(p, dtype=float)
-        J = np.zeros(p.shape[:-1] + (2, 2))
-        J[..., 0, 0] = d
+        J = np.empty(p.shape[:-1] + (2, 2)) if out is None else out
+        J[..., 0, 0], J[..., 0, 1] = d, 0.0
         J[..., 1, 0] = -TWO_PI * alpha * np.sin(TWO_PI * p[..., 0])
         J[..., 1, 1] = -2.0 * a * p[..., 1]
         return J
 
-    def crit_dist(p):
-        p = np.asarray(p, dtype=float)
-        return np.abs(p[..., 1])
+    def crit_dist(p, out=None):
+        return np.abs(np.asarray(p, dtype=float)[..., 1], out=out)
 
     return MapSystem(
         label=f"viana(d={d}, a={a}, alpha={alpha})",

@@ -5,6 +5,7 @@ from devgibbs import maps
 from devgibbs.branching import IntervalBranches, MonotonePiece
 from devgibbs.domain import Interval
 from devgibbs.dynamics import MapSystem
+from helpers import with_out
 
 
 @pytest.fixture(scope="session")
@@ -46,8 +47,8 @@ def identity_map():
         domain=Interval(0.0, 1.0),
         params={},
         step=ident,
-        deriv=lambda x: np.ones(np.shape(x)),
-        crit_dist=lambda x: np.full(np.shape(x), np.inf),
+        deriv=with_out(lambda x: np.ones(np.shape(x))),
+        crit_dist=with_out(lambda x: np.full(np.shape(x), np.inf)),
         branches=IntervalBranches(
             ident, (MonotonePiece(0.0, 1.0, 0.0, 1.0, inv_array=ident),)),
     )

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from devgibbs import maps
 from devgibbs.branching import MAX_COMPONENTS, join
 from devgibbs.domain import Circle, Cylinder, frac
-from devgibbs.dynamics import birkhoff_sum, orbit, walk
+from devgibbs.dynamics import birkhoff_sum, jacobian_data, orbit, walk
 from devgibbs.errors import (CapabilityError, ConfigError, DomainError,
                              EvaluationError, SingularityError)
 from devgibbs.observables import make_observable
@@ -431,10 +431,14 @@ def test_observables_into_out_bit_for_bit(make):
                for name in ("indicator_half", "spin_half", "cos2pi",
                             "identity", "log_deriv", "piecewise_linear")}
     kernels["potential"] = _log_deriv_potential(m)  # phi = -log |det Df|
+    # the map's own kernels, which the hyperbolic scan runs into its buffers
+    kernels["deriv"], kernels["crit_dist"] = m.deriv, m.crit_dist
+    kernels["sigma_min"] = lambda x, out=None: (
+        jacobian_data(m, x)[0] if out is None else jacobian_data(m, x, out))
     for name, g in kernels.items():
-        out = np.empty(len(pts))
         with np.errstate(divide="ignore"):  # log|f'| at a critical point
             ref = g(pts)
+            out = np.full(np.shape(ref), np.nan)  # every entry is written
             assert g(pts, out=out) is out, name
         assert np.array_equal(out.view(np.int64), ref.view(np.int64)), name
         assert np.array_equal(pts, before), name

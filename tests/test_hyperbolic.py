@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -13,7 +14,7 @@ from devgibbs.domain import Interval
 from devgibbs.dynamics import MapSystem
 from devgibbs.errors import ConfigError, SingularityError
 from devgibbs.sampling import CHUNK, UniformSampler, sample_chunks
-from helpers import all_times, combined_se, count_steps
+from helpers import all_times, combined_se, count_steps, with_out
 import oracles
 
 
@@ -357,8 +358,9 @@ def _halving():
     """x -> x / 2 on [0, 1]; expanding only on [1/2, 1], critical at 0."""
     return MapSystem(label="halving", domain=Interval(0.0, 1.0), params={},
                      step=lambda x, out=None: np.divide(x, 2.0, out=out),
-                     deriv=lambda x: np.where(np.asarray(x) >= 0.5, 4.0, 0.5),
-                     crit_dist=lambda x: np.abs(np.asarray(x, dtype=float)))
+                     deriv=with_out(
+                         lambda x: np.where(np.asarray(x) >= 0.5, 4.0, 0.5)),
+                     crit_dist=with_out(np.abs))
 
 
 def test_default_params_are_keyed_on_the_family():
@@ -525,8 +527,8 @@ def _drop():
         return np.where((x > 0.8) & (x < 0.9), 4.0, np.minimum(1.0, 10 * x))
 
     return MapSystem(label="drop", domain=Interval(0.0, 1.0), params={},
-                     step=step, deriv=deriv,
-                     crit_dist=lambda x: np.abs(np.asarray(x, dtype=float)))
+                     step=step, deriv=with_out(deriv),
+                     crit_dist=with_out(np.abs))
 
 
 def test_point_retired_inside_a_block_is_not_checked_for_singularity():
@@ -559,7 +561,7 @@ def test_small_batch_scan_evaluates_once_per_block(pe4):
     # derivative is evaluated once per block of up to 4096 / 25 rows
     calls = []
     m, sizes = count_steps(replace(
-        pe4, deriv=lambda x: calls.append(1) or pe4.deriv(x)))
+        pe4, deriv=lambda x, out=None: calls.append(1) or pe4.deriv(x, out)))
     xs = np.random.default_rng(3).random(25)
     hyp.straddling_times(m, xs, hyp.default_params(pe4), [100, 1000])
     rows = len(sizes) + 1
@@ -682,12 +684,31 @@ def test_tail_curve_matches_whole_chunk_scans(name, n_max):
         assert len(tc.n) == max(alive[-1] + 1 if alive.size else 0, 1)
 
 
+def test_paused_chunk_scan_allocates_under_ten_chunks(quadratic):
+    # the walk's buffers, the scan state and the first times take 7 chunk
+    # widths; a one-row block reads its distances and log 1/|f'| in the
+    # walk's spare buffer, and its tolerance in its spent logs, so the
+    # rows add few arrays as wide as themselves
+    xs = quadratic.domain.sample(np.random.default_rng(7), CHUNK)
+    p = hyp.default_params(quadratic, n_max=1000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, rest = hyp._first_times(quadratic, xs, p, pause=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rest is not None and rest.n0 > 2  # it ran one-row blocks
+    assert peak < 10 * xs.nbytes
+
+
 def test_tail_curve_packs_the_chunks_left_over(quadratic):
     # once paused, the three chunks' last points share one scan: fewer
     # derivative evaluations than three whole-chunk scans make
     calls = []
     m = replace(quadratic,
-                deriv=lambda x: calls.append(1) or quadratic.deriv(x))
+                deriv=lambda x, out=None: (calls.append(1)
+                                           or quadratic.deriv(x, out)))
     p = hyp.default_params(quadratic, n_max=300)
     sampler = UniformSampler(quadratic.domain)
     _chunk_tail(m, sampler, p, 3 * CHUNK, 5)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from devgibbs import maps
+from devgibbs.branching import newton_inverse
 from devgibbs.dynamics import orbit
 from devgibbs.errors import CapabilityError, ConfigError, ParameterError
+from devgibbs.metric import ball_intervals
 from helpers import evaluate
 import oracles
 
@@ -204,3 +206,27 @@ def test_verify_c_rows_grow_with_eps():
 def test_verify_c_needs_three_gridpoints(doubling):
     with pytest.raises(ConfigError):
         oracles.verify_C(doubling, [0.1, 0.05], samples=4, seed=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: maps.make_perturbed_expanding(4, 0.55), lambda: maps.make_mp(0.5)],
+    ids=["pe4", "mp"])
+def test_newton_inverse_keeps_converged_roots(make, monkeypatch):
+    # a Newton step that rounds onto t has converged: bisecting there
+    # throws the root away and costs ~50 iterations, one fwd call each
+    calls = []
+
+    def counted(fwd, dfwd, y, lo, hi):
+        calls.append(0)
+
+        def f(t):
+            calls[-1] += 1
+            return fwd(t)
+
+        return newton_inverse(f, dfwd, y, lo, hi)
+
+    monkeypatch.setattr(maps, "newton_inverse", counted)
+    m = make()
+    xs = np.sort(m.domain.sample(np.random.default_rng(1), 200))
+    ball_intervals(m, xs, 8, 0.2)
+    assert calls and np.median(calls) <= 20
