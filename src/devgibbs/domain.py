@@ -4,7 +4,9 @@ Points on 1D domains are floats (or float arrays); cylinder points are
 arrays whose last axis has length 2, ordered (angle, fiber).  The circle
 is parameterized by [0, 1) with the wrap metric; the cylinder carries the
 max of the circle metric on the angle and the absolute metric on the
-fiber, so dynamical balls factor into products of 1D balls.
+fiber, so dynamical balls factor into products of 1D balls.  ``clamp``
+and ``require`` write into an ``out`` when given one, which may be the
+points themselves.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ def frac(x):
 
 
 def _wrap(x, out):
-    """frac(frac(x)) into ``out``: frac(x) lies in [0, 1], and the second
-    frac only folds the 1.0 of a tiny negative x to 0."""
-    np.subtract(x, np.floor(x, out=out), out=out)
+    """frac(frac(x)) into ``out``, which may be x: frac(x) lies in [0, 1],
+    and the second frac only folds the 1.0 of a tiny negative x to 0."""
+    # floor(x) goes into out only where that does not overwrite x
+    fl = np.floor(x, out=None if np.may_share_memory(x, out) else out)
+    np.subtract(x, fl, out=out)
     np.copyto(out, 0.0, where=out == 1.0)
     return out
 
@@ -56,19 +60,22 @@ class Interval:
         x = np.asarray(x, dtype=float)
         return np.all((x >= self.lo - tol) & (x <= self.hi + tol))
 
-    def clamp(self, x):
-        return np.clip(x, self.lo, self.hi)
+    def clamp(self, x, out=None):
+        return np.clip(x, self.lo, self.hi, out=out)
 
-    def require(self, x):
+    def require(self, x, out=None):
         if not self.contains(x):
             raise DomainError(f"point {x!r} outside [{self.lo}, {self.hi}]")
-        return self.clamp(x)
+        return self.clamp(x, out)
 
     def distance(self, x, y):
         return np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
 
     def sample(self, rng, n):
-        return self.lo + (self.hi - self.lo) * rng.random(n)
+        u = rng.random(n)  # lo + (hi - lo) u, in place: the same bits
+        u *= self.hi - self.lo
+        u += self.lo
+        return u
 
 
 @dataclass(frozen=True)
@@ -83,14 +90,14 @@ class Circle:
         x = np.asarray(x, dtype=float)
         return np.all((x >= -tol) & (x < 1.0 + tol))
 
-    def clamp(self, x):
+    def clamp(self, x, out=None):
         x = np.asarray(x, dtype=float)
-        return _wrap(x, np.empty_like(x))
+        return _wrap(x, np.empty_like(x) if out is None else out)
 
-    def require(self, x):
+    def require(self, x, out=None):
         if not self.contains(x):
             raise DomainError(f"point {x!r} outside the circle chart [0, 1)")
-        return self.clamp(x)
+        return self.clamp(x, out)
 
     def distance(self, x, y):
         return circle_dist(x, y)
@@ -118,17 +125,17 @@ class Cylinder:
         ok_x = (x >= self.fiber_lo - tol) & (x <= self.fiber_hi + tol)
         return np.all(ok_theta & ok_x)
 
-    def clamp(self, p):
+    def clamp(self, p, out=None):
         p = np.asarray(p, dtype=float)
-        out = np.empty_like(p)
+        out = np.empty_like(p) if out is None else out
         _wrap(p[..., 0], out[..., 0])  # as in Circle.clamp
         np.clip(p[..., 1], self.fiber_lo, self.fiber_hi, out=out[..., 1])
         return out
 
-    def require(self, p):
+    def require(self, p, out=None):
         if not self.contains(p):
             raise DomainError(f"point {p!r} outside the cylinder")
-        return self.clamp(p)
+        return self.clamp(p, out)
 
     def distance(self, p, q):
         p = np.asarray(p, dtype=float)

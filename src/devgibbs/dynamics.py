@@ -30,9 +30,14 @@ into the walk's spare buffer.  The walk steps in two buffers,
 ``step(cur, out=spare)`` and a swap, so a yielded state is valid only
 until the next step and a reader that keeps one copies it.
 ``birkhoff_sums`` evaluates g into the spare buffer, so a chunk steps and
-sums without allocating.  Retiring points packs the live ones into the
-spare buffer, or into fresh buffers once at most half are left, so memory
-follows the live points.
+sums without allocating; it keeps its points' copy, since its error path
+walks them again.  A walk also carries its reader's per-point columns,
+and one ``keep`` retires states and columns together without allocating
+a buffer: the live states go into the spare buffer, and each column is
+packed in place, because a keep's indices increase.  So the buffers keep
+their first size while points retire.  A chunk job may hand its fresh
+sample over (``own``), which is then clamped in place and stepped as the
+first buffer.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ import numpy as np
 from .errors import ConfigError, EvaluationError, RangeError
 
 NEAR_CRITICAL_TOL = 1e-14
+#: indices ``walk.keep`` gathers per column row at once (32 KiB of float64)
+_PACK_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -97,15 +104,21 @@ def check_float_horizon(m: MapSystem, n: int, setting: str):
 
 class walk:
     """Iterate ``(j, live states)`` for j = 0..n from points checked on the
-    way in.  ``keep(idx)``, a mask or an index array, retires the others;
-    the walk ends once no point is live and takes no step after j = n.
-    A yielded state is valid until the next step."""
+    way in.  ``keep(idx)``, a mask or a strictly increasing index array,
+    retires the others from the states and from each of ``columns``, arrays
+    whose last axis holds the points in the states' order; the walk ends
+    once no point is live and takes no step after j = n.  A yielded state
+    is valid until the next step, and ``columns`` until the next ``keep``.
+    With ``own`` the walk takes the float array ``xs`` over: it is checked
+    and clamped in place and becomes the first buffer."""
 
-    def __init__(self, m: MapSystem, xs, n: int):
+    def __init__(self, m: MapSystem, xs, n: int, columns=(), own=False):
         self.m, self.n = m, n
-        # ``require`` returns a fresh array (its clamp), never ``xs``
-        self.cur = np.asarray(m.domain.require(xs), dtype=float)
+        xs = np.asarray(xs, dtype=float)
+        # without ``out``, ``require`` returns a fresh clamp (0-d a scalar)
+        self.cur = np.asarray(m.domain.require(xs, out=xs if own else None))
         self.spare = np.empty_like(self.cur)
+        self.columns = list(columns)
 
     def __iter__(self):
         for j in range(self.n + 1):
@@ -116,14 +129,35 @@ class walk:
                                     self.cur)
 
     def keep(self, idx):
-        idx = np.flatnonzero(idx) if np.asarray(idx).dtype == bool else idx
-        if 2 * len(idx) <= len(self.cur):  # the buffers shrink with the batch
-            self.cur = self.cur[idx]
-            self.spare = np.empty_like(self.cur)
-        else:  # the indices are in range; "raise" would copy via a buffer
-            live = np.take(self.cur, idx, axis=0, out=self.spare[:len(idx)],
-                           mode="clip")
-            self.cur, self.spare = live, self.cur[:len(idx)]
+        idx = np.asarray(idx)
+        size = len(self.cur)
+        if idx.dtype == bool:
+            if idx.shape != (size,):
+                raise ValueError(f"a mask of shape {idx.shape} for {size} "
+                                 f"live points")
+            idx = np.flatnonzero(idx)
+        elif idx.size and not (idx[0] >= 0 and idx[-1] < size
+                               and np.all(idx[1:] > idx[:-1])):
+            raise ValueError(f"keep indices must increase strictly within "
+                             f"[0, {size})")
+        k = len(idx)
+        # the states go into the spare buffer; "raise" would copy via a
+        # buffer, and the indices are checked
+        live = np.take(self.cur, idx, axis=0, out=self.spare[:k], mode="clip")
+        self.cur, self.spare = live, self.cur[:k]
+        self.columns = [_pack(col, idx) for col in self.columns]
+
+
+def _pack(col, idx):
+    """``col[..., idx]`` in place in ``col[..., :len(idx)]``, one block of
+    indices at a time: they increase, so a block reads at or past where it
+    writes, and past every earlier block's writes."""
+    for at in np.ndindex(col.shape[:-1]):
+        row = col[at]
+        for lo in range(0, len(idx), _PACK_BLOCK):
+            part = idx[lo:lo + _PACK_BLOCK]
+            row[lo:lo + len(part)] = row[part]
+    return col[..., :len(idx)]
 
 
 def orbit(m: MapSystem, x, n: int):

@@ -41,13 +41,16 @@ into its log values once the prefix sums have read them, and
 Blocks of K > 1 rows hold at most ``BLOCK_POINT_STEPS`` entries and
 evaluate into one fresh (K, live) array.
 
-Points whose answer is settled (a hit past the ``settle`` time) are
-masked for the rest of their block and retired through the walk at its
-end; a retired or masked point yields no hit, is not checked against the
-critical set and its arithmetic emits no warning.  Only the points
-nearer than delta to the critical set raise their recurrence threshold
-(a farther point adds n - 1, which never blocks n), and no step is taken
-past the horizon.  Every time query reads the blocks:
+The walk carries the scan's per-point columns, the index of each point
+in the batch and the packed (3, points) prefix sums, running minima and
+recurrence thresholds, and retires them with the states in one ``keep``
+that allocates no buffer.  Points whose answer is settled (a hit past
+the ``settle`` time) are masked for the rest of their block and retired
+through the walk at its end; a retired or masked point yields no hit,
+is not checked against the critical set and its arithmetic emits no
+warning.  Only the points nearer than delta to the critical set raise
+their recurrence threshold (a farther point adds n - 1, which never
+blocks n), and no step is taken past the horizon.  Every time query reads the blocks:
 ``hyperbolic_times`` (all times of one point up to the horizon, through
 the per-n view ``_scan``) retires no point, ``first_times_batch``
 retires each point at its first time, ``straddling_times`` (the times on
@@ -56,14 +59,19 @@ and distortion read) at its first time past the grid, and
 ``sample_anchors`` scans each batch of candidates only to the top of its
 depth window.
 
-Only ``tail_curve`` pauses a scan.  Its chunk jobs stop once at most
+Only ``tail_curve`` pauses a scan.  Its chunk jobs hand their fresh
+sample over to the walk, which clamps it in place and steps it as its
+first buffer, and count each row's hits straight into the chunk's
+histogram, with no per-point array.  They stop once at most
 ``BLOCK_POINT_STEPS`` points are left (about 3,000 of a quadratic
 chunk, after its first 3 rows) and hand back a ``PausedScan``: the next
-time n0, the states at n0 - 1, and the packed prefix/minimum/threshold
-columns.  The scans that paused at the same n0 are joined into packs of
-up to ``CHUNK`` points, and each pack resumes as one batch.  A tail
-therefore pays the narrow rows, many small blocks on few points, once
-per pack, not once per chunk.  A verdict depends on its point alone,
+time n0, the states at n0 - 1, the packed prefix/minimum/threshold
+columns and the names, all copied out, so that it pins none of the
+chunk-wide buffers.  The scans that paused at the same n0 are joined
+into packs of up to ``CHUNK`` points, and each pack resumes as one batch,
+which takes the pack's arrays over.  A tail therefore pays the narrow
+rows, many small blocks on few points, once per pack, not once per
+chunk.  A verdict depends on its point alone,
 not on which points share a block, so the first times are those of
 whole-chunk scans.  A critical-set hit names the sample by its number
 in the whole draw.
@@ -169,7 +177,9 @@ class PausedScan:
     ``cur`` holds the states at n0 - 1 of the points still scanned,
     ``state`` their packed (3, points) prefix sums, running minima and
     recurrence thresholds, and ``names`` the number by which a critical
-    hit names each point.
+    hit names each point (int64, so ``tail_curve`` can add a chunk's
+    offset).  The arrays are copies, not views of the scan's buffers, and
+    a resumed scan steps ``cur`` and advances ``state`` in place.
     """
 
     n0: int
@@ -187,7 +197,7 @@ def _critical_hit(point, index):
 
 
 def _scan_blocks(m: MapSystem, xs, params: HyperbolicParams, settle: int,
-                 horizon: int, pause: bool = False):
+                 horizon: int, pause: bool = False, own: bool = False):
     """Yield ``(n0, ok, live)`` for the times n = n0 .. n0 + len(ok) - 1,
     up to ``horizon``: ``ok[r, i]`` says n0 + r is a hyperbolic time of
     the start point ``xs[live[i]]``.  ``xs`` is a batch of start points,
@@ -200,24 +210,27 @@ def _scan_blocks(m: MapSystem, xs, params: HyperbolicParams, settle: int,
     critical set, after the rows before that hit are yielded.  With
     ``pause`` the scan also ends, before its next block, once at most
     ``BLOCK_POINT_STEPS`` points are left, and returns a ``PausedScan``
-    of them.  A resumed scan advances its ``state`` in place.
+    of them.  With ``own`` the scan takes the float array ``xs`` over, as
+    ``walk`` does; a resumed scan takes over its ``cur`` and ``state``.
     """
     resumed = isinstance(xs, PausedScan)
     n0 = xs.n0 if resumed else 1
-    # the state at n - 1 decides n
-    steps = walk(m, xs.cur if resumed else xs, horizon - n0)
-    states = iter(steps)
-    live = np.arange(len(steps.cur))  # the index in xs of each scanned point
-    names = xs.names if resumed else live  # what a critical hit names
+    live = np.arange(len(xs))  # the index in xs of each scanned point
+    names = xs.names if resumed else None  # a critical hit names live[i]
     # prefix sums, their running minimum, recurrence threshold - _INDEX_TOL
     state = xs.state if resumed else np.repeat(
         [[0.0], [0.0], [-np.inf]], live.size, axis=1)
+    # the state at n - 1 decides n; the walk retires the columns with it
+    steps = walk(m, xs.cur if resumed else xs, horizon - n0,
+                 columns=(live, state), own=own or resumed)
+    states = iter(steps)
     log_sigma = np.log(params.sigma)
     k = 1
     while live.size and n0 <= horizon:
         if pause and live.size <= BLOCK_POINT_STEPS:
-            next(states)  # the states at n0 - 1, copied out of the walk
-            return PausedScan(n0, steps.cur.copy(), state, names[live])
+            next(states)  # the states at n0 - 1: copies pin no chunk buffer
+            return PausedScan(n0, steps.cur.copy(), state.copy(),
+                              live.copy() if names is None else names[live])
         k = min(k, horizon + 1 - n0)
         if k == 1:  # the spare buffer is free until the next step
             cur = next(states)[1]
@@ -291,13 +304,14 @@ def _scan_blocks(m: MapSystem, xs, params: HyperbolicParams, settle: int,
             r, i = divmod(int(np.argmax(bad)), live.size)
             if r:
                 yield n0, ok[:r], live
-            raise _critical_hit(int(names[live[i]]), n0 - 1 + r)
+            i = live[i] if names is None else names[live[i]]
+            raise _critical_hit(int(i), n0 - 1 + r)
         yield n0, ok, live
         n0 += k
         if len(gone) and gone[-1].any():
-            keep = np.flatnonzero(~gone[-1])
-            steps.keep(keep)
-            live, state = live[keep], state.take(keep, axis=1)
+            # the rows are read: the points kept go over the last one
+            steps.keep(np.logical_not(gone[-1], out=gone[-1]))
+            live, state = steps.columns
         if 2 * k * live.size <= BLOCK_POINT_STEPS:
             k *= 2
 
@@ -367,22 +381,40 @@ def first_times_batch(m: MapSystem, xs, params: HyperbolicParams) -> np.ndarray:
     return _first_times(m, xs, params)[0]
 
 
-def _first_times(m: MapSystem, xs, params: HyperbolicParams, pause=False):
+def _first_times(m: MapSystem, xs, params: HyperbolicParams, pause=False,
+                 count=None):
     """``(first, rest)``: ``first_times_batch`` and, with ``pause``, the
     ``PausedScan`` of the points whose first time it left to find (they
-    read 0), or None."""
-    first = np.zeros(len(xs), dtype=np.int64)
-    blocks = _scan_blocks(m, xs, params, 0, params.n_max, pause)
+    read 0), or None.  Given ``count``, a histogram over the times, the
+    scan takes the float array ``xs`` over and adds each row's hits to
+    its time's bin, with no per-point array: ``first`` is then ``count``.
+    """
+    first = np.zeros(len(xs), dtype=np.int64) if count is None else count
+    blocks = _scan_blocks(m, xs, params, 0, params.n_max, pause,
+                          own=count is not None)
     while True:
         try:
             n0, ok, live = next(blocks)
         except StopIteration as stop:
             return first, stop.value
-        if len(ok) == 1:  # one row: its hits need no row index
+        if count is not None:  # a point hits once, at its first time
+            count[n0:n0 + len(ok)] += np.count_nonzero(ok, axis=1)
+        elif len(ok) == 1:  # one row: its hits need no row index
             first[live[ok[0]]] = n0
         else:
             rows, cols = _hits(ok)  # one time per column: its first
             first[live[cols]] = n0 + rows
+
+
+def _tail_chunk(m: MapSystem, params: HyperbolicParams, pts):
+    """A ``tail_curve`` chunk job: the histogram of the first times of the
+    fresh sample ``pts``, which its scan takes over, and the ``PausedScan``
+    of the points left, or the ``SingularityError`` of a critical hit."""
+    try:
+        return _first_times(m, pts, params, pause=True,
+                            count=np.zeros(params.n_max + 1, dtype=np.int64))
+    except SingularityError as exc:
+        return exc  # raised by tail_curve, naming the sample, not its place
 
 
 def gap_horizon(n: int) -> int:
@@ -476,18 +508,11 @@ def tail_curve(m: MapSystem, sampler, params: HyperbolicParams,
     is that of whole-chunk scans.
     """
     bins = params.n_max + 1
-
-    def job(pts):
-        try:
-            first, rest = _first_times(m, pts, params, pause=True)
-        except SingularityError as exc:
-            return exc  # raised below, naming the sample, not its place
-        return np.bincount(first, minlength=bins), rest
-
     hist = np.zeros(bins, dtype=np.int64)
     rests = []
-    for c, part in enumerate(chunk_map(job, sampler, samples, seed, "tail",
-                                       workers)):
+    for c, part in enumerate(chunk_map(
+            lambda pts: _tail_chunk(m, params, pts), sampler, samples, seed,
+            "tail", workers)):
         if isinstance(part, SingularityError):
             raise _critical_hit(c * CHUNK + part.point, part.index)
         hist += part[0]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from devgibbs import maps
 from devgibbs.branching import MAX_COMPONENTS, join
-from devgibbs.domain import Circle, Cylinder, frac
+from devgibbs.domain import Circle, Cylinder, Interval, _wrap, frac
 from devgibbs.dynamics import birkhoff_sum, jacobian_data, orbit, walk
 from devgibbs.errors import (CapabilityError, ConfigError, DomainError,
                              EvaluationError, SingularityError)
@@ -98,6 +98,52 @@ def test_walk_keeps_by_mask_or_index(quadratic):
         assert np.array_equal(seen[j], ref[j, [0, 3]])
     with pytest.raises(DomainError):
         walk(quadratic, [0.3, 1.1], 3)  # checked before any step
+
+
+def test_walk_keeps_columns_with_the_states(quadratic):
+    # masks and increasing indices over several keeps retire the states and
+    # the columns, whose last axis is the point axis, as gathering by hand
+    xs = np.random.default_rng(5).random(20_000)
+    ref = orbit(quadratic, xs, 4)
+    names, state = np.arange(len(xs)), np.arange(3.0 * len(xs)).reshape(3, -1)
+    want = [names.copy(), state.copy()]
+    steps = walk(quadratic, xs, 4, columns=(names, state))
+    rng, kept = np.random.default_rng(6), np.arange(len(xs))
+    for j, cur in steps:
+        assert np.array_equal(cur, ref[j, kept])
+        for col, ref_col in zip(steps.columns, want):
+            assert np.array_equal(col, ref_col[..., kept])
+        mask = rng.random(len(cur)) < 0.7
+        steps.keep(mask if j % 2 else np.flatnonzero(mask))
+        kept = kept[mask]
+    assert steps.columns[0].base is names  # packed in place, not copied
+
+
+@pytest.mark.parametrize("idx", [[0, 2, 2], [2, 1], [-1, 2], [0, 3],
+                                 np.ones(2, dtype=bool)])
+def test_walk_refuses_bad_keep_indices(quadratic, idx):
+    # "clip" would clamp such an index, and the in-place packing of the
+    # columns needs strictly increasing indices
+    steps = walk(quadratic, [0.1, 0.2, 0.3], 2, columns=(np.arange(3),))
+    next(iter(steps))
+    with pytest.raises(ValueError):
+        steps.keep(np.array(idx))
+
+
+def test_walk_owns_a_float_array(quadratic, doubling):
+    # checked and clamped in place, then stepped as the first buffer
+    for m, x in ((quadratic, [-1.0 - 1e-13, 0.3, 1.0 + 1e-13]),
+                 (doubling, [-1e-20, 0.25, 0.5])):
+        xs = np.array(x)
+        want = orbit(m, x, 3)
+        seen = []
+        for j, cur in walk(m, xs, 3, own=True):
+            seen.append(cur.copy())
+            if j == 0:
+                assert cur is xs
+        assert np.array_equal(seen, want)
+    with pytest.raises(DomainError):
+        walk(quadratic, np.array([0.3, 1.1]), 3, own=True)
 
 
 def test_walk_scalar_start_point(mp):
@@ -352,6 +398,34 @@ def test_frac_matches_float_remainder_bitwise(xs):
     # Circle.clamp folds twice, so a tiny negative x lands on 0, not 1
     assert np.array_equal(frac(frac(x)).view(np.int64),
                           (x % 1.0 % 1.0).view(np.int64))
+
+
+def test_wrap_in_place():
+    # floor(x) must not land on x before the subtraction reads it
+    x = np.array([0.25, 1.5, -0.25])
+    assert _wrap(x, x) is x and x.tolist() == [0.25, 0.5, 0.75]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_clamp_into_the_points_is_the_clamp_bitwise(xs):
+    x = np.array(xs + EDGE_DOUBLES)
+    p = np.stack([x, x[::-1]], axis=-1)
+    for dom, pts in ((Circle(), x), (Interval(-1.0, 1.0), x),
+                     (Cylinder(-1.0, 1.0), p)):
+        ref, got = dom.clamp(pts), pts.copy()
+        assert dom.clamp(got, out=got) is got
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_interval_sample_is_lo_plus_scaled_draws():
+    # drawn in place, with the bits of lo + (hi - lo) * u
+    dom = Interval(0.3, 1.7)
+    u = np.random.default_rng(9).random(1000)
+    ref = dom.lo + (dom.hi - dom.lo) * u
+    got = dom.sample(np.random.default_rng(9), 1000)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 def test_no_clamp_on_a_step_result():

@@ -13,7 +13,8 @@ from devgibbs import maps
 from devgibbs.domain import Interval
 from devgibbs.dynamics import MapSystem
 from devgibbs.errors import ConfigError, SingularityError
-from devgibbs.sampling import CHUNK, UniformSampler, sample_chunks
+from devgibbs.sampling import (CHUNK, UniformSampler, sample_chunks,
+                               spawn_rng)
 from helpers import all_times, combined_se, count_steps, with_out
 import oracles
 
@@ -700,6 +701,40 @@ def test_paused_chunk_scan_allocates_under_ten_chunks(quadratic):
         tracemalloc.stop()
     assert rest is not None and rest.n0 > 2  # it ran one-row blocks
     assert peak < 10 * xs.nbytes
+
+
+def test_tail_chunk_job_allocates_under_seven_chunks(quadratic):
+    # the sample is the walk's first buffer; with the spare buffer, the
+    # names and the (3, points) scan state that makes 6 chunk widths, and
+    # each row's hits go straight into the histogram
+    p = hyp.default_params(quadratic, n_max=400)
+    sampler = UniformSampler(quadratic.domain)
+    hyp._tail_chunk(quadratic, p, sampler.sample(spawn_rng(1, "tail"), 100))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        hist, rest = hyp._tail_chunk(
+            quadratic, p, sampler.sample(spawn_rng(7, "tail"), CHUNK))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rest is not None and rest.n0 > 2  # it ran one-row blocks
+    assert peak < 7 * CHUNK * 8
+
+
+def test_paused_scan_copies_its_columns(quadratic):
+    # a paused scan pins none of the chunk-wide buffers of its walk, and
+    # its histogram and points add up to the chunk's first times
+    xs = quadratic.domain.sample(np.random.default_rng(7), CHUNK)
+    p = hyp.default_params(quadratic, n_max=400)
+    want = hyp.first_times_batch(quadratic, xs, p)
+    hist, rest = hyp._tail_chunk(quadratic, p, xs.copy())
+    for col in (rest.cur, rest.state, rest.names):
+        assert col.base is None and col.shape[-1] == len(rest)
+    assert np.array_equal(hist[1:], np.bincount(
+        want[want < rest.n0], minlength=p.n_max + 1)[1:])
+    assert np.array_equal(want[rest.names],
+                          hyp.first_times_batch(quadratic, rest, p))
 
 
 def test_tail_curve_packs_the_chunks_left_over(quadratic):
